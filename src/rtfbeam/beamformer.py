@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import DEFAULT_LOADING, HermitianMatrixField, hermitian_evd
+from .covariance import EigenDecomposition, loaded_power
 from .rtf import RtfTrajectory
 from .stft import ComplexSpectrogram, StftConfig
 
@@ -48,33 +48,21 @@ class BeampatternGrid:
     wideband: np.ndarray  # P(theta, l) = sum_k |B|^2, shape (T, L)
 
 
-def inverse_with_loading(
-    field: HermitianMatrixField, loading: float = DEFAULT_LOADING
-) -> np.ndarray:
-    """(Phi + loading*mean(lambda)*I)^{-1} per bin, shape (F, M, M)."""
-    evd = hermitian_evd(field)
-    eps = loading * np.mean(np.abs(evd.eigenvalues), axis=1, keepdims=True)
-    lam = evd.eigenvalues + eps
-    if np.any(lam <= 0):
-        raise BeamformerError("covariance not invertible even after loading")
-    v = evd.eigenvectors
-    return np.einsum("kij,kj,klj->kil", v, 1.0 / lam, v.conj())
-
-
 def mvdr_weights(
     rtf: RtfTrajectory,
-    phi_nn: HermitianMatrixField,
+    phi_nn_evd: EigenDecomposition,
     loading: float = MVDR_LOADING,
 ) -> BeamformerWeights:
     """Distortionless MVDR weights per (k, l): w = Phi^{-1}a / (a^H Phi^{-1}a).
 
+    Phi^{-1} is the loaded inverse from the EVD of the noise covariance.
     Invalid RTF cells reuse the previous frame's weights; a bin with no
     valid cell at all falls back to reference-channel passthrough.
     """
     m, nbins, nframes = rtf.values.shape
-    if phi_nn.num_bins != nbins or phi_nn.num_channels != m:
+    if phi_nn_evd.eigenvalues.shape != (nbins, m):
         raise BeamformerError("noise covariance shape does not match RTF")
-    inv = inverse_with_loading(phi_nn, loading)
+    inv = loaded_power(phi_nn_evd, -1.0, loading).matrices
 
     a = rtf.values  # (M, F, L)
     num = np.einsum("kij,jkl->ikl", inv, a)  # Phi^{-1} a
@@ -110,25 +98,6 @@ def apply(weights: BeamformerWeights, spec: ComplexSpectrogram) -> ComplexSpectr
     return ComplexSpectrogram(out[None, :, :], spec.config)
 
 
-def steering_vector(
-    positions_m: np.ndarray,
-    theta_deg: float,
-    bin_index: int,
-    config: StftConfig,
-    speed_of_sound: float = SPEED_OF_SOUND,
-    ref_element: int = 0,
-) -> np.ndarray:
-    """Far-field plane-wave steering vector for a linear array.
-
-    h_m = exp(-j 2 pi f_k tau_m), tau_m = (x_m / c) sin(theta), normalized
-    so the reference element equals 1. theta is measured from broadside.
-    """
-    x = np.asarray(positions_m, dtype=np.float64)
-    f_k = bin_index * config.sample_rate_hz / config.window_len
-    tau = (x - x[ref_element]) / speed_of_sound * np.sin(np.deg2rad(theta_deg))
-    return np.exp(-2j * np.pi * f_k * tau)
-
-
 def narrowband_beampattern(
     weights: BeamformerWeights,
     positions_m: np.ndarray,
@@ -151,27 +120,3 @@ def narrowband_beampattern(
     b = np.abs(np.einsum("mkl,ktm->ktl", weights.values.conj(), h))
     wide = np.sum(b**2, axis=0)
     return BeampatternGrid(angles_deg, b, wide)
-
-
-def wideband_beampower(grid: BeampatternGrid) -> BeampatternGrid:
-    """Recompute P(theta, l) = sum_k |B(k, theta, l)|^2 from the stored B."""
-    wide = np.sum(grid.narrowband**2, axis=0)
-    return BeampatternGrid(grid.angles_deg, grid.narrowband, wide)
-
-
-def delay_and_sum_weights(
-    positions_m: np.ndarray,
-    theta_deg: float,
-    config: StftConfig,
-    num_frames: int,
-    speed_of_sound: float = SPEED_OF_SOUND,
-) -> BeamformerWeights:
-    """Matched-filter weights w = h(theta)/M, constant over frames."""
-    x = np.asarray(positions_m, dtype=np.float64)
-    m = x.shape[0]
-    nbins = config.num_bins
-    w = np.empty((m, nbins, num_frames), dtype=np.complex128)
-    for k in range(nbins):
-        h = steering_vector(x, theta_deg, k, config, speed_of_sound)
-        w[:, k, :] = (h / m)[:, None]
-    return BeamformerWeights(w)

@@ -26,10 +26,11 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
+# the flags that change a result: part of every row and of the resume key
+CONFIG_FIELDS = ["static", "beta", "loading", "mvdr_loading"]
+KEY_FIELDS = ["scenario_id", "snr_db", "method", *CONFIG_FIELDS]
 RESULT_FIELDS = [
-    "scenario_id",
-    "snr_db",
-    "method",
+    *KEY_FIELDS,
     "status",
     "si_sdr_left",
     "si_sdr_right",
@@ -187,27 +188,15 @@ def cmd_beamform(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
     report = pipeline.evaluate_bundle(
-        bundle, args.method, args.beta, args.loading, args.mvdr_loading
+        bundle, args.method, args.beta, args.loading, args.mvdr_loading,
+        noise_frames=args.noise_frames,
     )
-    mix_spec, ln, stats = _estimation_inputs(bundle, args)
-    m = bundle.scenario.num_mics
-    for side, ref in (("left", 0), ("right", m - 1)):
-        if args.method == "none":
-            traj = rtf.RtfTrajectory(
-                pipeline._trivial_rtf(m, mix_spec.num_bins, mix_spec.num_frames, ref),
-                ref, side,
-            )
-        else:
-            traj = pipeline.estimate_trajectory(
-                mix_spec, stats, ln, args.method, ref, side, args.beta, bundle.truth
-            )
-        signal, _ = pipeline.beamform_side(
-            mix_spec, stats, traj, args.method, args.mvdr_loading
-        )
+    for side, signal in report.enhanced.items():
         _write_wav(
             bundle_dir / f"enhanced_{side}.wav", bundle.scenario.sample_rate, signal
         )
     row = report.csv_row()
+    row.update(_config_columns(bundle.scenario.source_delta_deg == 0.0, args))
     row["status"] = "ok"
     append_result_row(Path(args.results), row)
     print(
@@ -221,18 +210,11 @@ def cmd_beampattern(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
     mix_spec, ln, stats = _estimation_inputs(bundle, args)
-    m = bundle.scenario.num_mics
-    if args.method == "none":
-        traj = rtf.RtfTrajectory(
-            pipeline._trivial_rtf(m, mix_spec.num_bins, mix_spec.num_frames, 0),
-            0, "left",
-        )
-    else:
-        traj = pipeline.estimate_trajectory(
-            mix_spec, stats, ln, args.method, 0, "left", args.beta, bundle.truth
-        )
+    traj = pipeline.estimate_trajectory(
+        mix_spec, stats, ln, args.method, 0, "left", args.beta, bundle.truth
+    )
     weights = (
-        beamformer.mvdr_weights(traj, stats.phi_nn, args.mvdr_loading)
+        beamformer.mvdr_weights(traj, stats.phi_nn_evd, args.mvdr_loading)
         if args.method != "none"
         else beamformer.BeamformerWeights(traj.values.copy())
     )
@@ -266,10 +248,33 @@ def cmd_beampattern(args) -> int:
     return EXIT_OK
 
 
+def _config_columns(static: bool, args) -> dict:
+    """The CONFIG_FIELDS of a results row, formatted as written."""
+    return {
+        "static": str(int(static)),
+        "beta": repr(args.beta),
+        "loading": repr(args.loading),
+        "mvdr_loading": repr(args.mvdr_loading),
+    }
+
+
+def _check_columns(path: Path) -> None:
+    """Refuse to mix rows into a results file written with other columns."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header != RESULT_FIELDS:
+        raise ConfigError(
+            f"{path} has columns {header}, expected {RESULT_FIELDS}; "
+            "write to a new file"
+        )
+
+
 def append_result_row(path: Path, row: dict) -> None:
     """Single-writer append; creates the file with a header when missing."""
     path.parent.mkdir(parents=True, exist_ok=True)
     exists = path.exists()
+    if exists:
+        _check_columns(path)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, lineterminator="\n")
         if not exists:
@@ -278,13 +283,12 @@ def append_result_row(path: Path, row: dict) -> None:
 
 
 def completed_keys(path: Path) -> set[tuple]:
+    """KEY_FIELDS of every row already in the results file."""
     if not path.exists():
         return set()
+    _check_columns(path)
     with open(path, newline="") as fh:
-        return {
-            (r["scenario_id"], r["snr_db"], r["method"])
-            for r in csv.DictReader(fh)
-        }
+        return {tuple(r[k] for k in KEY_FIELDS) for r in csv.DictReader(fh)}
 
 
 def cmd_evaluate(args) -> int:
@@ -305,11 +309,10 @@ def cmd_evaluate(args) -> int:
             else:
                 bundle = pipeline.remix(rendered, snr)
             for method in methods:
-                key = (f"seed{seed}", repr(snr), method)
-                if (key[0], key[1], key[2]) in done:
-                    continue
                 row = {"scenario_id": f"seed{seed}", "snr_db": repr(snr),
-                       "method": method}
+                       "method": method, **_config_columns(args.static, args)}
+                if tuple(row[k] for k in KEY_FIELDS) in done:
+                    continue
                 try:
                     report = pipeline.evaluate_bundle(
                         bundle, method, args.beta, args.loading, args.mvdr_loading

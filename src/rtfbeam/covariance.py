@@ -1,9 +1,11 @@
-"""Per-bin Hermitian covariance estimation, EVD, matrix roots, whitening.
+"""Per-bin Hermitian covariance estimation, EVD, matrix functions, whitening.
 
-The eigendecomposition is a cyclic Jacobi iteration for complex Hermitian
-matrices, vectorized across frequency bins: every bin applies the same
-pivot schedule, with per-bin rotation angles. M <= 16 in all use cases, so
-Jacobi is accurate and cheap.
+Every bin's eigendecomposition comes from one batched LAPACK call
+(``np.linalg.eigh``) over the (F, M, M) field, re-sorted descending. Each
+matrix function the pipeline needs is ``loaded_power`` of that one EVD:
+V (Lambda + loading*mean|lambda|*I)^p V^H, with p = -1/2 for the whitener
+Phi_nn^{-1/2}, +1/2 for its de-whitening inverse and -1 for the MVDR
+inverse. Phi_nn is therefore decomposed once per bundle.
 """
 
 from __future__ import annotations
@@ -103,123 +105,42 @@ def estimate_mixture_covariance(
     return _frame_outer_average(spec, slice(noise_frames, spec.num_frames))
 
 
-def hermitian_evd(
-    field: HermitianMatrixField,
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
-) -> EigenDecomposition:
-    """Cyclic Jacobi EVD of every matrix in the field.
+def hermitian_evd(field: HermitianMatrixField) -> EigenDecomposition:
+    """Batched LAPACK EVD of every matrix in the field.
 
     Eigenvalues sorted descending; eigenvector columns orthonormal.
     """
     field.check_hermitian()
-    a = _hermitize(field.matrices).copy()
-    nbins, m, _ = a.shape
-    v = np.broadcast_to(np.eye(m, dtype=np.complex128), a.shape).copy()
-
-    norms = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
-    # summed directly over off-diagonal entries: the total-minus-diagonal
-    # shortcut cancels catastrophically near convergence
-    off_mask = ~np.eye(m, dtype=bool)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a[:, off_mask]) ** 2, axis=1))
-        if np.all(off <= tol * norms):
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[:, p, q]
-                r = np.abs(apq)
-                active = r > 1e-300
-                # unit phase of the pivot; identity rotation where inactive
-                u = np.where(active, apq / np.where(active, r, 1.0), 1.0)
-                app = a[:, p, p].real
-                aqq = a[:, q, q].real
-                tau = np.where(active, (aqq - app) / np.maximum(2.0 * r, 1e-300), 0.0)
-                big = np.abs(tau) > 1e150  # 1/(2 tau) asymptote avoids tau^2 overflow
-                tau_safe = np.where(big, 1.0, tau)
-                t = np.sign(tau_safe) / (
-                    np.abs(tau_safe) + np.sqrt(1.0 + tau_safe * tau_safe)
-                )
-                t = np.where(big, 0.5 / np.where(big, tau, 1.0), t)
-                t = np.where(tau == 0.0, np.where(active, 1.0, 0.0), t)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = np.where(active, t * c, 0.0)
-                c = np.where(active, c, 1.0)
-
-                # A <- J^H A J with J[p,p]=c, J[p,q]=s*u, J[q,p]=-s*conj(u)
-                cp = c[:, None]
-                sp = s[:, None]
-                up = u[:, None]
-                row_p = a[:, p, :].copy()
-                row_q = a[:, q, :].copy()
-                a[:, p, :] = cp * row_p - sp * up * row_q
-                a[:, q, :] = sp * np.conj(up) * row_p + cp * row_q
-                col_p = a[:, :, p].copy()
-                col_q = a[:, :, q].copy()
-                a[:, :, p] = cp * col_p - sp * np.conj(up) * col_q
-                a[:, :, q] = sp * up * col_p + cp * col_q
-                vcol_p = v[:, :, p].copy()
-                vcol_q = v[:, :, q].copy()
-                v[:, :, p] = cp * vcol_p - sp * np.conj(up) * vcol_q
-                v[:, :, q] = sp * up * vcol_p + cp * vcol_q
-
-    eigvals = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    order = np.argsort(-eigvals, axis=1, kind="stable")
-    eigvals = np.take_along_axis(eigvals, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return EigenDecomposition(eigvals, v)
+    eigvals, v = np.linalg.eigh(_hermitize(field.matrices))  # ascending
+    return EigenDecomposition(eigvals[:, ::-1].copy(), v[:, :, ::-1].copy())
 
 
-def _loaded_eigenvalues(evd: EigenDecomposition, loading: float) -> np.ndarray:
-    if loading < 0:
-        raise CovarianceError("loading must be >= 0")
+def loaded_power(
+    evd: EigenDecomposition, power: float, loading: float
+) -> HermitianMatrixField:
+    """V (Lambda + loading*mean|lambda|*I)^power V^H per bin.
+
+    The one matrix function of the package: the whitener (power -1/2), its
+    de-whitening inverse (+1/2) and the MVDR inverse (-1) differ only in
+    power and loading. The loaded eigenvalues must be positive.
+    """
     mean_mag = np.mean(np.abs(evd.eigenvalues), axis=1, keepdims=True)
-    return evd.eigenvalues + loading * mean_mag
-
-
-def _rebuild(evd: EigenDecomposition, diag: np.ndarray) -> HermitianMatrixField:
+    lam = evd.eigenvalues + loading * mean_mag
+    if loading < 0 or np.any(lam <= 0):
+        raise CovarianceError(
+            f"non-positive eigenvalue after loading {loading}; loading must be "
+            ">= 0, raise it or use more noise frames"
+        )
     v = evd.eigenvectors
-    out = np.einsum("kij,kj,klj->kil", v, diag, v.conj())
+    out = (v * lam[:, None, :] ** power) @ v.conj().transpose(0, 2, 1)
     return HermitianMatrixField(_hermitize(out))
 
 
-def inverse_sqrt(
-    field: HermitianMatrixField, loading: float = DEFAULT_LOADING
-) -> HermitianMatrixField:
-    """(Phi + loading*(trace/M)*I)^(-1/2) via EVD; Hermitian PSD output."""
-    evd = hermitian_evd(field)
-    lam = _loaded_eigenvalues(evd, loading)
-    if np.any(lam <= 0):
-        raise CovarianceError(
-            "non-positive eigenvalue after loading; raise loading or use more "
-            "noise frames"
-        )
-    return _rebuild(evd, 1.0 / np.sqrt(lam))
-
-
-def sqrt_hermitian(
-    field: HermitianMatrixField, loading: float = 0.0
-) -> HermitianMatrixField:
-    """Hermitian square root V diag(sqrt(lambda)) V^H (so Phi^{H/2} = Phi^{1/2})."""
-    evd = hermitian_evd(field)
-    lam = _loaded_eigenvalues(evd, loading)
-    if np.any(lam < 0):
-        raise CovarianceError("negative eigenvalue; matrix not PSD after loading")
-    return _rebuild(evd, np.sqrt(lam))
-
-
 def sqrt_pair(
-    field: HermitianMatrixField, loading: float = DEFAULT_LOADING
+    evd: EigenDecomposition, loading: float = DEFAULT_LOADING
 ) -> tuple[HermitianMatrixField, HermitianMatrixField]:
-    """(Phi^{1/2}, Phi^{-1/2}) with shared EVD and identical loading."""
-    evd = hermitian_evd(field)
-    lam = _loaded_eigenvalues(evd, loading)
-    if np.any(lam <= 0):
-        raise CovarianceError(
-            "non-positive eigenvalue after loading; raise loading or use more "
-            "noise frames"
-        )
-    return _rebuild(evd, np.sqrt(lam)), _rebuild(evd, 1.0 / np.sqrt(lam))
+    """(Phi^{1/2}, Phi^{-1/2}) from one EVD with identical loading."""
+    return loaded_power(evd, 0.5, loading), loaded_power(evd, -0.5, loading)
 
 
 def whiten(spec: ComplexSpectrogram, w: HermitianMatrixField) -> ComplexSpectrogram:

@@ -29,6 +29,8 @@ class EvalReport:
     rtf_mse_db: float = float("nan")
     doa_error_mean_deg: float = float("nan")
     doa_error_per_frame: list = field(default_factory=list)
+    # side -> enhanced time signal, (N',); not part of the CSV row or repr
+    enhanced: dict = field(default_factory=dict, repr=False, compare=False)
 
     def csv_row(self) -> dict:
         return {

@@ -64,7 +64,9 @@ def remix(bundle: SimBundle, snr_db: float) -> SimBundle:
 
 @dataclass
 class NoiseStats:
-    phi_nn: covariance.HermitianMatrixField
+    """The one EVD of Phi_nn per bundle, and the whitener pair built from it."""
+
+    phi_nn_evd: covariance.EigenDecomposition
     phi_nn_sqrt: covariance.HermitianMatrixField
     phi_nn_invsqrt: covariance.HermitianMatrixField
 
@@ -75,8 +77,9 @@ def noise_stats(
     loading: float = covariance.DEFAULT_LOADING,
 ) -> NoiseStats:
     phi_nn = covariance.estimate_noise_covariance(mix_spec, noise_frames)
-    sqrt_nn, invsqrt_nn = covariance.sqrt_pair(phi_nn, loading)
-    return NoiseStats(phi_nn, sqrt_nn, invsqrt_nn)
+    evd = covariance.hermitian_evd(phi_nn)
+    sqrt_nn, invsqrt_nn = covariance.sqrt_pair(evd, loading)
+    return NoiseStats(evd, sqrt_nn, invsqrt_nn)
 
 
 def estimate_trajectory(
@@ -89,7 +92,13 @@ def estimate_trajectory(
     beta: float = rtf.DEFAULT_BETA,
     truth: simulator.GroundTruth | None = None,
 ) -> rtf.RtfTrajectory:
-    """RTF trajectory by the chosen method ('oracle' needs ground truth)."""
+    """RTF trajectory by the chosen method ('oracle' needs ground truth;
+    'none' is the trivial e_ref trajectory of reference passthrough)."""
+    if method == "none":
+        m, nbins, nframes = mix_spec.data.shape
+        values = np.zeros((m, nbins, nframes), dtype=np.complex128)
+        values[ref_channel] = 1.0
+        return rtf.RtfTrajectory(values, ref_channel, side)
     if method == "oracle":
         if truth is None:
             raise ValueError("oracle method requires ground truth")
@@ -117,13 +126,10 @@ def beamform_side(
     loading: float = beamformer.MVDR_LOADING,
 ) -> tuple[np.ndarray, beamformer.BeamformerWeights]:
     """Beamform one side; method 'none' passes the reference channel through."""
-    m, nbins, nframes = mix_spec.data.shape
-    if method == "none":
-        w = np.zeros((m, nbins, nframes), dtype=np.complex128)
-        w[traj.ref_channel] = 1.0
-        weights = beamformer.BeamformerWeights(w, traj.side)
+    if method == "none":  # the trivial 'none' trajectory is the passthrough
+        weights = beamformer.BeamformerWeights(traj.values, traj.side)
     else:
-        weights = beamformer.mvdr_weights(traj, stats.phi_nn, loading)
+        weights = beamformer.mvdr_weights(traj, stats.phi_nn_evd, loading)
     out_spec = beamformer.apply(weights, mix_spec)
     return stft.synthesize(out_spec), weights
 
@@ -136,10 +142,15 @@ def evaluate_bundle(
     mvdr_loading: float = beamformer.MVDR_LOADING,
     with_doa: bool = False,
     angle_step_deg: float = 1.0,
+    noise_frames: int | None = None,
 ) -> metrics.EvalReport:
-    """Full pipeline on one bundle: estimate, beamform both sides, score."""
+    """Full pipeline on one bundle: estimate, beamform both sides, score.
+
+    `noise_frames` overrides the bundle's lead-silence frame count. The
+    report keeps both sides' enhanced signals in `enhanced`.
+    """
     mix_spec = stft.analyze(bundle.mixture, bundle.config)
-    ln = bundle.noise_frames
+    ln = noise_frames or bundle.noise_frames
     stats = noise_stats(mix_spec, ln, loading)
     m = bundle.scenario.num_mics
 
@@ -150,17 +161,12 @@ def evaluate_bundle(
     )
     out = {}
     for side, ref in (("left", 0), ("right", m - 1)):
-        if method == "none":
-            traj = rtf.RtfTrajectory(
-                _trivial_rtf(m, mix_spec.num_bins, mix_spec.num_frames, ref),
-                ref, side,
-            )
-        else:
-            traj = estimate_trajectory(
-                mix_spec, stats, ln, method, ref, side, beta, bundle.truth
-            )
+        traj = estimate_trajectory(
+            mix_spec, stats, ln, method, ref, side, beta, bundle.truth
+        )
         signal, weights = beamform_side(mix_spec, stats, traj, method, mvdr_loading)
         out[side] = (traj, signal, weights)
+        report.enhanced[side] = signal
 
     n = bundle.clean.shape[1]
     report.si_sdr_left = metrics.si_sdr(out["left"][1][:n], bundle.truth.clean_ref_left)
@@ -182,9 +188,3 @@ def evaluate_bundle(
         report.doa_error_mean_deg = mean_err
         report.doa_error_per_frame = [float(e) for e in errs]
     return report
-
-
-def _trivial_rtf(m: int, nbins: int, nframes: int, ref: int) -> np.ndarray:
-    values = np.zeros((m, nbins, nframes), dtype=np.complex128)
-    values[ref] = 1.0
-    return values

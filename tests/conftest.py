@@ -1,9 +1,12 @@
 """Shared fixtures: rendered scenario bundles are expensive, so a moving and
 a static bundle are built once per session and reused across test modules."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import rtfbeam
 from rtfbeam import pipeline
 
 
@@ -27,3 +30,21 @@ def random_spd(rng, m, floor=0.1):
 
 def random_complex(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls to `fn` through every rtfbeam module attribute bound to
+    it, so a direct `from .x import fn` is counted too; returns the counter,
+    a one-element list."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for mod in vars(rtfbeam).values():
+        if inspect.ismodule(mod):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

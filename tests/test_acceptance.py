@@ -58,9 +58,8 @@ def test_acceptance_2_whitening_identity(capsys):
     for i in range(100):
         m = (2, 4, 8)[i % 3]
         phi = random_spd(rng, m)
-        r = covariance.inverse_sqrt(
-            covariance.HermitianMatrixField(phi[None, :, :]), 0.0
-        ).matrices[0]
+        evd = covariance.hermitian_evd(covariance.HermitianMatrixField(phi[None, :, :]))
+        r = covariance.loaded_power(evd, -0.5, 0.0).matrices[0]
         worst = max(worst, float(np.linalg.norm(r @ phi @ r.conj().T - np.eye(m))))
     ok = worst < 1e-8
     _report(capsys, "2 (whitening identity)", ok, f"max defect {worst:.2e}")
@@ -75,7 +74,7 @@ def test_acceptance_3_distortionless_constraint(capsys, moving_bundle):
         traj = pipeline.estimate_trajectory(
             spec, stats, moving_bundle.noise_frames, "past", ref, side
         )
-        w = beamformer.mvdr_weights(traj, stats.phi_nn)
+        w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
         dots = np.einsum("mkl,mkl->kl", w.values.conj(), traj.values)
         worst = max(worst, float(np.max(np.abs(dots[traj.valid] - 1.0))))
     ok = worst < 1e-8

@@ -5,8 +5,8 @@ from conftest import random_complex, random_spd
 from rtfbeam import beamformer, covariance, metrics, pipeline, rtf, stft
 
 
-def _field(*matrices):
-    return covariance.HermitianMatrixField(np.stack(matrices))
+def _noise_evd(*matrices):
+    return covariance.hermitian_evd(covariance.HermitianMatrixField(np.stack(matrices)))
 
 
 def _traj(values, ref=0, valid=None):
@@ -23,7 +23,7 @@ def _small_cfg():
 def test_mvdr_identity_covariance_closed_form():
     a = np.array([1.0, 0.5], dtype=complex)
     traj = _traj(np.tile(a[:, None, None], (1, 1, 1)))
-    w = beamformer.mvdr_weights(traj, _field(np.eye(2, dtype=complex)), 0.0)
+    w = beamformer.mvdr_weights(traj, _noise_evd(np.eye(2, dtype=complex)), 0.0)
     np.testing.assert_allclose(w.values[:, 0, 0], [0.8, 0.4], atol=1e-12)
     assert abs(np.vdot(w.values[:, 0, 0], a) - 1.0) < 1e-12
 
@@ -32,7 +32,7 @@ def test_mvdr_reference_passthrough():
     a = np.zeros((3, 1, 1), dtype=complex)
     a[1] = 1.0
     w = beamformer.mvdr_weights(
-        _traj(a, ref=1), _field(np.diag([2.0, 3.0, 4.0]).astype(complex)), 0.0
+        _traj(a, ref=1), _noise_evd(np.diag([2.0, 3.0, 4.0]).astype(complex)), 0.0
     )
     np.testing.assert_allclose(w.values[:, 0, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -43,8 +43,8 @@ def test_mvdr_covariance_scale_invariance():
     a = random_complex(rng, 3)
     a /= a[0]
     traj = _traj(a[:, None, None])
-    w1 = beamformer.mvdr_weights(traj, _field(phi), 0.0)
-    w2 = beamformer.mvdr_weights(traj, _field(7.0 * phi), 0.0)
+    w1 = beamformer.mvdr_weights(traj, _noise_evd(phi), 0.0)
+    w2 = beamformer.mvdr_weights(traj, _noise_evd(7.0 * phi), 0.0)
     np.testing.assert_allclose(w1.values, w2.values, atol=1e-10)
 
 
@@ -55,7 +55,7 @@ def test_mvdr_optimality_brute_force():
     phi = random_spd(rng, 2)
     a = random_complex(rng, 2)
     a /= a[0]
-    w = beamformer.mvdr_weights(_traj(a[:, None, None]), _field(phi), 0.0).values[:, 0, 0]
+    w = beamformer.mvdr_weights(_traj(a[:, None, None]), _noise_evd(phi), 0.0).values[:, 0, 0]
     p_opt = np.real(np.vdot(w, phi @ w))
     null = np.array([-np.conj(a[1]), np.conj(a[0])])  # null^H a = 0
     for _ in range(200):
@@ -70,7 +70,7 @@ def test_mvdr_invalid_cell_carries_previous_weights():
     a = random_complex(rng, 2, 1, 3)
     a[0] = 1.0
     valid = np.array([[True, False, True]])
-    w = beamformer.mvdr_weights(_traj(a, valid=valid), _field(np.eye(2, dtype=complex)), 0.0)
+    w = beamformer.mvdr_weights(_traj(a, valid=valid), _noise_evd(np.eye(2, dtype=complex)), 0.0)
     np.testing.assert_array_equal(w.values[:, 0, 1], w.values[:, 0, 0])
     assert not np.array_equal(w.values[:, 0, 2], w.values[:, 0, 1])
 
@@ -80,7 +80,7 @@ def test_mvdr_dead_bin_warns_and_passes_through():
     valid = np.array([[True, True], [False, False]])
     with pytest.warns(UserWarning, match="no valid RTF"):
         w = beamformer.mvdr_weights(
-            _traj(a, valid=valid), _field(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), 0.0
+            _traj(a, valid=valid), _noise_evd(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), 0.0
         )
     np.testing.assert_array_equal(w.values[:, 1, :], [[1.0, 1.0], [0.0, 0.0]])
 
@@ -88,7 +88,7 @@ def test_mvdr_dead_bin_warns_and_passes_through():
 def test_mvdr_shape_mismatch():
     a = np.ones((2, 3, 1), dtype=complex)
     with pytest.raises(beamformer.BeamformerError):
-        beamformer.mvdr_weights(_traj(a), _field(np.eye(2, dtype=complex)), 0.0)
+        beamformer.mvdr_weights(_traj(a), _noise_evd(np.eye(2, dtype=complex)), 0.0)
 
 
 def test_distortionless_full_scenario(static_bundle):
@@ -97,7 +97,7 @@ def test_distortionless_full_scenario(static_bundle):
     traj = pipeline.estimate_trajectory(
         spec, stats, static_bundle.noise_frames, "cw-batch", 0, "left"
     )
-    w = beamformer.mvdr_weights(traj, stats.phi_nn)
+    w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
     dots = np.einsum("mkl,mkl->kl", w.values.conj(), traj.values)
     assert np.max(np.abs(dots[traj.valid] - 1.0)) < 1e-8
 
@@ -124,7 +124,7 @@ def test_apply_noise_free_model_is_exact():
     y = a[:, None, None] * s[None, :, :]
     cfg = _small_cfg()
     traj = _traj(np.tile(a[:, None, None], (1, 3, 5)))
-    w = beamformer.mvdr_weights(traj, _field(*[np.eye(3, dtype=complex)] * 3), 0.0)
+    w = beamformer.mvdr_weights(traj, _noise_evd(*[np.eye(3, dtype=complex)] * 3), 0.0)
     out = beamformer.apply(w, stft.ComplexSpectrogram(y, cfg))
     np.testing.assert_allclose(out.data[0], s, atol=1e-10)
 
@@ -155,15 +155,20 @@ def test_apply_shape_mismatch():
 # ------------------------------------------------------------- steering
 
 
+def _pattern(w, x, cfg, angles):
+    """|B| of weights constant over one frame, shape (F, T)."""
+    weights = beamformer.BeamformerWeights(np.asarray(w)[:, :, None])
+    return beamformer.narrowband_beampattern(weights, x, cfg, angles).narrowband[:, :, 0]
+
+
 def test_steering_broadside_and_dc_are_ones():
+    # the uniform-average beam gives |B| = 1 only where every h_m is equal
     cfg = stft.StftConfig()
     x = np.arange(4) * 0.05
-    np.testing.assert_allclose(
-        beamformer.steering_vector(x, 0.0, 100, cfg), np.ones(4), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        beamformer.steering_vector(x, 37.0, 0, cfg), np.ones(4), atol=1e-12
-    )
+    average = np.full((4, cfg.num_bins), 0.25, dtype=complex)
+    b = _pattern(average, x, cfg, np.array([0.0, 37.0]))
+    np.testing.assert_allclose(b[100, 0], 1.0, atol=1e-12)  # broadside
+    np.testing.assert_allclose(b[0, 1], 1.0, atol=1e-12)  # DC
 
 
 def test_steering_half_wavelength_endfire():
@@ -171,8 +176,13 @@ def test_steering_half_wavelength_endfire():
     cfg = stft.StftConfig()  # f_k = k * 31.25 Hz
     k = 128  # 4000 Hz
     d = beamformer.SPEED_OF_SOUND / (2 * 4000.0)
-    h = beamformer.steering_vector(np.array([0.0, d]), 90.0, k, cfg)
-    np.testing.assert_allclose(h, [1.0, -1.0], atol=1e-12)
+    x = np.array([0.0, d])
+    # h = [1, -1]: the matched weights pass it, the uniform average nulls it
+    for pair, gain in (([0.5, -0.5], 1.0), ([0.5, 0.5], 0.0)):
+        w = np.zeros((2, cfg.num_bins), dtype=complex)
+        w[:, k] = pair
+        b = _pattern(w, x, cfg, np.array([90.0]))
+        np.testing.assert_allclose(b[k, 0], gain, atol=1e-12)
 
 
 # ---------------------------------------------------------- beampattern
@@ -181,7 +191,10 @@ def test_steering_half_wavelength_endfire():
 def test_delay_and_sum_beampattern_peaks_at_steered_angle():
     cfg = stft.StftConfig()
     x = np.arange(8) * 0.05
-    w = beamformer.delay_and_sum_weights(x, 30.0, cfg, num_frames=2)
+    # delay-and-sum weights h(30 deg)/M per bin, constant over two frames
+    tau = x / beamformer.SPEED_OF_SOUND * np.sin(np.deg2rad(30.0))
+    h = np.exp(-2j * np.pi * cfg.bin_frequencies_hz()[None, :] * tau[:, None])
+    w = beamformer.BeamformerWeights(np.repeat(h[:, :, None] / 8, 2, axis=2))
     angles = np.arange(-90.0, 91.0, 1.0)
     grid = beamformer.narrowband_beampattern(w, x, cfg, angles)
     # matched filter: |B| = 1 exactly at the steered angle, every bin/frame
@@ -220,34 +233,41 @@ def test_narrowband_matches_loop_oracle():
 
 
 def test_wideband_recompute_and_examples():
+    # P(theta, l) = sum_k |B(k, theta, l)|^2, recomputed from the stored B
     rng = np.random.default_rng(7)
-    nb = rng.uniform(size=(5, 3, 2))
-    grid = beamformer.BeampatternGrid(np.array([-10.0, 0.0, 10.0]), nb, np.zeros((3, 2)))
-    out = beamformer.wideband_beampower(grid)
+    cfg = _small_cfg()
+    x = np.arange(3) * 0.05
+    angles = np.array([-10.0, 0.0, 10.0])
+    w = random_complex(rng, 3, cfg.num_bins, 2)
+    grid = beamformer.narrowband_beampattern(
+        beamformer.BeamformerWeights(w), x, cfg, angles
+    )
     oracle = np.zeros((3, 2))
-    for k in range(5):
-        oracle += nb[k] ** 2
-    np.testing.assert_allclose(out.wideband, oracle, rtol=1e-12)
+    for k in range(cfg.num_bins):
+        oracle += grid.narrowband[k] ** 2
+    np.testing.assert_allclose(grid.wideband, oracle, rtol=1e-12)
 
     # single nonzero bin -> P = |B|^2 at that bin
-    nb1 = np.zeros((5, 3, 2))
-    nb1[2] = 0.5
-    out1 = beamformer.wideband_beampower(
-        beamformer.BeampatternGrid(grid.angles_deg, nb1, np.zeros((3, 2)))
+    w1 = np.zeros((3, cfg.num_bins, 2), dtype=complex)
+    w1[0, 2] = 0.5
+    out1 = beamformer.narrowband_beampattern(
+        beamformer.BeamformerWeights(w1), x, cfg, angles
     )
     np.testing.assert_allclose(out1.wideband, 0.25)
 
-    # all-ones over F bins -> P = F
-    out2 = beamformer.wideband_beampower(
-        beamformer.BeampatternGrid(grid.angles_deg, np.ones((5, 3, 2)), np.zeros((3, 2)))
+    # unit gain in every one of the F bins -> P = F
+    w2 = np.zeros((3, cfg.num_bins, 2), dtype=complex)
+    w2[0] = 1.0
+    out2 = beamformer.narrowband_beampattern(
+        beamformer.BeamformerWeights(w2), x, cfg, angles
     )
-    np.testing.assert_allclose(out2.wideband, 5.0)
+    np.testing.assert_allclose(out2.wideband, cfg.num_bins)
 
 
 def test_mvdr_beampattern_tracks_static_doa(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
     stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
-    w = beamformer.mvdr_weights(static_bundle.truth.rtf_left, stats.phi_nn)
+    w = beamformer.mvdr_weights(static_bundle.truth.rtf_left, stats.phi_nn_evd)
     grid = beamformer.narrowband_beampattern(
         w, static_bundle.scenario.mic_axis_offsets(), static_bundle.config
     )
@@ -269,5 +289,5 @@ def test_weights_validation():
 def test_inverse_with_loading_defining_identity():
     rng = np.random.default_rng(8)
     phi = random_spd(rng, 4)
-    inv = beamformer.inverse_with_loading(_field(phi), 0.0)
+    inv = covariance.loaded_power(_noise_evd(phi), -1.0, 0.0).matrices
     np.testing.assert_allclose(inv[0] @ phi, np.eye(4), atol=1e-9)

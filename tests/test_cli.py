@@ -4,7 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from rtfbeam import cli, pipeline, rtf, simulator, stft
+from conftest import count_calls
+from rtfbeam import cli, covariance, metrics, pipeline, rtf, simulator, stft
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,17 @@ def test_beamform_none_is_reference_passthrough(bundle_dir, tmp_path, static_bun
     assert err < 1e-5
 
 
+def test_beamform_analyzes_and_decomposes_once(bundle_dir_10db, tmp_path, monkeypatch):
+    analyze = count_calls(monkeypatch, stft.analyze)
+    evd = count_calls(monkeypatch, covariance.hermitian_evd)
+    rc = cli.main(
+        ["beamform", "--bundle", str(bundle_dir_10db), "--method", "past",
+         "--results", str(tmp_path / "r.csv")]
+    )
+    assert rc == cli.EXIT_OK
+    assert (analyze[0], evd[0]) == (1, 1)
+
+
 def test_beamform_missing_bundle():
     assert (
         cli.main(["beamform", "--bundle", "/nonexistent", "--results", "/tmp/x.csv"])
@@ -163,6 +175,49 @@ def test_evaluate_grid_and_resume(tmp_path):
     before = out.read_bytes()
     # resume: everything is already done, so the file must not change
     assert cli.main(args) == cli.EXIT_OK
+    assert out.read_bytes() == before
+
+
+def test_evaluate_resume_key_includes_configuration(tmp_path, monkeypatch):
+    # a rerun with other result-changing flags must evaluate its cells
+    evaluated = []
+
+    def fake_simulate(seed, snr, static=False):
+        return (seed, snr, static)
+
+    def fake_evaluate(bundle, method, beta, loading, mvdr_loading):
+        evaluated.append((bundle[2], beta, loading, mvdr_loading))
+        return metrics.EvalReport(f"seed{bundle[0]}", bundle[1], method)
+
+    monkeypatch.setattr(pipeline, "simulate", fake_simulate)
+    monkeypatch.setattr(pipeline, "evaluate_bundle", fake_evaluate)
+    out = tmp_path / "results.csv"
+    base = ["evaluate", "--seed", "3", "--count", "1", "--snrs", "10",
+            "--methods", "past", "--out", str(out)]
+    reruns = [[], ["--static"], ["--beta", "0.5"], ["--loading", "1e-4"],
+              ["--mvdr-loading", "0.2"]]
+    for flags in reruns + reruns:  # the second pass finds every cell done
+        assert cli.main(base + flags) == cli.EXIT_OK
+    assert evaluated == [
+        (False, 0.7, 1e-6, 0.1), (True, 0.7, 1e-6, 0.1), (False, 0.5, 1e-6, 0.1),
+        (False, 0.7, 1e-4, 0.1), (False, 0.7, 1e-6, 0.2),
+    ]
+    assert [tuple(r[k] for k in cli.CONFIG_FIELDS) for r in _read_csv(out)] == [
+        ("0", "0.7", "1e-06", "0.1"), ("1", "0.7", "1e-06", "0.1"),
+        ("0", "0.5", "1e-06", "0.1"), ("0", "0.7", "0.0001", "0.1"),
+        ("0", "0.7", "1e-06", "0.2"),
+    ]
+
+
+def test_evaluate_refuses_results_with_other_columns(tmp_path):
+    out = tmp_path / "results.csv"
+    out.write_text("scenario_id,snr_db,method,status\nseed3,10.0,past,ok\n")
+    before = out.read_bytes()
+    rc = cli.main(
+        ["evaluate", "--seed", "3", "--count", "1", "--snrs", "10",
+         "--methods", "past", "--out", str(out)]
+    )
+    assert rc == cli.EXIT_CONFIG
     assert out.read_bytes() == before
 
 

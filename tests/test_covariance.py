@@ -146,45 +146,49 @@ def test_evd_rejects_non_hermitian():
         covariance.hermitian_evd(_field(a))
 
 
-# -------------------------------------------------------------- roots
+# ---------------------------------------------------- matrix functions
+
+
+def _power(field, p, loading=0.0):
+    return covariance.loaded_power(covariance.hermitian_evd(field), p, loading)
 
 
 def test_inverse_sqrt_scalar_matrix():
-    out = covariance.inverse_sqrt(_field(4.0 * np.eye(3, dtype=complex)), 0.0)
+    out = _power(_field(4.0 * np.eye(3, dtype=complex)), -0.5)
     np.testing.assert_allclose(out.matrices[0], 0.5 * np.eye(3), atol=1e-12)
 
 
 def test_inverse_sqrt_diagonal():
-    out = covariance.inverse_sqrt(_field(np.diag([4.0, 1.0]).astype(complex)), 0.0)
+    out = _power(_field(np.diag([4.0, 1.0]).astype(complex)), -0.5)
     np.testing.assert_allclose(out.matrices[0], np.diag([0.5, 1.0]), atol=1e-12)
 
 
 def test_inverse_sqrt_defining_identity():
     rng = np.random.default_rng(5)
     phi = random_spd(rng, 4)
-    r = covariance.inverse_sqrt(_field(phi), 0.0).matrices[0]
+    r = _power(_field(phi), -0.5).matrices[0]
     assert np.linalg.norm(r @ phi @ r.conj().T - np.eye(4)) < 1e-8
 
 
 def test_inverse_sqrt_singular_raises():
     a = np.diag([-1.0, 1.0]).astype(complex)
     with pytest.raises(covariance.CovarianceError):
-        covariance.inverse_sqrt(_field(a), 1e-6)
+        _power(_field(a), -0.5, 1e-6)
     with pytest.raises(covariance.CovarianceError):
-        covariance.inverse_sqrt(_field(np.eye(2, dtype=complex)), -1.0)
+        _power(_field(np.eye(2, dtype=complex)), -0.5, -1.0)
 
 
 def test_sqrt_hermitian_scalar_and_diagonal():
-    out = covariance.sqrt_hermitian(_field(4.0 * np.eye(2, dtype=complex)))
+    out = _power(_field(4.0 * np.eye(2, dtype=complex)), 0.5)
     np.testing.assert_allclose(out.matrices[0], 2.0 * np.eye(2), atol=1e-12)
-    out = covariance.sqrt_hermitian(_field(np.diag([4.0, 1.0]).astype(complex)))
+    out = _power(_field(np.diag([4.0, 1.0]).astype(complex)), 0.5)
     np.testing.assert_allclose(out.matrices[0], np.diag([2.0, 1.0]), atol=1e-12)
 
 
 def test_sqrt_hermitian_defining_identity():
     rng = np.random.default_rng(6)
     phi = random_spd(rng, 5)
-    r = covariance.sqrt_hermitian(_field(phi)).matrices[0]
+    r = _power(_field(phi), 0.5).matrices[0]
     assert np.linalg.norm(r @ r - phi) < 1e-8
     # Hermitian square root: R^H = R, so Phi^{H/2} = Phi^{1/2}
     assert np.linalg.norm(r - r.conj().T) < 1e-12
@@ -193,7 +197,7 @@ def test_sqrt_hermitian_defining_identity():
 def test_sqrt_pair_consistency():
     rng = np.random.default_rng(7)
     phi = random_spd(rng, 4)
-    s, si = covariance.sqrt_pair(_field(phi), 0.0)
+    s, si = covariance.sqrt_pair(covariance.hermitian_evd(_field(phi)), 0.0)
     np.testing.assert_allclose(
         s.matrices[0] @ si.matrices[0], np.eye(4), atol=1e-10
     )
@@ -232,7 +236,7 @@ def test_whitening_stationary_noise_monte_carlo():
     y = np.einsum("ij,jkl->ikl", mix, random_complex(rng, 3, 2, 5000))
     spec = _spec(y)
     phi = covariance.estimate_noise_covariance(spec, 5000)
-    w = covariance.inverse_sqrt(phi, 0.0)
+    w = _power(phi, -0.5)
     yw = covariance.whiten(spec, w)
     emp = covariance.estimate_noise_covariance(yw, 5000)
     assert np.linalg.norm(emp.matrices[0] - np.eye(3)) < 0.15
@@ -243,7 +247,7 @@ def test_whitening_stationary_noise_monte_carlo():
 def test_whitening_identity_property(seed, m):
     rng = np.random.default_rng(seed)
     phi = random_spd(rng, m)
-    r = covariance.inverse_sqrt(_field(phi), 0.0).matrices[0]
+    r = _power(_field(phi), -0.5).matrices[0]
     assert np.linalg.norm(r @ phi @ r.conj().T - np.eye(m)) < 1e-8
 
 

@@ -119,7 +119,7 @@ def test_cw_scalar_whitening_invariance_property(seed, c):
     results = []
     for scale in (1.0, c):
         nn = _field(scale * np.eye(3, dtype=complex))
-        sq, isq = covariance.sqrt_pair(nn, 0.0)
+        sq, isq = covariance.sqrt_pair(covariance.hermitian_evd(nn), 0.0)
         phi_ww = covariance.whitened_mixture_covariance(phi_yy, isq)
         est, valid = rtf.estimate_rtf_cw(sq, phi_ww, 0)
         assert valid[0]
