@@ -69,22 +69,19 @@ def mvdr_weights(
     den = np.einsum("ikl,ikl->kl", a.conj(), num).real  # a^H Phi^{-1} a
     ok = rtf.valid & (den > 1e-300)
 
-    w = np.empty_like(a)
-    passthrough = np.zeros(m, dtype=np.complex128)
-    passthrough[rtf.ref_channel] = 1.0
     dead_bins = ~np.any(ok, axis=1)
     if np.any(dead_bins):
         warnings.warn(
             f"{int(np.sum(dead_bins))} bins have no valid RTF; "
             "using reference passthrough weights"
         )
-    prev = np.tile(passthrough[:, None], (1, nbins))  # (M, F)
-    for l in range(nframes):
-        cur = prev.copy()
-        sel = ok[:, l]
-        cur[:, sel] = num[:, sel, l] / den[sel, l]
-        w[:, :, l] = cur
-        prev = cur
+    np.divide(num, den, out=num, where=ok)
+    # zero-order hold: each cell takes the weights of its bin's last valid frame
+    last = np.maximum.accumulate(np.where(ok, np.arange(nframes), -1), axis=1)
+    w = np.take_along_axis(num, np.maximum(last, 0)[None], axis=2)
+    passthrough = np.zeros(m, dtype=np.complex128)
+    passthrough[rtf.ref_channel] = 1.0
+    w[:, last < 0] = passthrough[:, None]
     return BeamformerWeights(w, rtf.side)
 
 
@@ -117,6 +114,6 @@ def narrowband_beampattern(
     freqs = np.arange(nbins) * config.sample_rate_hz / config.window_len
     tau = (x - x[0])[None, :] / speed_of_sound * np.sin(np.deg2rad(angles_deg))[:, None]
     h = np.exp(-2j * np.pi * freqs[:, None, None] * tau[None, :, :])  # (F, T, M)
-    b = np.abs(np.einsum("mkl,ktm->ktl", weights.values.conj(), h))
+    b = np.abs(np.matmul(h, weights.values.conj().transpose(1, 0, 2)))  # (F, T, L)
     wide = np.sum(b**2, axis=0)
     return BeampatternGrid(angles_deg, b, wide)

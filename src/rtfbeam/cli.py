@@ -300,7 +300,17 @@ def cmd_evaluate(args) -> int:
     for method in methods:
         if method not in pipeline.METHODS:
             raise ConfigError(f"unknown method {method!r}")
+    config = _config_columns(args.static, args)
     for seed in seeds:
+        todo = {}
+        for snr in snrs:
+            for method in methods:
+                row = {"scenario_id": f"seed{seed}", "snr_db": repr(snr),
+                       "method": method, **config}
+                if tuple(row[k] for k in KEY_FIELDS) not in done:
+                    todo[snr, method] = row
+        if not todo:
+            continue  # every cell of this seed is done: skip its render
         rendered = None
         for snr in snrs:
             if rendered is None:
@@ -309,9 +319,8 @@ def cmd_evaluate(args) -> int:
             else:
                 bundle = pipeline.remix(rendered, snr)
             for method in methods:
-                row = {"scenario_id": f"seed{seed}", "snr_db": repr(snr),
-                       "method": method, **_config_columns(args.static, args)}
-                if tuple(row[k] for k in KEY_FIELDS) in done:
+                row = todo.get((snr, method))
+                if row is None:
                     continue
                 try:
                     report = pipeline.evaluate_bundle(

@@ -2,11 +2,16 @@
 
 Geometry: an 8-mic linear array at room center, randomly rotated; a source
 on a circular arc around the array center; 20 babblers near the walls.
-Rendering is free-field (gain 1/r, pure propagation delay): static sources
-use an exact FFT-domain fractional delay, moving sources a 32-tap
-windowed-sinc interpolator with the trajectory sampled per STFT hop.
-The analytic RTFs and DOA of the same geometry are returned as ground
-truth for verifying the estimators.
+Rendering is free-field (gain 1/r, pure propagation delay) and linear in
+the sources. Static sources (a pinned target, or all babblers at once) are
+rendered in the frequency domain: one rfft per source at a common 5-smooth
+length, each spectrum times the exact fractional-delay phase ramp and 1/r
+summed per mic, then one irfft per mic. A moving source goes through a
+32-tap raised-cosine windowed-sinc interpolator, its trajectory sampled per
+STFT hop; the kernel loops over the taps on a zero-padded copy of the
+signal and needs three transcendentals per sample. The analytic RTFs and
+DOA of the same geometry are returned as ground truth for verifying the
+estimators.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ NUM_BABBLERS = 20
 # disambiguate front/back, so arcs crossing endfire would fold the DOA
 MAX_ABS_DOA_DEG = 80.0
 SINC_HALF_TAPS = 16  # 32-tap interpolator
+_RAMP_BLOCK = 256  # fine-ramp length of the static delay filters
 SNR_CAP_DB = 120.0
 
 
@@ -208,49 +214,111 @@ def sample_scenario(seed: int, static: bool = False) -> Scenario:
     )
 
 
-def _delay_exact(signal: np.ndarray, delay_samples: float, gain: float) -> np.ndarray:
-    """Exact band-limited fractional delay via FFT phase ramp (static path)."""
-    n = signal.shape[0]
-    pad = int(np.ceil(delay_samples)) + 4 * SINC_HALF_TAPS
-    nfft = n + pad
-    spec = np.fft.rfft(signal, n=nfft)
-    freqs = np.fft.rfftfreq(nfft)
-    spec *= np.exp(-2j * np.pi * freqs * delay_samples)
-    return gain * np.fft.irfft(spec, n=nfft)[:n]
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a length numpy's FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-n // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-def _sinc_kernel(frac: np.ndarray) -> np.ndarray:
-    """Raised-cosine windowed sinc taps for per-sample fractions, (N, 32)."""
-    j = np.arange(2 * SINC_HALF_TAPS)
-    u = j[None, :] - (SINC_HALF_TAPS - 1) - frac[:, None]
-    window = 0.5 + 0.5 * np.cos(np.pi * u / SINC_HALF_TAPS)
-    window[np.abs(u) > SINC_HALF_TAPS] = 0.0
-    return np.sinc(u) * window
+def _delay_filters(delays: np.ndarray, gains: np.ndarray, nfft: int) -> np.ndarray:
+    """gain * exp(-j 2 pi k delay / nfft) over the rfft bins k, (D, nfft//2 + 1).
+
+    Bin k = a B + b splits each ramp into a coarse and a fine factor, so an
+    entry costs one complex multiply rather than one complex exponential.
+    """
+    nbins = nfft // 2 + 1
+    step = -2j * np.pi / nfft * delays[:, None]
+    fine = np.exp(step * np.arange(_RAMP_BLOCK)) * gains[:, None]
+    coarse = np.exp(step * np.arange(0, nbins, _RAMP_BLOCK))
+    ramps = coarse[:, :, None] * fine[:, None, :]
+    return ramps.reshape(delays.shape[0], -1)[:, :nbins]
+
+
+def _render_sources(
+    signals: np.ndarray, positions: np.ndarray, mic_positions: np.ndarray, fs: int
+) -> np.ndarray:
+    """Free-field sum of static sources at each mic, (M, N).
+
+    Source s reaches mic m with gain 1/d_sm after tau_sm = d_sm / c. Each
+    source is transformed once at a common 5-smooth FFT length, long enough
+    that no delayed sample wraps; its spectrum times exp(-j 2 pi f tau_sm)
+    / d_sm is summed into the mic spectra, and one inverse FFT over the mics
+    returns the field, each path an exact band-limited fractional delay.
+    """
+    n = signals.shape[1]
+    dists = np.linalg.norm(positions[:, None, :] - mic_positions[None, :, :], axis=2)
+    delays = dists / SPEED_OF_SOUND * fs  # (S, M) samples
+    longest = int(np.ceil(delays.max(initial=0.0)))
+    nfft = _fast_len(n + longest + 4 * SINC_HALF_TAPS)
+    field = np.zeros((mic_positions.shape[0], nfft // 2 + 1), dtype=np.complex128)
+    for signal, delay, dist in zip(signals, delays, dists):
+        paths = _delay_filters(delay, 1.0 / dist, nfft)
+        paths *= np.fft.rfft(signal, n=nfft)
+        field += paths
+    return np.fft.irfft(field, n=nfft, axis=1)[:, :n]
 
 
 def _delay_varying(
     signal: np.ndarray, delay_samples: np.ndarray, gain: np.ndarray
 ) -> np.ndarray:
-    """Time-varying fractional delay: 32-tap windowed-sinc interpolation."""
+    """Time-varying fractional delay: 32-tap windowed-sinc interpolation.
+
+    y[i] = gain[i] sum_k h_k(f_i) x[i - n0_i - k] for k = -15..16, with
+    n0 = floor(delay), f = delay - n0 and the raised-cosine windowed sinc
+    h_k(f) = sinc(k - f) (1 + cos(pi (k - f) / 16)) / 2; samples outside the
+    signal are zero. The taps need three transcendentals per sample:
+    sin(pi (k - f)) = -(-1)^k sin(pi f), and the window cosine expands by
+    angle addition, so h_k = -(-1)^k (p0 + cos(a_k) p1 + sin(a_k) p2) / (k - f)
+    with a_k = pi k / 16. The loop works in preallocated buffers: a fresh
+    N-sample temporary per operation costs more than its arithmetic.
+    """
     n = signal.shape[0]
     n0 = np.floor(delay_samples).astype(np.int64)
     frac = delay_samples - n0
-    kern = _sinc_kernel(frac)  # (N, 32)
-    j = np.arange(2 * SINC_HALF_TAPS)
-    idx = np.arange(n)[:, None] - n0[:, None] + (SINC_HALF_TAPS - 1) - j[None, :]
-    ok = (idx >= 0) & (idx < n)
-    gathered = np.where(ok, signal[np.clip(idx, 0, n - 1)], 0.0)
-    return gain * np.sum(kern * gathered, axis=1)
+    p0 = np.sin(np.pi * frac) / (2 * np.pi)
+    p1 = p0 * np.cos(np.pi * frac / SINC_HALF_TAPS)
+    p2 = p0 * np.sin(np.pi * frac / SINC_HALF_TAPS)
+    lo = max(int(n0.max()), 0) + SINC_HALF_TAPS
+    hi = max(-int(n0.min()), 0) + SINC_HALF_TAPS
+    padded = np.concatenate([np.zeros(lo), signal, np.zeros(hi)])
+    base = np.arange(n) - n0 + lo  # where x[i - n0_i] sits in padded
+    out = np.zeros(n)
+    tap, scratch, taken = np.empty(n), np.empty(n), np.empty(n)
+    index = np.empty(n, dtype=np.int64)
+    for k in range(1 - SINC_HALF_TAPS, SINC_HALF_TAPS + 1):
+        angle = np.pi * k / SINC_HALF_TAPS
+        np.multiply(p1, np.cos(angle), out=tap)
+        tap += p0
+        np.multiply(p2, np.sin(angle), out=scratch)
+        tap += scratch
+        if k % 2:  # divide by (k - f) / -(-1)^k
+            np.subtract(k, frac, out=scratch)
+        else:
+            np.subtract(frac, k, out=scratch)
+        if k:
+            tap /= scratch
+        else:  # sinc(-f) window(-f), exactly 1 at f = 0
+            np.divide(tap, scratch, out=tap, where=frac > 0)
+            tap[frac == 0] = 1.0
+        np.subtract(base, k, out=index)
+        np.take(padded, index, out=taken)
+        tap *= taken
+        out += tap
+    return gain * out
 
 
 def _render_static(
     signal: np.ndarray, source_pos: np.ndarray, mic_positions: np.ndarray, fs: int
 ) -> np.ndarray:
-    dists = np.linalg.norm(mic_positions - source_pos[None, :], axis=1)
-    out = np.empty((mic_positions.shape[0], signal.shape[0]))
-    for m, d in enumerate(dists):
-        out[m] = _delay_exact(signal, d / SPEED_OF_SOUND * fs, 1.0 / d)
-    return out
+    return _render_sources(signal[None, :], source_pos[None, :], mic_positions, fs)
 
 
 def _analytic_rtf(
@@ -349,12 +417,10 @@ def render_babble(scenario: Scenario, babbler_signals: np.ndarray) -> np.ndarray
             f"{count} babbler signals for {scenario.babbler_positions.shape[0]} "
             "configured positions"
         )
+    positions = scenario.babbler_positions
+    positions = positions[np.arange(count) % positions.shape[0]]
     mics = scenario.mic_positions()
-    out = np.zeros((scenario.num_mics, sigs.shape[1]))
-    for i in range(count):
-        pos = scenario.babbler_positions[i % scenario.babbler_positions.shape[0]]
-        out += _render_static(sigs[i], pos, mics, scenario.sample_rate)
-    return out
+    return _render_sources(sigs, positions, mics, scenario.sample_rate)
 
 
 def mix_at_snr(

@@ -179,10 +179,13 @@ def test_evaluate_grid_and_resume(tmp_path):
 
 
 def test_evaluate_resume_key_includes_configuration(tmp_path, monkeypatch):
-    # a rerun with other result-changing flags must evaluate its cells
+    # a rerun with other result-changing flags must evaluate its cells, and a
+    # rerun whose cells are all done must not render its seed
     evaluated = []
+    rendered = []
 
     def fake_simulate(seed, snr, static=False):
+        rendered.append((seed, snr, static))
         return (seed, snr, static)
 
     def fake_evaluate(bundle, method, beta, loading, mvdr_loading):
@@ -196,8 +199,12 @@ def test_evaluate_resume_key_includes_configuration(tmp_path, monkeypatch):
             "--methods", "past", "--out", str(out)]
     reruns = [[], ["--static"], ["--beta", "0.5"], ["--loading", "1e-4"],
               ["--mvdr-loading", "0.2"]]
-    for flags in reruns + reruns:  # the second pass finds every cell done
+    for flags in reruns:
         assert cli.main(base + flags) == cli.EXIT_OK
+    assert len(rendered) == len(reruns)
+    for flags in reruns:  # the second pass finds every cell done
+        assert cli.main(base + flags) == cli.EXIT_OK
+    assert len(rendered) == len(reruns)
     assert evaluated == [
         (False, 0.7, 1e-6, 0.1), (True, 0.7, 1e-6, 0.1), (False, 0.5, 1e-6, 0.1),
         (False, 0.7, 1e-4, 0.1), (False, 0.7, 1e-6, 0.2),

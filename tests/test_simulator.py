@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import fft as spfft
 from scipy import signal as sps
 
 from rtfbeam import simulator, stft
@@ -152,6 +153,64 @@ def test_active_frames_exclude_lead_silence(moving_bundle):
     fully_silent = int((lead - cfg.window_len) // cfg.hop + 1)
     assert not truth.active_frames[:fully_silent].any()
     assert truth.active_frames[fully_silent + 5 :].all()
+
+
+def test_render_static_integer_sample_delays_are_shifts():
+    # mics at whole-sample distances: each channel is the source delayed by
+    # that many samples and scaled by 1/d
+    fs = 16000
+    lags = np.array([3, 17, 40, 111, 250])
+    dists = lags * SPEED_OF_SOUND / fs
+    mics = np.stack([dists, np.zeros_like(dists), np.zeros_like(dists)], axis=1)
+    source = np.random.default_rng(0).standard_normal(3000)
+    out = simulator._render_static(source, np.zeros(3), mics, fs)
+    for m, (lag, d) in enumerate(zip(lags, dists)):
+        expected = np.concatenate([np.zeros(lag), source[:-lag]]) / d
+        np.testing.assert_allclose(out[m], expected, rtol=0, atol=1e-12)
+
+
+def _windowed_sinc_reference(signal, delay_samples, gain):
+    """The (N, 32) raised-cosine windowed-sinc block with a clipped gather."""
+    half = simulator.SINC_HALF_TAPS
+    n = signal.shape[0]
+    n0 = np.floor(delay_samples).astype(np.int64)
+    frac = delay_samples - n0
+    j = np.arange(2 * half)
+    u = j[None, :] - (half - 1) - frac[:, None]
+    window = 0.5 + 0.5 * np.cos(np.pi * u / half)
+    window[np.abs(u) > half] = 0.0
+    kern = np.sinc(u) * window
+    idx = np.arange(n)[:, None] - n0[:, None] + (half - 1) - j[None, :]
+    ok = (idx >= 0) & (idx < n)
+    gathered = np.where(ok, signal[np.clip(idx, 0, n - 1)], 0.0)
+    return gain * np.sum(kern * gathered, axis=1)
+
+
+@pytest.mark.parametrize("lo, hi", [(3.0, 47.5), (60.2, 20.7), (-5.5, 12.0)])
+def test_delay_varying_matches_windowed_sinc_reference(lo, hi):
+    rng = np.random.default_rng(1)
+    n = 4000
+    signal = rng.standard_normal(n)
+    delay = np.linspace(lo, hi, n)  # crosses many integers
+    delay[::5] = np.round(delay[::5])  # fraction exactly 0
+    gain = rng.uniform(0.5, 2.0, n)
+    out = simulator._delay_varying(signal, delay, gain)
+    ref = _windowed_sinc_reference(signal, delay, gain)
+    assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_delay_varying_integer_delay_is_shift():
+    signal = np.random.default_rng(2).standard_normal(500)
+    out = simulator._delay_varying(signal, np.full(500, 7.0), np.ones(500))
+    np.testing.assert_array_equal(out[7:], signal[:-7])
+    np.testing.assert_array_equal(out[:7], 0.0)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    sizes = list(range(1, 5001))
+    sizes += [int(v) for v in np.random.default_rng(3).integers(1, 10**6, 2000)]
+    for n in sizes:
+        assert simulator._fast_len(n) == spfft.next_fast_len(n, real=True), n
 
 
 # --------------------------------------------------------------- babble
