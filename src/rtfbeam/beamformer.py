@@ -22,6 +22,7 @@ SPEED_OF_SOUND = 343.0
 # otherwise dominated by the smallest sample eigenvalues of a 30-frame
 # covariance, which makes the weights hypersensitive to small RTF errors
 MVDR_LOADING = 0.1
+_PATTERN_BLOCK_FRAMES = 16
 
 
 class BeamformerError(ValueError):
@@ -114,6 +115,12 @@ def narrowband_beampattern(
     freqs = np.arange(nbins) * config.sample_rate_hz / config.window_len
     tau = (x - x[0])[None, :] / speed_of_sound * np.sin(np.deg2rad(angles_deg))[:, None]
     h = np.exp(-2j * np.pi * freqs[:, None, None] * tau[None, :, :])  # (F, T, M)
-    b = np.abs(np.matmul(h, weights.values.conj().transpose(1, 0, 2)))  # (F, T, L)
-    wide = np.sum(b**2, axis=0)
+    w = weights.values.conj().transpose(1, 0, 2)  # (F, M, L)
+    nframes = w.shape[2]
+    # |w^H h| in blocks of frames: no complex (F, T, L) product is held
+    b = np.empty((nbins, angles_deg.size, nframes))
+    for lo in range(0, nframes, _PATTERN_BLOCK_FRAMES):
+        hi = lo + _PATTERN_BLOCK_FRAMES
+        np.abs(np.matmul(h, w[:, :, lo:hi]), out=b[:, :, lo:hi])
+    wide = np.einsum("ktl,ktl->tl", b, b)
     return BeampatternGrid(angles_deg, b, wide)

@@ -3,8 +3,9 @@ evaluate.
 
 Scenario bundles are directories with fixed filenames (scenario.json,
 mixture.wav, ...). All writes go through a temp file + atomic rename, so a
-failed run leaves no partial files. Exit codes: 0 success, 2 configuration
-errors, 1 runtime failures.
+failed run leaves no partial files; the one exception, the results-row
+append, fsyncs each row and cuts a torn last row. Exit codes: 0 success,
+2 configuration errors, 1 runtime failures.
 """
 
 from __future__ import annotations
@@ -167,12 +168,11 @@ def cmd_estimate_rtf(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
     mix_spec, ln, stats = _estimation_inputs(bundle, args)
-    m = bundle.scenario.num_mics
+    trajs = pipeline.estimate_trajectory(
+        mix_spec, stats, ln, args.method, args.beta, bundle.truth
+    )
     mse_rows = []
-    for side, ref in (("left", 0), ("right", m - 1)):
-        traj = pipeline.estimate_trajectory(
-            mix_spec, stats, ln, args.method, ref, side, args.beta, bundle.truth
-        )
+    for side, traj in trajs.items():
         _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config)
         truth_traj = bundle.truth.rtf_left if side == "left" else bundle.truth.rtf_right
         mse = rtf.rtf_mse(traj, truth_traj)
@@ -211,8 +211,8 @@ def cmd_beampattern(args) -> int:
     bundle = load_bundle(bundle_dir)
     mix_spec, ln, stats = _estimation_inputs(bundle, args)
     traj = pipeline.estimate_trajectory(
-        mix_spec, stats, ln, args.method, 0, "left", args.beta, bundle.truth
-    )
+        mix_spec, stats, ln, args.method, args.beta, bundle.truth, sides=("left",)
+    )["left"]
     weights = (
         beamformer.mvdr_weights(traj, stats.phi_nn_evd, args.mvdr_loading)
         if args.method != "none"
@@ -269,26 +269,43 @@ def _check_columns(path: Path) -> None:
         )
 
 
+def _cut_torn_row(path: Path) -> None:
+    """Cut a file that does not end in a newline back to its last complete
+    line: a row torn by a crash mid-write is dropped, not appended to."""
+    with open(path, "rb+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            fh.seek(0)
+            fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 def append_result_row(path: Path, row: dict) -> None:
-    """Single-writer append; creates the file with a header when missing."""
+    """Single-writer durable append: each row is flushed and fsynced, and a
+    torn last row is cut first. Creates the file with a header when empty."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    exists = path.exists()
-    if exists:
+    if path.exists():
         _check_columns(path)
+        _cut_torn_row(path)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, lineterminator="\n")
-        if not exists:
+        if fh.tell() == 0:
             writer.writeheader()
         writer.writerow({k: row.get(k, "") for k in RESULT_FIELDS})
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def completed_keys(path: Path) -> set[tuple]:
-    """KEY_FIELDS of every row already in the results file."""
+    """KEY_FIELDS of every complete row in the results file; a torn last row
+    (no final newline) does not count as done."""
     if not path.exists():
         return set()
     _check_columns(path)
-    with open(path, newline="") as fh:
-        return {tuple(r[k] for k in KEY_FIELDS) for r in csv.DictReader(fh)}
+    text = path.read_text()
+    rows = csv.DictReader(io.StringIO(text[: text.rfind("\n") + 1]))
+    return {tuple(r[k] for k in KEY_FIELDS) for r in rows}
 
 
 def cmd_evaluate(args) -> int:

@@ -87,34 +87,42 @@ def estimate_trajectory(
     stats: NoiseStats,
     noise_frames: int,
     method: str,
-    ref_channel: int,
-    side: str,
     beta: float = rtf.DEFAULT_BETA,
     truth: simulator.GroundTruth | None = None,
-) -> rtf.RtfTrajectory:
-    """RTF trajectory by the chosen method ('oracle' needs ground truth;
-    'none' is the trivial e_ref trajectory of reference passthrough)."""
+    sides: tuple[str, ...] = ("left", "right"),
+) -> dict[str, rtf.RtfTrajectory]:
+    """RTF trajectory per side by the chosen method ('oracle' needs ground
+    truth; 'none' is the trivial e_ref trajectory of reference passthrough).
+
+    The left side is referenced to mic 0, the right to mic M-1. The work
+    shared by the sides (the whitening for 'past'; the mixture covariance
+    and its whitened EVD for 'cw-batch') is done once.
+    """
+    m, nbins, nframes = mix_spec.data.shape
+    refs = {side: {"left": 0, "right": m - 1}[side] for side in sides}
     if method == "none":
-        m, nbins, nframes = mix_spec.data.shape
-        values = np.zeros((m, nbins, nframes), dtype=np.complex128)
-        values[ref_channel] = 1.0
-        return rtf.RtfTrajectory(values, ref_channel, side)
+        out = {}
+        for side, ref in refs.items():
+            values = np.zeros((m, nbins, nframes), dtype=np.complex128)
+            values[ref] = 1.0
+            out[side] = rtf.RtfTrajectory(values, ref, side)
+        return out
     if method == "oracle":
         if truth is None:
             raise ValueError("oracle method requires ground truth")
-        return truth.rtf_left if side == "left" else truth.rtf_right
+        return {side: truth.rtf_left if side == "left" else truth.rtf_right
+                for side in refs}
     if method == "cw-batch":
         phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
-        return rtf.cw_trajectory(
-            mix_spec, stats.phi_nn_sqrt, phi_yy, stats.phi_nn_invsqrt,
-            ref_channel, side,
-        )
+        phi_ww = covariance.whitened_mixture_covariance(phi_yy, stats.phi_nn_invsqrt)
+        principal = covariance.hermitian_evd(phi_ww).principal_vectors
+        return {side: rtf.cw_trajectory(principal, stats.phi_nn_sqrt, ref, nframes, side)
+                for side, ref in refs.items()}
     if method == "past":
         whitened = covariance.whiten(mix_spec, stats.phi_nn_invsqrt)
-        return rtf.track_rtf_past(
-            whitened, stats.phi_nn_sqrt, ref_channel, beta,
-            start_frame=noise_frames, side=side,
-        )
+        return {side: rtf.track_rtf_past(whitened, stats.phi_nn_sqrt, ref, beta,
+                                         start_frame=noise_frames, side=side)
+                for side, ref in refs.items()}
     raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
 
 
@@ -152,7 +160,6 @@ def evaluate_bundle(
     mix_spec = stft.analyze(bundle.mixture, bundle.config)
     ln = noise_frames or bundle.noise_frames
     stats = noise_stats(mix_spec, ln, loading)
-    m = bundle.scenario.num_mics
 
     report = metrics.EvalReport(
         scenario_id=f"seed{bundle.scenario.seed}",
@@ -160,10 +167,8 @@ def evaluate_bundle(
         method=method,
     )
     out = {}
-    for side, ref in (("left", 0), ("right", m - 1)):
-        traj = estimate_trajectory(
-            mix_spec, stats, ln, method, ref, side, beta, bundle.truth
-        )
+    trajs = estimate_trajectory(mix_spec, stats, ln, method, beta, bundle.truth)
+    for side, traj in trajs.items():
         signal, weights = beamform_side(mix_spec, stats, traj, method, mvdr_loading)
         out[side] = (traj, signal, weights)
         report.enhanced[side] = signal

@@ -3,6 +3,12 @@
 Both paths produce reference-normalized steering vectors: the de-whitened
 principal eigenvector divided by its entry at the reference microphone, so
 the reference entry is exactly 1+0j wherever the estimate is valid.
+
+The reference channel enters only at that final normalization, apart from
+the PAST start vector e_ref. CW takes the principal vectors of the whitened
+mixture covariance; PAST tracks them frame by frame with ``past_step``, one
+O(M) recursion per bin. Both de-whiten in one batched product and then
+normalize.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import HermitianMatrixField, hermitian_evd, whitened_mixture_covariance
+from .covariance import HermitianMatrixField
 from .stft import ComplexSpectrogram, StftConfig
 
 DENOM_TOL = 1e-12
@@ -33,22 +39,6 @@ class RtfError(ValueError):
     pass
 
 
-@dataclass
-class PastState:
-    """Single-bin recursive tracker state for the principal eigenvector."""
-
-    psi: np.ndarray  # complex (M,)
-    delta: float
-    beta: float
-
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=np.complex128)
-        if not (0.0 < self.beta <= 1.0):
-            raise RtfError(f"beta must be in (0, 1], got {self.beta}")
-        if self.delta <= 0.0:
-            raise RtfError(f"delta must be positive, got {self.delta}")
-
-
 class OpCounter:
     """Counts complex multiply-add operations for complexity checks."""
 
@@ -59,46 +49,27 @@ class OpCounter:
         self.multiply_adds += n
 
 
-def past_init(
-    num_channels: int,
-    beta: float = DEFAULT_BETA,
-    delta0: float = 1.0,
-    psi0: np.ndarray | None = None,
-    ref_channel: int = 0,
-) -> PastState:
-    if psi0 is None:
-        psi0 = np.zeros(num_channels, dtype=np.complex128)
-        psi0[ref_channel] = 1.0
-    else:
-        psi0 = np.asarray(psi0, dtype=np.complex128)
-        if psi0.shape != (num_channels,):
-            raise RtfError("psi0 has wrong length")
-    return PastState(psi0, delta0, beta)
-
-
-def past_update(state: PastState, y_w: np.ndarray, ops: OpCounter | None = None) -> PastState:
-    """One recursion step of the principal-eigenvector tracker.
+def past_step(
+    psi: np.ndarray,
+    delta: np.ndarray,
+    y: np.ndarray,
+    beta: float,
+    ops: OpCounter | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One PAST recursion step for every bin: psi (F, M), delta (F,), y (F, M).
 
     alpha = psi^H y;  delta <- beta*delta + |alpha|^2;
     e = y - psi*alpha;  psi <- psi + e * conj(alpha)/delta.
+    Costs 3M+3 complex multiply-adds per bin, counted into `ops`.
     """
-    y = np.asarray(y_w, dtype=np.complex128)
-    if not np.all(np.isfinite(y)):
-        raise RtfError("non-finite input to past_update")
-    m = state.psi.shape[0]
-    alpha = np.vdot(state.psi, y)
-    if ops:
-        ops.add(m)
-    state.delta = state.beta * state.delta + abs(alpha) ** 2
-    if ops:
-        ops.add(2)
-    e = y - state.psi * alpha
-    if ops:
-        ops.add(m)
-    state.psi = state.psi + e * (np.conj(alpha) / state.delta)
-    if ops:
-        ops.add(m + 1)
-    return state
+    alpha = np.einsum("km,km->k", psi.conj(), y)
+    delta = beta * delta + np.abs(alpha) ** 2
+    e = y - psi * alpha[:, None]
+    psi = psi + e * (alpha.conj() / delta)[:, None]
+    if ops is not None:
+        nbins, m = psi.shape
+        ops.add(nbins * (3 * m + 3))
+    return psi, delta
 
 
 @dataclass
@@ -139,53 +110,42 @@ class RtfTrajectory:
 def _normalize_dewhitened(
     b: np.ndarray, ref: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Divide (F, M) de-whitened vectors by the reference entry.
+    """Divide (..., M) de-whitened vectors by their reference entry.
 
-    Returns (rtf, valid); invalid bins get the trivial e_ref vector.
+    Returns (rtf, valid); invalid vectors get the trivial e_ref vector.
     """
-    nbins, m = b.shape
-    den = b[:, ref]
-    norm = np.linalg.norm(b, axis=1)
+    den = b[..., ref]
+    norm = np.linalg.norm(b, axis=-1)
     valid = (np.abs(den) >= DENOM_TOL) & (np.abs(den) >= REF_NULL_REL_TOL * norm)
-    a = np.zeros_like(b)
-    a[valid] = b[valid] / den[valid, None]
-    a[~valid, ref] = 1.0
-    a[valid, ref] = 1.0  # exact, not just within rounding
+    a = b / np.where(valid, den, 1.0)[..., None]
+    a[~valid] = 0.0
+    a[..., ref] = 1.0  # exact, not just within rounding
     return a, valid
 
 
-def estimate_rtf_cw(
-    phi_nn_sqrt: HermitianMatrixField,
-    phi_ww: HermitianMatrixField,
-    ref_channel: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch covariance-whitening RTF estimate per bin.
-
-    a = (Phi_nn^{H/2} psi) / (e_ref^T Phi_nn^{H/2} psi), psi the principal
-    eigenvector of the whitened mixture covariance. Returns (rtf (F, M),
-    valid (F,)); bins whose reference entry vanishes are flagged invalid.
-    """
-    m = phi_ww.num_channels
+def _check_ref_channel(ref_channel: int, m: int) -> None:
     if not (0 <= ref_channel < m):
         raise RtfError(f"ref_channel {ref_channel} out of range [0, {m})")
-    psi = hermitian_evd(phi_ww).principal_vectors  # (F, M)
-    b = np.einsum("kij,kj->ki", phi_nn_sqrt.matrices, psi)
-    return _normalize_dewhitened(b, ref_channel)
 
 
 def cw_trajectory(
-    spec: ComplexSpectrogram,
+    principal: np.ndarray,
     phi_nn_sqrt: HermitianMatrixField,
-    phi_yy: HermitianMatrixField,
-    phi_nn_invsqrt: HermitianMatrixField,
     ref_channel: int,
+    num_frames: int,
     side: str = "left",
 ) -> RtfTrajectory:
-    """Batch CW estimate broadcast over all frames of the spectrogram."""
-    phi_ww = whitened_mixture_covariance(phi_yy, phi_nn_invsqrt)
-    a, valid = estimate_rtf_cw(phi_nn_sqrt, phi_ww, ref_channel)
-    values = np.repeat(a.T[:, :, None], spec.num_frames, axis=2)
-    mask = np.repeat(valid[:, None], spec.num_frames, axis=1)
+    """Batch covariance-whitening RTF, broadcast over `num_frames` frames.
+
+    `principal` (F, M) holds the principal eigenvectors psi of the whitened
+    mixture covariance Phi_ww; a = (Phi_nn^{H/2} psi) / (e_ref^T Phi_nn^{H/2}
+    psi). Bins whose reference entry vanishes are flagged invalid.
+    """
+    _check_ref_channel(ref_channel, principal.shape[1])
+    b = np.einsum("kij,kj->ki", phi_nn_sqrt.matrices, principal)
+    a, valid = _normalize_dewhitened(b, ref_channel)
+    values = np.repeat(a.T[:, :, None], num_frames, axis=2)
+    mask = np.repeat(valid[:, None], num_frames, axis=1)
     mask[-1, :] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
     return RtfTrajectory(values, ref_channel, side, mask)
 
@@ -199,51 +159,47 @@ def track_rtf_past(
     start_frame: int = 0,
     side: str = "left",
 ) -> RtfTrajectory:
-    """Run one PAST tracker per bin over the whitened frames, de-whitening
-    each updated eigenvector into a reference-normalized RTF.
+    """Run one PAST tracker per bin over the whitened frames, starting from
+    psi = e_ref, and de-whiten every tracked eigenvector into a
+    reference-normalized RTF.
 
     Frames before `start_frame` emit the trivial RTF and are flagged
-    invalid. A bin whose normalization fails at frame l holds the previous
-    frame's value and is flagged invalid at (k, l). Causal: frame l depends
-    only on frames <= l.
+    invalid. A bin whose normalization fails at frame l holds its last
+    valid value (the trivial RTF if there is none yet) and is flagged
+    invalid at (k, l). Causal: frame l depends only on frames <= l.
     """
     if not (0.0 < beta <= 1.0):
         raise RtfError(f"beta must be in (0, 1], got {beta}")
     if delta0 <= 0.0:
         raise RtfError("delta0 must be positive")
-    m, nbins, nframes = spec_whitened.data.shape
-    if not (0 <= ref_channel < m):
-        raise RtfError(f"ref_channel {ref_channel} out of range [0, {m})")
+    yw = spec_whitened.data  # (M, F, L)
+    m, nbins, nframes = yw.shape
+    _check_ref_channel(ref_channel, m)
+    if not np.all(np.isfinite(yw)):
+        raise RtfError("non-finite whitened input to track_rtf_past")
 
-    # per-bin state, vectorized: psi (F, M), delta (F,)
+    start = min(max(start_frame, 0), nframes)
     psi = np.zeros((nbins, m), dtype=np.complex128)
     psi[:, ref_channel] = 1.0
     delta = np.full(nbins, float(delta0))
+    tracked = np.empty((nframes - start, nbins, m), dtype=np.complex128)
+    for l in range(start, nframes):
+        psi, delta = past_step(psi, delta, yw[:, :, l].T, beta)
+        tracked[l - start] = psi
 
-    trivial = np.zeros(m, dtype=np.complex128)
-    trivial[ref_channel] = 1.0
-    values = np.empty((m, nbins, nframes), dtype=np.complex128)
+    # de-whiten every frame at once: b[k, l] = Phi_nn^{1/2}(k) psi[l, k]
+    b = np.matmul(tracked.transpose(1, 0, 2), phi_nn_sqrt.matrices.transpose(0, 2, 1))
+    a, ok = _normalize_dewhitened(b, ref_channel)  # (F, L', M), (F, L')
+    # zero-order hold: each cell takes its bin's last valid frame; a bin with
+    # none yet takes frame 0, which is then invalid and so already e_ref
+    last = np.maximum.accumulate(np.where(ok, np.arange(nframes - start), -1), axis=1)
+    a = np.take_along_axis(a, np.maximum(last, 0)[:, :, None], axis=1)
+
+    values = np.zeros((m, nbins, nframes), dtype=np.complex128)
+    values[ref_channel] = 1.0
+    values[:, :, start:] = a.transpose(2, 0, 1)
     valid = np.zeros((nbins, nframes), dtype=bool)
-    prev = np.tile(trivial, (nbins, 1))
-
-    yw = spec_whitened.data  # (M, F, L)
-    sqrt_nn = phi_nn_sqrt.matrices
-    for l in range(nframes):
-        if l < start_frame:
-            values[:, :, l] = trivial[:, None]
-            continue
-        y = yw[:, :, l].T  # (F, M)
-        alpha = np.einsum("km,km->k", psi.conj(), y)
-        delta = beta * delta + np.abs(alpha) ** 2
-        e = y - psi * alpha[:, None]
-        psi = psi + e * (alpha.conj() / delta)[:, None]
-
-        b = np.einsum("kij,kj->ki", sqrt_nn, psi)
-        a, ok = _normalize_dewhitened(b, ref_channel)
-        a[~ok] = prev[~ok]  # zero-order hold on failed bins
-        values[:, :, l] = a.T
-        valid[:, l] = ok
-        prev = a
+    valid[:, start:] = ok
     valid[-1, :] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
     return RtfTrajectory(values, ref_channel, side, valid)
 

@@ -28,21 +28,22 @@ def test_acceptance_1_past_vs_evd_equivalence(capsys):
         a = random_complex(rng, m)
         a /= np.linalg.norm(a)
         frames = []
-        state = rtf.past_init(m, beta=1.0)
+        psi = np.eye(m, dtype=complex)[:1]  # one bin, (1, M)
+        delta = np.ones(1)
         for _ in range(500):
             s = random_complex(rng, 1)[0]
             n = random_complex(rng, m) * 0.1
             y = a * s + n  # covariance a a^H + 0.01 I
             frames.append(y)
-            state = rtf.past_update(state, y)
+            psi, delta = rtf.past_step(psi, delta, y[None, :], 1.0)
         frames = np.array(frames)
         sample_cov = frames.T @ frames.conj() / len(frames)
         evd = covariance.hermitian_evd(
             covariance.HermitianMatrixField(sample_cov[None, :, :])
         )
         v1 = evd.principal_vectors[0]
-        cosine = abs(np.vdot(state.psi, v1)) / (
-            np.linalg.norm(state.psi) * np.linalg.norm(v1)
+        cosine = abs(np.vdot(psi[0], v1)) / (
+            np.linalg.norm(psi[0]) * np.linalg.norm(v1)
         )
         worst = max(worst, float(np.arccos(min(cosine, 1.0))))
     elapsed = time.perf_counter() - start
@@ -70,10 +71,8 @@ def test_acceptance_3_distortionless_constraint(capsys, moving_bundle):
     spec = stft.analyze(moving_bundle.mixture, moving_bundle.config)
     stats = pipeline.noise_stats(spec, moving_bundle.noise_frames)
     worst = 0.0
-    for side, ref in (("left", 0), ("right", moving_bundle.scenario.num_mics - 1)):
-        traj = pipeline.estimate_trajectory(
-            spec, stats, moving_bundle.noise_frames, "past", ref, side
-        )
+    trajs = pipeline.estimate_trajectory(spec, stats, moving_bundle.noise_frames, "past")
+    for traj in trajs.values():
         w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
         dots = np.einsum("mkl,mkl->kl", w.values.conj(), traj.values)
         worst = max(worst, float(np.max(np.abs(dots[traj.valid] - 1.0))))
@@ -94,8 +93,8 @@ def test_acceptance_4_mse_snr_trend(capsys):
             spec = stft.analyze(bundle.mixture, bundle.config)
             stats = pipeline.noise_stats(spec, bundle.noise_frames)
             traj = pipeline.estimate_trajectory(
-                spec, stats, bundle.noise_frames, "cw-batch", 0, "left"
-            )
+                spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
+            )["left"]
             sums[i] += rtf.rtf_mse(traj, bundle.truth.rtf_left)
     means = sums / num_seeds
     elapsed = time.perf_counter() - start
@@ -154,12 +153,13 @@ def test_acceptance_7_si_sdr_scale_invariance(capsys):
 
 
 def test_acceptance_8_past_linear_complexity(capsys):
-    """Instrumented multiply-add count of past_update is linear in M."""
+    """Instrumented multiply-add count of one past_step bin is linear in M."""
     ms = np.array([2, 4, 8, 16])
     counts = []
     for m in ms:
         ops = rtf.OpCounter()
-        rtf.past_update(rtf.past_init(int(m)), np.ones(m), ops)
+        psi = np.eye(m, dtype=complex)[:1]  # one bin, (1, M)
+        rtf.past_step(psi, np.ones(1), np.ones((1, m)), rtf.DEFAULT_BETA, ops)
         counts.append(ops.multiply_adds)
     counts = np.array(counts, dtype=float)
     slope, intercept = np.polyfit(ms, counts, 1)

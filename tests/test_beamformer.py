@@ -95,8 +95,8 @@ def test_distortionless_full_scenario(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
     stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, static_bundle.noise_frames, "cw-batch", 0, "left"
-    )
+        spec, stats, static_bundle.noise_frames, "cw-batch", sides=("left",)
+    )["left"]
     w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
     dots = np.einsum("mkl,mkl->kl", w.values.conj(), traj.values)
     assert np.max(np.abs(dots[traj.valid] - 1.0)) < 1e-8

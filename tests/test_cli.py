@@ -216,6 +216,40 @@ def test_evaluate_resume_key_includes_configuration(tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("torn_row", [
+    "seed3,20.0,none,1,0.7,1e-",  # torn inside the resume key
+    "seed3,20.0,none,1,0.7,1e-06,0.1,o",  # torn after a complete key
+])
+def test_evaluate_resume_cuts_a_torn_last_row(tmp_path, monkeypatch, torn_row):
+    # a crash mid-row leaves a last line without its newline; the rerun must
+    # evaluate that cell once and replace the torn row, not append to it
+    evaluated = []
+
+    def fake_evaluate(bundle, method, beta, loading, mvdr_loading):
+        evaluated.append((bundle[1], method))
+        return metrics.EvalReport(f"seed{bundle[0]}", bundle[1], method)
+
+    monkeypatch.setattr(pipeline, "simulate", lambda seed, snr, static: (seed, snr))
+    monkeypatch.setattr(pipeline, "remix", lambda bundle, snr: (bundle[0], snr))
+    monkeypatch.setattr(pipeline, "evaluate_bundle", fake_evaluate)
+    out = tmp_path / "results.csv"
+    args = ["evaluate", "--seed", "3", "--count", "1", "--static", "--snrs",
+            "10,20", "--methods", "none", "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_OK
+    text = out.read_text()
+    last = text.rstrip("\n").rfind("\n") + 1
+    assert text[last:].startswith(torn_row)
+    out.write_text(text[:last] + torn_row)
+    evaluated.clear()
+
+    assert cli.main(args) == cli.EXIT_OK
+    assert evaluated == [(20.0, "none")]
+    lines = out.read_text().splitlines()
+    assert all(len(row) == len(cli.RESULT_FIELDS) for row in csv.reader(lines))
+    keys = [tuple(r[k] for k in cli.KEY_FIELDS) for r in _read_csv(out)]
+    assert len(keys) == len(set(keys)) == 2
+
+
 def test_evaluate_refuses_results_with_other_columns(tmp_path):
     out = tmp_path / "results.csv"
     out.write_text("scenario_id,snr_db,method,status\nseed3,10.0,past,ok\n")

@@ -22,63 +22,60 @@ def _eye_field(nbins, m):
 # ------------------------------------------------------------------ PAST
 
 
+def _past_step(psi, delta, y, beta, ops=None):
+    """past_step on one bin: (M,) vectors in, (M,) psi and scalar delta out."""
+    psi, delta = rtf.past_step(
+        np.atleast_2d(np.asarray(psi, dtype=complex)), np.array([float(delta)]),
+        np.atleast_2d(np.asarray(y, dtype=complex)), beta, ops,
+    )
+    return psi[0], delta[0]
+
+
 def test_past_init_defaults():
-    state = rtf.past_init(2, beta=0.95)
-    np.testing.assert_array_equal(state.psi, [1.0, 0.0])
-    assert state.delta == 1.0
-    assert state.beta == 0.95
-
-
-def test_past_init_explicit_psi0():
-    psi0 = np.array([0.5, 0.5j])
-    state = rtf.past_init(2, psi0=psi0)
-    np.testing.assert_array_equal(state.psi, psi0)
-    with pytest.raises(rtf.RtfError):
-        rtf.past_init(3, psi0=psi0)
-
-
-def test_past_init_rejects_bad_parameters():
-    with pytest.raises(rtf.RtfError):
-        rtf.past_init(2, beta=0.0)
-    with pytest.raises(rtf.RtfError):
-        rtf.past_init(2, beta=1.5)
-    with pytest.raises(rtf.RtfError):
-        rtf.past_init(2, delta0=0.0)
+    # the tracker starts from psi = e_ref, delta = 1: one frame y = [1, 1]
+    # with beta = 1 gives psi = [1, 0.5] from e_0 and [0.5, 1] from e_1
+    cfg = stft.StftConfig(window_len=2, hop=2)
+    spec = stft.ComplexSpectrogram(np.ones((2, cfg.num_bins, 1), dtype=complex), cfg)
+    for ref, expected in ((0, [1.0, 0.5]), (1, [0.5, 1.0])):
+        traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), ref, beta=1.0)
+        assert traj.valid[0, 0]
+        np.testing.assert_allclose(traj.values[:, 0, 0], expected, atol=1e-15)
 
 
 def test_past_update_hand_trace():
     # hand-traced recursion: psi=[1,0], delta=1, beta=1, y=[1,1]
     # -> alpha=1, delta=2, e=[0,1], psi=[1, 0.5]
-    state = rtf.past_init(2, beta=1.0)
-    state = rtf.past_update(state, np.array([1.0, 1.0]))
-    assert state.delta == 2.0
-    np.testing.assert_allclose(state.psi, [1.0, 0.5], atol=1e-15)
+    psi, delta = _past_step([1.0, 0.0], 1.0, [1.0, 1.0], 1.0)
+    assert delta == 2.0
+    np.testing.assert_allclose(psi, [1.0, 0.5], atol=1e-15)
 
 
 def test_past_update_zero_input_fixes_psi():
-    state = rtf.past_init(2, beta=0.9)
-    state = rtf.past_update(state, np.zeros(2))
-    assert state.delta == pytest.approx(0.9)
-    np.testing.assert_array_equal(state.psi, [1.0, 0.0])
+    psi, delta = _past_step([1.0, 0.0], 1.0, np.zeros(2), 0.9)
+    assert delta == pytest.approx(0.9)
+    np.testing.assert_array_equal(psi, [1.0, 0.0])
 
 
 def test_past_update_eigendirection_is_fixed_point():
-    state = rtf.past_init(2, beta=0.9)
-    state = rtf.past_update(state, np.array([3.0 + 4.0j, 0.0]))
-    np.testing.assert_allclose(state.psi, [1.0, 0.0], atol=1e-15)
-    assert state.delta == pytest.approx(0.9 + 25.0)
+    psi, delta = _past_step([1.0, 0.0], 1.0, [3.0 + 4.0j, 0.0], 0.9)
+    np.testing.assert_allclose(psi, [1.0, 0.0], atol=1e-15)
+    assert delta == pytest.approx(0.9 + 25.0)
 
 
 def test_past_update_rejects_non_finite():
-    state = rtf.past_init(2)
+    # one NaN frame must raise, not silently invalidate every later frame
+    cfg = stft.StftConfig(window_len=4, hop=4)
+    y = random_complex(np.random.default_rng(18), 2, cfg.num_bins, 6)
+    y[1, 0, 3] = np.nan
+    spec = stft.ComplexSpectrogram(y, cfg)
     with pytest.raises(rtf.RtfError):
-        rtf.past_update(state, np.array([np.nan, 0.0]))
+        rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), 0)
 
 
 def test_past_update_operation_count():
     for m in (2, 4, 8, 16):
         ops = rtf.OpCounter()
-        rtf.past_update(rtf.past_init(m), np.ones(m), ops)
+        _past_step(np.eye(m)[0], 1.0, np.ones(m), rtf.DEFAULT_BETA, ops)
         assert ops.multiply_adds == 3 * m + 3
 
 
@@ -89,10 +86,20 @@ def _rank_one_phi(a, noise=0.01):
     return np.outer(a, a.conj()) + noise * np.eye(len(a))
 
 
+def _cw(phi_nn_sqrt, phi_ww, ref):
+    """CW RTF of bin 0 and its validity; the field is padded with a copy of
+    its last bin, as cw_trajectory flags the last (Nyquist) bin invalid."""
+    phi_ww = _field(*phi_ww.matrices, phi_ww.matrices[-1])
+    phi_nn_sqrt = _field(*phi_nn_sqrt.matrices, phi_nn_sqrt.matrices[-1])
+    principal = covariance.hermitian_evd(phi_ww).principal_vectors
+    traj = rtf.cw_trajectory(principal, phi_nn_sqrt, ref, 1)
+    return traj.values[:, :-1, 0].T, traj.valid[:-1, 0]
+
+
 def test_cw_rank_one_plus_identity():
     a = np.array([1.0, 0.5], dtype=complex)
     phi_ww = _field(_rank_one_phi(a))
-    est, valid = rtf.estimate_rtf_cw(_eye_field(1, 2), phi_ww, 0)
+    est, valid = _cw(_eye_field(1, 2), phi_ww, 0)
     assert valid[0]
     np.testing.assert_allclose(est[0], a, atol=1e-6)
 
@@ -104,7 +111,7 @@ def test_cw_scalar_whitening_invariance():
     sqrt4 = covariance.HermitianMatrixField(2.0 * _eye_field(1, 2).matrices)
     invsqrt4 = covariance.HermitianMatrixField(0.5 * _eye_field(1, 2).matrices)
     phi_ww = covariance.whitened_mixture_covariance(_field(phi_yy), invsqrt4)
-    est, valid = rtf.estimate_rtf_cw(sqrt4, phi_ww, 0)
+    est, valid = _cw(sqrt4, phi_ww, 0)
     assert valid[0]
     np.testing.assert_allclose(est[0], a, atol=1e-6)
 
@@ -121,7 +128,7 @@ def test_cw_scalar_whitening_invariance_property(seed, c):
         nn = _field(scale * np.eye(3, dtype=complex))
         sq, isq = covariance.sqrt_pair(covariance.hermitian_evd(nn), 0.0)
         phi_ww = covariance.whitened_mixture_covariance(phi_yy, isq)
-        est, valid = rtf.estimate_rtf_cw(sq, phi_ww, 0)
+        est, valid = _cw(sq, phi_ww, 0)
         assert valid[0]
         results.append(est[0])
     np.testing.assert_allclose(results[0], results[1], atol=1e-8)
@@ -149,7 +156,7 @@ def test_cw_flags_reference_null():
 
 def test_cw_ref_channel_out_of_range():
     with pytest.raises(rtf.RtfError):
-        rtf.estimate_rtf_cw(_eye_field(1, 2), _eye_field(1, 2), 2)
+        rtf.cw_trajectory(np.eye(2, dtype=complex)[:1], _eye_field(1, 2), 2, 1)
 
 
 def test_cw_static_scenario_mse(static_bundle):
@@ -158,8 +165,8 @@ def test_cw_static_scenario_mse(static_bundle):
     spec = stft.analyze(bundle.mixture, bundle.config)
     stats = pipeline.noise_stats(spec, bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, bundle.noise_frames, "cw-batch", 0, "left"
-    )
+        spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
+    )["left"]
     assert rtf.rtf_mse(traj, bundle.truth.rtf_left) <= -20.0
 
 
@@ -184,7 +191,7 @@ def test_track_stationary_matches_batch_cw():
     traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 3), 0, beta=1.0)
 
     phi_ww = covariance.estimate_mixture_covariance(spec, 0)
-    batch, _ = rtf.estimate_rtf_cw(_eye_field(cfg.num_bins, 3), phi_ww, 0)
+    batch, _ = _cw(_eye_field(cfg.num_bins, 3), phi_ww, 0)
     for k in range(cfg.num_bins - 1):  # Nyquist bin is flagged by design
         assert traj.valid[k, -1]
         err = np.linalg.norm(traj.values[:, k, -1] - batch[k])
@@ -226,8 +233,8 @@ def test_track_reference_cells_exactly_one(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
     stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, static_bundle.noise_frames, "past", 0, "left"
-    )
+        spec, stats, static_bundle.noise_frames, "past", sides=("left",)
+    )["left"]
     ref_vals = traj.values[0][traj.valid]
     assert np.all(ref_vals == 1.0 + 0.0j)
 
@@ -236,8 +243,8 @@ def test_track_static_scene_mse(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
     stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, static_bundle.noise_frames, "past", 0, "left"
-    )
+        spec, stats, static_bundle.noise_frames, "past", sides=("left",)
+    )["left"]
     assert rtf.rtf_mse(traj, static_bundle.truth.rtf_left) <= -20.0
 
 
@@ -253,20 +260,76 @@ def test_track_moving_scene_mse(moving_bundle):
     spec = stft.analyze(moving_bundle.mixture, moving_bundle.config)
     stats = pipeline.noise_stats(spec, moving_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, moving_bundle.noise_frames, "past", 0, "left"
-    )
+        spec, stats, moving_bundle.noise_frames, "past", sides=("left",)
+    )["left"]
     assert rtf.rtf_mse(traj, moving_bundle.truth.rtf_left) <= -15.0
 
 
 def test_track_parameter_validation():
     cfg = stft.StftConfig(window_len=4, hop=4)
     spec = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
-    with pytest.raises(rtf.RtfError):
-        rtf.track_rtf_past(spec, _eye_field(3, 2), 0, beta=0.0)
-    with pytest.raises(rtf.RtfError):
-        rtf.track_rtf_past(spec, _eye_field(3, 2), 0, delta0=-1.0)
+    for kwargs in ({"beta": 0.0}, {"beta": 1.5}, {"delta0": 0.0}, {"delta0": -1.0}):
+        with pytest.raises(rtf.RtfError):
+            rtf.track_rtf_past(spec, _eye_field(3, 2), 0, **kwargs)
     with pytest.raises(rtf.RtfError):
         rtf.track_rtf_past(spec, _eye_field(3, 2), 5)
+
+
+def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
+    """The per-frame tracking loop track_rtf_past replaced, kept as its
+    reference: step, de-whiten, normalize and hold, one frame at a time."""
+    m, nbins, nframes = yw.shape
+    psi = np.zeros((nbins, m), dtype=np.complex128)
+    psi[:, ref] = 1.0
+    delta = np.ones(nbins)
+    trivial = np.zeros(m, dtype=np.complex128)
+    trivial[ref] = 1.0
+    values = np.empty((m, nbins, nframes), dtype=np.complex128)
+    valid = np.zeros((nbins, nframes), dtype=bool)
+    prev = np.tile(trivial, (nbins, 1))
+    for l in range(nframes):
+        if l < start_frame:
+            values[:, :, l] = trivial[:, None]
+            continue
+        y = yw[:, :, l].T
+        alpha = np.einsum("km,km->k", psi.conj(), y)
+        delta = beta * delta + np.abs(alpha) ** 2
+        e = y - psi * alpha[:, None]
+        psi = psi + e * (alpha.conj() / delta)[:, None]
+        b = np.einsum("kij,kj->ki", sqrt_nn, psi)
+        den = b[:, ref]
+        ok = (np.abs(den) >= rtf.DENOM_TOL) & (
+            np.abs(den) >= rtf.REF_NULL_REL_TOL * np.linalg.norm(b, axis=1)
+        )
+        a = np.where(ok[:, None], b / np.where(ok, den, 1.0)[:, None], prev)
+        a[ok, ref] = 1.0
+        values[:, :, l] = a.T
+        valid[:, l] = ok
+        prev = a
+    valid[-1, :] = False
+    return values, valid
+
+
+def test_track_matches_per_frame_reference():
+    rng = np.random.default_rng(19)
+    cfg = stft.StftConfig(window_len=8, hop=8)
+    m, nbins, nframes, start = 3, cfg.num_bins, 40, 6
+    y = random_complex(rng, m, nbins, nframes)
+    sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
+    # over frames 15-24, bins 0-1 carry one source whose de-whitened
+    # direction is mic 1 alone: both reference entries fall into the null
+    # there, so those cells fail and hold
+    v = np.linalg.solve(sqrt_nn.matrices[:2], np.eye(m)[1])  # (2, M)
+    y[:, :2, 15:25] = 0.01 * y[:, :2, 15:25]
+    y[:, :2, 15:25] += 10.0 * v.T[:, :, None] * random_complex(rng, 2, 10)
+    spec = stft.ComplexSpectrogram(y, cfg)
+    for ref in (0, m - 1):
+        traj = rtf.track_rtf_past(spec, sqrt_nn, ref, 0.8, start_frame=start)
+        values, valid = _track_per_frame(y, sqrt_nn.matrices, ref, 0.8, start)
+        held = ~valid[:-1, start:]
+        assert held.any() and not held.all()
+        np.testing.assert_array_equal(traj.valid, valid)
+        np.testing.assert_allclose(traj.values, values, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------------ MSE
@@ -315,8 +378,8 @@ def test_mse_monotone_with_snr(static_bundle):
         spec = stft.analyze(bundle.mixture, bundle.config)
         stats = pipeline.noise_stats(spec, bundle.noise_frames)
         traj = pipeline.estimate_trajectory(
-            spec, stats, bundle.noise_frames, "cw-batch", 0, "left"
-        )
+            spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
+        )["left"]
         mses.append(rtf.rtf_mse(traj, bundle.truth.rtf_left))
     assert all(b < a for a, b in zip(mses, mses[1:]))
 
