@@ -42,6 +42,15 @@ def test_past_init_defaults():
         np.testing.assert_allclose(traj.values[:, 0, 0], expected, atol=1e-15)
 
 
+def test_past_init_rejects_bad_parameters():
+    # the tracker's start parameters: beta in (0, 1] and delta0 > 0
+    cfg = stft.StftConfig(window_len=4, hop=4)
+    spec = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
+    for kwargs in ({"beta": 0.0}, {"beta": 1.5}, {"delta0": 0.0}):
+        with pytest.raises(rtf.RtfError):
+            rtf.track_rtf_past(spec, _eye_field(3, 2), 0, **kwargs)
+
+
 def test_past_update_hand_trace():
     # hand-traced recursion: psi=[1,0], delta=1, beta=1, y=[1,1]
     # -> alpha=1, delta=2, e=[0,1], psi=[1, 0.5]
@@ -268,9 +277,8 @@ def test_track_moving_scene_mse(moving_bundle):
 def test_track_parameter_validation():
     cfg = stft.StftConfig(window_len=4, hop=4)
     spec = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
-    for kwargs in ({"beta": 0.0}, {"beta": 1.5}, {"delta0": 0.0}, {"delta0": -1.0}):
-        with pytest.raises(rtf.RtfError):
-            rtf.track_rtf_past(spec, _eye_field(3, 2), 0, **kwargs)
+    with pytest.raises(rtf.RtfError):
+        rtf.track_rtf_past(spec, _eye_field(3, 2), 0, delta0=-1.0)
     with pytest.raises(rtf.RtfError):
         rtf.track_rtf_past(spec, _eye_field(3, 2), 5)
 
