@@ -101,7 +101,6 @@ def narrowband_beampattern(
     positions_m: np.ndarray,
     config: StftConfig,
     angles_deg: np.ndarray | None = None,
-    speed_of_sound: float = SPEED_OF_SOUND,
 ) -> BeampatternGrid:
     """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the angle grid."""
     if angles_deg is None:
@@ -113,7 +112,7 @@ def narrowband_beampattern(
         raise BeamformerError("geometry length must equal channel count")
 
     freqs = np.arange(nbins) * config.sample_rate_hz / config.window_len
-    tau = (x - x[0])[None, :] / speed_of_sound * np.sin(np.deg2rad(angles_deg))[:, None]
+    tau = (x - x[0])[None, :] / SPEED_OF_SOUND * np.sin(np.deg2rad(angles_deg))[:, None]
     h = np.exp(-2j * np.pi * freqs[:, None, None] * tau[None, :, :])  # (F, T, M)
     w = weights.values.conj().transpose(1, 0, 2)  # (F, M, L)
     nframes = w.shape[2]

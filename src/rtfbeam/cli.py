@@ -2,18 +2,22 @@
 evaluate.
 
 Scenario bundles are directories with fixed filenames (scenario.json,
-mixture.wav, ...). All writes go through a temp file + atomic rename, so a
-failed run leaves no partial files; the one exception, the results-row
-append, fsyncs each row and cuts a torn last row. Exit codes: 0 success,
-2 configuration errors, 1 runtime failures.
+mixture.wav, ...). Every output file streams through one atomic writer,
+`_atomic_open`: a temp file in the target directory, renamed over the
+target on success and unlinked on failure, so a failed run leaves no
+partial files. The one exception, the results-row append, fsyncs each row
+and cuts a torn last row. Exit codes: 0 success, 2 configuration errors
+(including flags out of range), 1 runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -46,47 +50,51 @@ class ConfigError(ValueError):
     pass
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: Path, mode: str = "wb"):
+    """Yield a temp file beside `path` opened in `mode`; on success it is
+    renamed over `path`, on any exception unlinked, so `path` holds either
+    its old bytes or the whole new file. Text is UTF-8 with no newline
+    translation."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode())
+def _write_text(path: Path, text: str) -> None:
+    with _atomic_open(path, "w") as fh:
+        fh.write(text)
 
 
 def _write_wav(path: Path, rate: int, signal: np.ndarray) -> None:
-    buf = io.BytesIO()
-    stft.write_wav(buf, rate, signal)
-    _atomic_write_bytes(path, buf.getvalue())
+    with _atomic_open(path) as fh:
+        stft.write_wav(fh, rate, signal)
 
 
 def _write_trajectory(path: Path, traj, config) -> None:
-    buf = io.BytesIO()
-    rtf.save_trajectory(buf, traj, config)
-    _atomic_write_bytes(path, buf.getvalue())
+    with _atomic_open(path) as fh:
+        rtf.save_trajectory(fh, traj, config)
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Stream `rows` (an iterable of sequences) under `header`."""
+    with _atomic_open(path, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
     rate = bundle.scenario.sample_rate
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out_dir / "scenario.json", bundle.scenario.to_json())
+    _write_text(out_dir / "scenario.json", bundle.scenario.to_json())
     _write_wav(out_dir / "mixture.wav", rate, bundle.mixture)
     _write_wav(out_dir / "clean.wav", rate, bundle.clean)
     _write_wav(out_dir / "noise.wav", rate, bundle.noise)
@@ -106,15 +114,12 @@ def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
             "window": bundle.config.window,
         },
     }
-    _atomic_write_text(out_dir / "ground_truth.json", json.dumps(meta, indent=2))
-    doa_rows = [
-        {"frame": l, "doa_deg": float(d), "active": int(a)}
-        for l, (d, a) in enumerate(
-            zip(bundle.truth.doa_per_frame, bundle.truth.active_frames)
-        )
-    ]
-    _atomic_write_text(
-        out_dir / "doa.csv", _csv_text(["frame", "doa_deg", "active"], doa_rows)
+    _write_text(out_dir / "ground_truth.json", json.dumps(meta, indent=2))
+    _write_csv(
+        out_dir / "doa.csv",
+        ["frame", "doa_deg", "active"],
+        ((l, float(d), int(a)) for l, (d, a) in enumerate(
+            zip(bundle.truth.doa_per_frame, bundle.truth.active_frames))),
     )
 
 
@@ -157,30 +162,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _estimation_inputs(bundle, args):
-    mix_spec = stft.analyze(bundle.mixture, bundle.config)
-    ln = args.noise_frames if args.noise_frames else bundle.noise_frames
-    stats = pipeline.noise_stats(mix_spec, ln, args.loading)
-    return mix_spec, ln, stats
-
-
 def cmd_estimate_rtf(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
-    mix_spec, ln, stats = _estimation_inputs(bundle, args)
-    trajs = pipeline.estimate_trajectory(
-        mix_spec, stats, ln, args.method, args.beta, bundle.truth
+    _, _, trajs = pipeline.estimate(
+        bundle, args.method, args.beta, args.loading, args.noise_frames
     )
     mse_rows = []
     for side, traj in trajs.items():
         _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config)
         truth_traj = bundle.truth.rtf_left if side == "left" else bundle.truth.rtf_right
         mse = rtf.rtf_mse(traj, truth_traj)
-        mse_rows.append({"side": side, "method": args.method, "mse_db": mse})
+        mse_rows.append((side, args.method, mse))
         print(f"{side}: MSE {mse:.2f} dB")
-    _atomic_write_text(
-        bundle_dir / "rtf_mse.csv", _csv_text(["side", "method", "mse_db"], mse_rows)
-    )
+    _write_csv(bundle_dir / "rtf_mse.csv", ["side", "method", "mse_db"], mse_rows)
     return EXIT_OK
 
 
@@ -209,40 +204,24 @@ def cmd_beamform(args) -> int:
 def cmd_beampattern(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
-    mix_spec, ln, stats = _estimation_inputs(bundle, args)
-    traj = pipeline.estimate_trajectory(
-        mix_spec, stats, ln, args.method, args.beta, bundle.truth, sides=("left",)
-    )["left"]
-    weights = (
-        beamformer.mvdr_weights(traj, stats.phi_nn_evd, args.mvdr_loading)
-        if args.method != "none"
-        else beamformer.BeamformerWeights(traj.values.copy())
+    grid = pipeline.beampattern(
+        bundle, args.method, args.beta, args.loading, args.mvdr_loading,
+        args.noise_frames, args.angle_step,
     )
-    angles = np.arange(-90.0, 90.0 + args.angle_step, args.angle_step)
-    grid = beamformer.narrowband_beampattern(
-        weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles
-    )
-    rows = []
-    for ti, theta in enumerate(grid.angles_deg):
-        for l in range(grid.wideband.shape[1]):
-            rows.append(
-                {"frame": l, "bin": "wideband", "theta_deg": theta,
-                 "value": grid.wideband[ti, l]}
-            )
-    _atomic_write_text(
+    _write_csv(
         bundle_dir / "beampattern_wideband.csv",
-        _csv_text(["frame", "bin", "theta_deg", "value"], rows),
+        ["frame", "bin", "theta_deg", "value"],
+        ((l, "wideband", theta, value)
+         for theta, powers in zip(grid.angles_deg, grid.wideband)
+         for l, value in enumerate(powers)),
     )
-    buf = io.BytesIO()
-    np.save(buf, grid.narrowband.astype(np.float32))
-    _atomic_write_bytes(bundle_dir / "beampattern_narrowband.npy", buf.getvalue())
+    with _atomic_open(bundle_dir / "beampattern_narrowband.npy") as fh:
+        np.save(fh, grid.narrowband.astype(np.float32))
     errs, mean_err, excluded = metrics.doa_error(grid, bundle.truth)
-    err_rows = [
-        {"frame": l, "doa_error_deg": "" if np.isnan(e) else e}
-        for l, e in enumerate(errs)
-    ]
-    _atomic_write_text(
-        bundle_dir / "doa_error.csv", _csv_text(["frame", "doa_error_deg"], err_rows)
+    _write_csv(
+        bundle_dir / "doa_error.csv",
+        ["frame", "doa_error_deg"],
+        ((l, "" if np.isnan(e) else e) for l, e in enumerate(errs)),
     )
     print(f"mean DOA error {mean_err:.2f} deg ({excluded} frames excluded)")
     return EXIT_OK
@@ -312,7 +291,7 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     done = completed_keys(out)
     seeds = list(range(args.seed, args.seed + args.count))
-    snrs = [float(s) for s in args.snrs.split(",")]
+    snrs = args.snrs
     methods = args.methods.split(",")
     for method in methods:
         if method not in pipeline.METHODS:
@@ -356,6 +335,33 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _checked(cast, ok, rule: str):
+    """An argparse type: `cast` of the text, refused unless `ok` holds, so a
+    value out of range exits 2 at parse time."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+def _float_list(text: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of numbers") from None
+
+
+_STEP = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_BETA = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_LOADING = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_FRAMES = _checked(int, lambda v: v >= 0, ">= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtfbeam",
@@ -363,16 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def config_flags(p):
+        p.add_argument("--beta", type=_BETA, default=rtf.DEFAULT_BETA,
+                       help="PAST forgetting factor (default: %(default)s)")
+        p.add_argument("--loading", type=_LOADING, default=covariance.DEFAULT_LOADING,
+                       help="whitening diagonal loading (default: %(default)s)")
+        p.add_argument("--mvdr-loading", type=_LOADING, default=beamformer.MVDR_LOADING,
+                       help="MVDR diagonal loading (default: %(default)s)")
+
     def common_est(p):
         p.add_argument("--method", default="past", choices=pipeline.METHODS,
                        help="RTF source (default: past)")
-        p.add_argument("--beta", type=float, default=rtf.DEFAULT_BETA,
-                       help="PAST forgetting factor (default: %(default)s)")
-        p.add_argument("--loading", type=float, default=covariance.DEFAULT_LOADING,
-                       help="whitening diagonal loading (default: %(default)s)")
-        p.add_argument("--mvdr-loading", type=float, default=beamformer.MVDR_LOADING,
-                       help="MVDR diagonal loading (default: %(default)s)")
-        p.add_argument("--noise-frames", type=int, default=0,
+        config_flags(p)
+        p.add_argument("--noise-frames", type=_FRAMES, default=0,
                        help="noise-only frame count; 0 = derive from lead silence")
 
     p = sub.add_parser("simulate", help="render scenario bundles to disk")
@@ -396,19 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beampattern", help="export beampattern data for a bundle")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--angle-step", type=float, default=1.0)
+    p.add_argument("--angle-step", type=_STEP, default=1.0)
     common_est(p)
     p.set_defaults(func=cmd_beampattern)
 
     p = sub.add_parser("evaluate", help="run a seeds x SNR x method sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=5)
-    p.add_argument("--snrs", default="-10,0,10,20,30")
+    p.add_argument("--snrs", type=_float_list, default="-10,0,10,20,30")
     p.add_argument("--methods", default="cw-batch,past,oracle")
     p.add_argument("--static", action="store_true")
-    p.add_argument("--beta", type=float, default=rtf.DEFAULT_BETA)
-    p.add_argument("--loading", type=float, default=covariance.DEFAULT_LOADING)
-    p.add_argument("--mvdr-loading", type=float, default=beamformer.MVDR_LOADING)
+    config_flags(p)
     p.add_argument("--out", default=os.environ.get("RTFBEAM_OUT", "results.csv"))
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -48,11 +48,10 @@ class HermitianMatrixField:
             np.max(np.abs(self.matrices - self.matrices.conj().transpose(0, 2, 1)))
         )
 
-    def check_hermitian(self, tol: float | None = None) -> None:
+    def check_hermitian(self) -> None:
         scale = max(1.0, float(np.max(np.abs(self.matrices))))
-        limit = (tol if tol is not None else HERMITIAN_TOL) * scale
         defect = self.hermitian_defect()
-        if defect > max(limit, 1e-9):
+        if defect > max(HERMITIAN_TOL * scale, 1e-9):
             raise CovarianceError(f"matrices not Hermitian (defect {defect:.3e})")
 
 

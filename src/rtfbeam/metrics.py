@@ -28,7 +28,6 @@ class EvalReport:
     si_sdr_input_right: float = float("nan")
     rtf_mse_db: float = float("nan")
     doa_error_mean_deg: float = float("nan")
-    doa_error_per_frame: list = field(default_factory=list)
     # side -> enhanced time signal, (N',); not part of the CSV row or repr
     enhanced: dict = field(default_factory=dict, repr=False, compare=False)
 

@@ -2,6 +2,9 @@
 
 The CLI and the batch evaluation sweep are thin wrappers around these
 functions; they are also the entry points the verification suite drives.
+`estimate` is the one path from a bundle to RTF trajectories and
+`side_weights` the one rule from a trajectory to weights: `evaluate_bundle`
+and `beampattern` both go through them.
 """
 
 from __future__ import annotations
@@ -32,21 +35,14 @@ class SimBundle:
         return (lead - self.config.window_len) // self.config.hop + 1
 
 
-def simulate(
-    seed: int,
-    snr_db: float,
-    static: bool = False,
-    config: stft.StftConfig | None = None,
-    num_babblers: int = simulator.NUM_BABBLERS,
-) -> SimBundle:
+def simulate(seed: int, snr_db: float, static: bool = False) -> SimBundle:
     """Render one scenario at the requested SNR; deterministic per seed."""
     scenario = simulator.sample_scenario(seed, static=static)
-    if config is None:
-        config = stft.StftConfig(sample_rate_hz=scenario.sample_rate)
+    config = stft.StftConfig(sample_rate_hz=scenario.sample_rate)
     target = simulator.synthesize_target_signal([seed, 1], scenario)
     clean, truth = simulator.render_moving_source(target, scenario, config)
     babble = simulator.synthesize_babbler_signals(
-        [seed, 2], num_babblers, scenario.duration_s, scenario.sample_rate
+        [seed, 2], simulator.NUM_BABBLERS, scenario.duration_s, scenario.sample_rate
     )
     noise = simulator.render_babble(scenario, babble)
     mixture = simulator.mix_at_snr(clean, noise, snr_db)
@@ -126,20 +122,46 @@ def estimate_trajectory(
     raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
 
 
+def estimate(
+    bundle: SimBundle,
+    method: str,
+    beta: float = rtf.DEFAULT_BETA,
+    loading: float = covariance.DEFAULT_LOADING,
+    noise_frames: int | None = None,
+    sides: tuple[str, ...] = ("left", "right"),
+) -> tuple[stft.ComplexSpectrogram, NoiseStats, dict[str, rtf.RtfTrajectory]]:
+    """Analyse the mixture, take the noise statistics of its first
+    `noise_frames` frames (0 or None: the bundle's lead-silence count) and
+    estimate the RTF trajectory of each side."""
+    mix_spec = stft.analyze(bundle.mixture, bundle.config)
+    ln = noise_frames or bundle.noise_frames
+    stats = noise_stats(mix_spec, ln, loading)
+    trajs = estimate_trajectory(mix_spec, stats, ln, method, beta, bundle.truth, sides)
+    return mix_spec, stats, trajs
+
+
+def side_weights(
+    traj: rtf.RtfTrajectory,
+    stats: NoiseStats,
+    method: str,
+    loading: float = beamformer.MVDR_LOADING,
+) -> beamformer.BeamformerWeights:
+    """MVDR weights; method 'none' passes the reference channel through."""
+    if method == "none":  # the trivial 'none' trajectory is the passthrough
+        return beamformer.BeamformerWeights(traj.values, traj.side)
+    return beamformer.mvdr_weights(traj, stats.phi_nn_evd, loading)
+
+
 def beamform_side(
     mix_spec: stft.ComplexSpectrogram,
     stats: NoiseStats,
     traj: rtf.RtfTrajectory,
     method: str,
     loading: float = beamformer.MVDR_LOADING,
-) -> tuple[np.ndarray, beamformer.BeamformerWeights]:
-    """Beamform one side; method 'none' passes the reference channel through."""
-    if method == "none":  # the trivial 'none' trajectory is the passthrough
-        weights = beamformer.BeamformerWeights(traj.values, traj.side)
-    else:
-        weights = beamformer.mvdr_weights(traj, stats.phi_nn_evd, loading)
-    out_spec = beamformer.apply(weights, mix_spec)
-    return stft.synthesize(out_spec), weights
+) -> np.ndarray:
+    """Beamform one side: its weights applied to the mixture, synthesized."""
+    weights = side_weights(traj, stats, method, loading)
+    return stft.synthesize(beamformer.apply(weights, mix_spec))
 
 
 def evaluate_bundle(
@@ -148,48 +170,47 @@ def evaluate_bundle(
     beta: float = rtf.DEFAULT_BETA,
     loading: float = covariance.DEFAULT_LOADING,
     mvdr_loading: float = beamformer.MVDR_LOADING,
-    with_doa: bool = False,
-    angle_step_deg: float = 1.0,
     noise_frames: int | None = None,
 ) -> metrics.EvalReport:
     """Full pipeline on one bundle: estimate, beamform both sides, score.
 
-    `noise_frames` overrides the bundle's lead-silence frame count. The
-    report keeps both sides' enhanced signals in `enhanced`.
+    The report keeps both sides' enhanced signals in `enhanced`.
     """
-    mix_spec = stft.analyze(bundle.mixture, bundle.config)
-    ln = noise_frames or bundle.noise_frames
-    stats = noise_stats(mix_spec, ln, loading)
-
+    mix_spec, stats, trajs = estimate(bundle, method, beta, loading, noise_frames)
     report = metrics.EvalReport(
         scenario_id=f"seed{bundle.scenario.seed}",
         snr_db=bundle.snr_db,
         method=method,
     )
-    out = {}
-    trajs = estimate_trajectory(mix_spec, stats, ln, method, beta, bundle.truth)
     for side, traj in trajs.items():
-        signal, weights = beamform_side(mix_spec, stats, traj, method, mvdr_loading)
-        out[side] = (traj, signal, weights)
-        report.enhanced[side] = signal
+        report.enhanced[side] = beamform_side(
+            mix_spec, stats, traj, method, mvdr_loading
+        )
 
     n = bundle.clean.shape[1]
-    report.si_sdr_left = metrics.si_sdr(out["left"][1][:n], bundle.truth.clean_ref_left)
-    report.si_sdr_right = metrics.si_sdr(out["right"][1][:n], bundle.truth.clean_ref_right)
-    report.si_sdr_input_left = metrics.si_sdr(
-        bundle.mixture[0], bundle.truth.clean_ref_left
-    )
-    report.si_sdr_input_right = metrics.si_sdr(
-        bundle.mixture[-1], bundle.truth.clean_ref_right
-    )
+    truth = bundle.truth
+    report.si_sdr_left = metrics.si_sdr(report.enhanced["left"][:n], truth.clean_ref_left)
+    report.si_sdr_right = metrics.si_sdr(report.enhanced["right"][:n], truth.clean_ref_right)
+    report.si_sdr_input_left = metrics.si_sdr(bundle.mixture[0], truth.clean_ref_left)
+    report.si_sdr_input_right = metrics.si_sdr(bundle.mixture[-1], truth.clean_ref_right)
     if method != "none":
-        report.rtf_mse_db = rtf.rtf_mse(out["left"][0], bundle.truth.rtf_left)
-    if with_doa:
-        angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
-        grid = beamformer.narrowband_beampattern(
-            out["left"][2], bundle.scenario.mic_axis_offsets(), bundle.config, angles
-        )
-        errs, mean_err, _ = metrics.doa_error(grid, bundle.truth)
-        report.doa_error_mean_deg = mean_err
-        report.doa_error_per_frame = [float(e) for e in errs]
+        report.rtf_mse_db = rtf.rtf_mse(trajs["left"], truth.rtf_left)
     return report
+
+
+def beampattern(
+    bundle: SimBundle,
+    method: str,
+    beta: float = rtf.DEFAULT_BETA,
+    loading: float = covariance.DEFAULT_LOADING,
+    mvdr_loading: float = beamformer.MVDR_LOADING,
+    noise_frames: int | None = None,
+    angle_step_deg: float = 1.0,
+) -> beamformer.BeampatternGrid:
+    """Beampattern of the left-ear weights on a -90..90 deg broadside grid."""
+    _, stats, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))
+    weights = side_weights(trajs["left"], stats, method, mvdr_loading)
+    angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
+    return beamformer.narrowband_beampattern(
+        weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles
+    )

@@ -94,18 +94,6 @@ class RtfTrajectory:
             if self.valid.shape != self.values.shape[1:]:
                 raise RtfError("valid mask shape must be (F, L)")
 
-    @property
-    def num_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[2]
-
 
 def _normalize_dewhitened(
     b: np.ndarray, ref: int
@@ -221,10 +209,11 @@ def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
     return float(10.0 * np.log10(mse))
 
 
-def save_trajectory(path, traj: RtfTrajectory, config: StftConfig) -> None:
-    """Binary layout (little endian): magic 'RTFB', u32 version, u32 M, F, L,
-    u32 ref_channel, u8 side (0=left, 1=right), u32 sample_rate, window_len,
-    hop; then F*L u8 validity mask, then (M, F, L) row-major complex64."""
+def save_trajectory(fh, traj: RtfTrajectory, config: StftConfig) -> None:
+    """Write to the binary file object `fh`. Layout (little endian): magic
+    'RTFB', u32 version, u32 M, F, L, u32 ref_channel, u8 side (0=left,
+    1=right), u32 sample_rate, window_len, hop; then F*L u8 validity mask,
+    then (M, F, L) row-major complex64."""
     m, f, l = traj.values.shape
     header = _MAGIC + struct.pack(
         "<IIIIIBIII",
@@ -238,16 +227,9 @@ def save_trajectory(path, traj: RtfTrajectory, config: StftConfig) -> None:
         config.window_len,
         config.hop,
     )
-    if hasattr(path, "write"):
-        fh = path
-        fh.write(header)
-        fh.write(traj.valid.astype(np.uint8).tobytes())
-        fh.write(traj.values.astype(np.complex64).tobytes())
-    else:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(traj.valid.astype(np.uint8).tobytes())
-            fh.write(traj.values.astype(np.complex64).tobytes())
+    fh.write(header)
+    fh.write(traj.valid.astype(np.uint8).tobytes())
+    fh.write(traj.values.astype(np.complex64).tobytes())
 
 
 def load_trajectory(path) -> tuple[RtfTrajectory, dict]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,43 +118,15 @@ class Scenario:
         return pos if np.ndim(t) else pos[0]
 
     def to_json(self) -> str:
-        d = {
-            "room_width": self.room_width,
-            "room_length": self.room_length,
-            "room_height": self.room_height,
-            "array_rotation_deg": self.array_rotation_deg,
-            "source_start_deg": self.source_start_deg,
-            "source_delta_deg": self.source_delta_deg,
-            "source_radius": self.source_radius,
-            "babbler_positions": self.babbler_positions.tolist(),
-            "seed": self.seed,
-            "num_mics": self.num_mics,
-            "mic_spacing": self.mic_spacing,
-            "duration_s": self.duration_s,
-            "sample_rate": self.sample_rate,
-            "lead_silence_s": self.lead_silence_s,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["babbler_positions"] = self.babbler_positions.tolist()
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
+        """Inverse of `to_json`; absent optional fields take their defaults."""
         d = json.loads(text)
-        return cls(
-            room_width=d["room_width"],
-            room_length=d["room_length"],
-            array_rotation_deg=d["array_rotation_deg"],
-            source_start_deg=d["source_start_deg"],
-            source_delta_deg=d["source_delta_deg"],
-            source_radius=d["source_radius"],
-            babbler_positions=np.asarray(d["babbler_positions"]),
-            seed=d["seed"],
-            room_height=d.get("room_height", ROOM_HEIGHT_M),
-            num_mics=d.get("num_mics", NUM_MICS),
-            mic_spacing=d.get("mic_spacing", MIC_SPACING_M),
-            duration_s=d.get("duration_s", DEFAULT_DURATION_S),
-            sample_rate=d.get("sample_rate", DEFAULT_SAMPLE_RATE),
-            lead_silence_s=d.get("lead_silence_s", LEAD_SILENCE_S),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass
@@ -423,18 +395,16 @@ def render_babble(scenario: Scenario, babbler_signals: np.ndarray) -> np.ndarray
     return _render_sources(sigs, positions, mics, scenario.sample_rate)
 
 
-def mix_at_snr(
-    clean: np.ndarray, noise: np.ndarray, snr_db: float, ref_channel: int = 0
-) -> np.ndarray:
-    """Scale noise so the ref-channel clean/noise power ratio equals snr_db."""
+def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
+    """Scale noise so the clean/noise power ratio at mic 0 equals snr_db."""
     clean = np.asarray(clean, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if clean.shape != noise.shape:
         raise SimulatorError("clean and noise shapes differ")
     if snr_db >= SNR_CAP_DB:
         return clean.copy()
-    p_clean = np.mean(clean[ref_channel] ** 2)
-    p_noise = np.mean(noise[ref_channel] ** 2)
+    p_clean = np.mean(clean[0] ** 2)
+    p_noise = np.mean(noise[0] ** 2)
     if p_clean <= 0 or p_noise <= 0:
         raise SimulatorError("zero-power clean or noise at reference channel")
     gain = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))

@@ -156,14 +156,9 @@ def read_wav(path, expected_rate: int | None = None) -> tuple[int, np.ndarray]:
     return rate, data
 
 
-def write_wav(path, rate: int, signal: np.ndarray, dtype: str = "float32") -> None:
-    """Write (channels, samples) or (samples,) to WAV as float32 or PCM16."""
+def write_wav(path, rate: int, signal: np.ndarray) -> None:
+    """Write (channels, samples) or (samples,) to a float32 WAV file (a path
+    or a binary file object)."""
     x = np.atleast_2d(np.asarray(signal, dtype=np.float64))
     out = x.T if x.shape[0] > 1 else x[0]
-    if dtype == "float32":
-        wavfile.write(path, rate, out.astype(np.float32))
-    elif dtype == "pcm16":
-        clipped = np.clip(out, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, rate, np.round(clipped * 32768.0).astype(np.int16))
-    else:
-        raise StftError(f"unsupported wav dtype {dtype!r}")
+    wavfile.write(path, rate, out.astype(np.float32))

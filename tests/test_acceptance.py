@@ -128,8 +128,8 @@ def test_acceptance_5_si_sdr_improvement(capsys):
 
 def test_acceptance_6_beampattern_tracking(capsys, moving_bundle):
     """Oracle-MVDR wideband beampower argmax within 10 deg for >= 80% frames."""
-    report = pipeline.evaluate_bundle(moving_bundle, "oracle", with_doa=True)
-    errs = np.asarray(report.doa_error_per_frame)
+    grid = pipeline.beampattern(moving_bundle, "oracle")
+    errs, _, _ = metrics.doa_error(grid, moving_bundle.truth)
     tracked = errs[~np.isnan(errs)]
     frac = float(np.mean(tracked <= 10.0))
     ok = frac >= 0.8

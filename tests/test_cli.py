@@ -297,6 +297,49 @@ def test_evaluate_records_failure_rows(tmp_path, monkeypatch):
     assert row["status"].startswith("error:")
 
 
-def test_bad_arguments_exit_code():
+def test_bad_arguments_exit_code(bundle_dir, tmp_path):
     assert cli.main(["simulate", "--seed", "notanint"]) == cli.EXIT_CONFIG
     assert cli.main(["unknowncmd"]) == cli.EXIT_CONFIG
+    # out-of-range flags are refused at parse time, before any work
+    bundle = ["--bundle", str(bundle_dir)]
+    for flags in (["--angle-step", "0"], ["--angle-step", "-1"],
+                  ["--angle-step", "nan"], ["--beta", "0"], ["--beta", "1.5"],
+                  ["--noise-frames", "-3"], ["--loading", "-1"],
+                  ["--mvdr-loading", "-1"]):
+        assert cli.main(["beampattern", *bundle, *flags]) == cli.EXIT_CONFIG, flags
+    for flags in (["--beta", "0"], ["--mvdr-loading", "-1"]):
+        assert cli.main(["beamform", *bundle, "--results", str(tmp_path / "r.csv"),
+                         *flags]) == cli.EXIT_CONFIG
+    out = tmp_path / "e.csv"
+    assert cli.main(["evaluate", "--count", "1", "--snrs", "1,x", "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    assert cli.main(["evaluate", "--count", "1", "--loading", "-1", "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, static_bundle):
+    # outputs stream into a temp file, so a writer can fail after it has
+    # written some bytes: the target must keep its old bytes, and no temp
+    # file may be left behind
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def rows():
+        yield ("left", "past", 1.0)
+        raise ValueError("row failed")
+
+    with pytest.raises(ValueError):
+        cli._write_csv(out / "doa.csv", ["side", "method", "mse_db"], rows())
+
+    def failing_write_wav(fh, rate, signal):
+        fh.write(b"RIFF" + bytes(4096))
+        fh.flush()
+        raise OSError("disk full")
+
+    monkeypatch.setattr(stft, "write_wav", failing_write_wav)
+    with pytest.raises(OSError):
+        cli.write_bundle(out, static_bundle)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert list(out.glob("*.tmp*")) == []

@@ -402,7 +402,8 @@ def test_trajectory_round_trip(tmp_path):
     traj = rtf.RtfTrajectory(v, 1, "right", valid)
     cfg = stft.StftConfig(window_len=4, hop=2)
     path = tmp_path / "t.rtfb"
-    rtf.save_trajectory(path, traj, cfg)
+    with open(path, "wb") as fh:
+        rtf.save_trajectory(fh, traj, cfg)
     loaded, meta = rtf.load_trajectory(path)
     np.testing.assert_array_equal(loaded.values, v)
     np.testing.assert_array_equal(loaded.valid, valid)
