@@ -22,7 +22,6 @@ SPEED_OF_SOUND = 343.0
 # otherwise dominated by the smallest sample eigenvalues of a 30-frame
 # covariance, which makes the weights hypersensitive to small RTF errors
 MVDR_LOADING = 0.1
-_PATTERN_BLOCK_FRAMES = 16
 
 
 class BeamformerError(ValueError):
@@ -34,7 +33,6 @@ class BeamformerWeights:
     """Complex weights w(l,k), shape (M, F, L); applied as s = w^H y."""
 
     values: np.ndarray
-    side: str = "left"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -83,7 +81,7 @@ def mvdr_weights(
     passthrough = np.zeros(m, dtype=np.complex128)
     passthrough[rtf.ref_channel] = 1.0
     w[:, last < 0] = passthrough[:, None]
-    return BeamformerWeights(w, rtf.side)
+    return BeamformerWeights(w)
 
 
 def apply(weights: BeamformerWeights, spec: ComplexSpectrogram) -> ComplexSpectrogram:
@@ -102,24 +100,24 @@ def narrowband_beampattern(
     config: StftConfig,
     angles_deg: np.ndarray | None = None,
 ) -> BeampatternGrid:
-    """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the angle grid."""
+    """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the angle grid, and
+    the wideband P(theta, l) = sum_k |B|^2, both filled one bin at a time."""
     if angles_deg is None:
         angles_deg = np.arange(-90.0, 91.0, 1.0)
     angles_deg = np.asarray(angles_deg, dtype=np.float64)
     x = np.asarray(positions_m, dtype=np.float64)
-    m, nbins, _ = weights.values.shape
+    m, nbins, nframes = weights.values.shape
     if x.shape != (m,):
         raise BeamformerError("geometry length must equal channel count")
+    if nbins != config.num_bins:
+        raise BeamformerError(f"weights have {nbins} bins, config {config.num_bins}")
 
-    freqs = np.arange(nbins) * config.sample_rate_hz / config.window_len
     tau = (x - x[0])[None, :] / SPEED_OF_SOUND * np.sin(np.deg2rad(angles_deg))[:, None]
-    h = np.exp(-2j * np.pi * freqs[:, None, None] * tau[None, :, :])  # (F, T, M)
+    h = np.exp(-2j * np.pi * config.bin_frequencies_hz()[:, None, None] * tau)  # (F, T, M)
     w = weights.values.conj().transpose(1, 0, 2)  # (F, M, L)
-    nframes = w.shape[2]
-    # |w^H h| in blocks of frames: no complex (F, T, L) product is held
     b = np.empty((nbins, angles_deg.size, nframes))
-    for lo in range(0, nframes, _PATTERN_BLOCK_FRAMES):
-        hi = lo + _PATTERN_BLOCK_FRAMES
-        np.abs(np.matmul(h, w[:, :, lo:hi]), out=b[:, :, lo:hi])
-    wide = np.einsum("ktl,ktl->tl", b, b)
+    wide = np.zeros((angles_deg.size, nframes))
+    for k in range(nbins):
+        np.abs(h[k] @ w[k], out=b[k])
+        wide += b[k] ** 2
     return BeampatternGrid(angles_deg, b, wide)

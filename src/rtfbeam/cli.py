@@ -42,7 +42,6 @@ RESULT_FIELDS = [
     "si_sdr_input_left",
     "si_sdr_input_right",
     "rtf_mse_db",
-    "doa_error_mean_deg",
 ]
 
 
@@ -322,12 +321,7 @@ def cmd_evaluate(args) -> int:
                     report = pipeline.evaluate_bundle(
                         bundle, method, args.beta, args.loading, args.mvdr_loading
                     )
-                    row.update(
-                        {k: repr(v) if isinstance(v, float) else v
-                         for k, v in report.csv_row().items()}
-                    )
-                    row["snr_db"] = repr(snr)
-                    row["status"] = "ok"
+                    row.update(report.csv_row(), status="ok")
                 except Exception as exc:  # record the failure, keep sweeping
                     row["status"] = f"error: {exc}"
                 append_result_row(out, row)
@@ -359,7 +353,11 @@ def _float_list(text: str) -> list[float]:
 _STEP = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _BETA = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _LOADING = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_FRAMES = _checked(int, lambda v: v >= 0, ">= 0")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
+_SNR = _checked(float, math.isfinite, "a finite number")
+_SNRS = _checked(_float_list, lambda v: all(map(math.isfinite, v)),
+                 "a list of finite numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", default="past", choices=pipeline.METHODS,
                        help="RTF source (default: past)")
         config_flags(p)
-        p.add_argument("--noise-frames", type=_FRAMES, default=0,
+        p.add_argument("--noise-frames", type=_NON_NEGATIVE, default=0,
                        help="noise-only frame count; 0 = derive from lead silence")
 
     p = sub.add_parser("simulate", help="render scenario bundles to disk")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--snr", type=float, default=10.0)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p.add_argument("--count", type=_POSITIVE, default=1)
+    p.add_argument("--snr", type=_SNR, default=10.0)
     p.add_argument("--static", action="store_true", help="pin the source")
     p.add_argument("--out", default=os.environ.get("RTFBEAM_OUT", "bundles"))
     p.set_defaults(func=cmd_simulate)
@@ -410,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beampattern)
 
     p = sub.add_parser("evaluate", help="run a seeds x SNR x method sweep")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--snrs", type=_float_list, default="-10,0,10,20,30")
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p.add_argument("--count", type=_POSITIVE, default=5)
+    p.add_argument("--snrs", type=_SNRS, default="-10,0,10,20,30")
     p.add_argument("--methods", default="cw-batch,past,oracle")
     p.add_argument("--static", action="store_true")
     config_flags(p)

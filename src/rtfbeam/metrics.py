@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,22 +27,12 @@ class EvalReport:
     si_sdr_input_left: float = float("nan")
     si_sdr_input_right: float = float("nan")
     rtf_mse_db: float = float("nan")
-    doa_error_mean_deg: float = float("nan")
     # side -> enhanced time signal, (N',); not part of the CSV row or repr
     enhanced: dict = field(default_factory=dict, repr=False, compare=False)
 
     def csv_row(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "snr_db": self.snr_db,
-            "method": self.method,
-            "si_sdr_left": self.si_sdr_left,
-            "si_sdr_right": self.si_sdr_right,
-            "si_sdr_input_left": self.si_sdr_input_left,
-            "si_sdr_input_right": self.si_sdr_input_right,
-            "rtf_mse_db": self.rtf_mse_db,
-            "doa_error_mean_deg": self.doa_error_mean_deg,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "enhanced"}
 
 
 def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
@@ -89,25 +79,12 @@ def doa_error(
     included frames, number of excluded flat/inactive frames).
     """
     p = beampower.wideband  # (T, L)
-    nframes = p.shape[1]
-    if truth.doa_per_frame.shape[0] != nframes:
+    if truth.doa_per_frame.shape[0] != p.shape[1]:
         raise MetricsError("frame counts of beampower and ground truth differ")
-    errors = np.full(nframes, np.nan)
-    excluded = 0
-    for l in range(nframes):
-        if not truth.active_frames[l]:
-            excluded += 1
-            continue
-        col = p[:, l]
-        peak = np.max(col)
-        trough = max(np.min(col), 1e-300)
-        if peak / trough < FLAT_PATTERN_RATIO:
-            excluded += 1
-            continue
-        est_deg = beampower.angles_deg[int(np.argmax(col))]
-        diff = abs(est_deg - truth.doa_per_frame[l]) % 360.0
-        errors[l] = min(diff, 360.0 - diff)
-    included = errors[~np.isnan(errors)]
-    if included.size == 0:
+    flat = p.max(axis=0) / np.maximum(p.min(axis=0), 1e-300) < FLAT_PATTERN_RATIO
+    included = truth.active_frames & ~flat
+    if not np.any(included):
         raise MetricsError("no frames available for DOA error")
-    return errors, float(np.mean(included)), excluded
+    diff = np.abs(beampower.angles_deg[np.argmax(p, axis=0)] - truth.doa_per_frame) % 360.0
+    errors = np.where(included, np.minimum(diff, 360.0 - diff), np.nan)
+    return errors, float(np.mean(errors[included])), int(np.sum(~included))

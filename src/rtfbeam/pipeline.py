@@ -148,7 +148,7 @@ def side_weights(
 ) -> beamformer.BeamformerWeights:
     """MVDR weights; method 'none' passes the reference channel through."""
     if method == "none":  # the trivial 'none' trajectory is the passthrough
-        return beamformer.BeamformerWeights(traj.values, traj.side)
+        return beamformer.BeamformerWeights(traj.values)
     return beamformer.mvdr_weights(traj, stats.phi_nn_evd, loading)
 
 

@@ -284,6 +284,13 @@ def test_weights_validation():
             np.arange(3) * 0.05,
             _small_cfg(),
         )
+    # 2 bins against the config's 3
+    with pytest.raises(beamformer.BeamformerError):
+        beamformer.narrowband_beampattern(
+            beamformer.BeamformerWeights(np.zeros((3, 2, 4), dtype=complex)),
+            np.arange(3) * 0.05,
+            _small_cfg(),
+        )
 
 
 def test_inverse_with_loading_defining_identity():

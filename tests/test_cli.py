@@ -311,11 +311,16 @@ def test_bad_arguments_exit_code(bundle_dir, tmp_path):
         assert cli.main(["beamform", *bundle, "--results", str(tmp_path / "r.csv"),
                          *flags]) == cli.EXIT_CONFIG
     out = tmp_path / "e.csv"
-    assert cli.main(["evaluate", "--count", "1", "--snrs", "1,x", "--out", str(out)]) \
-        == cli.EXIT_CONFIG
-    assert cli.main(["evaluate", "--count", "1", "--loading", "-1", "--out", str(out)]) \
-        == cli.EXIT_CONFIG
-    assert not out.exists() and not (tmp_path / "r.csv").exists()
+    for flags in (["--snrs", "1,x"], ["--loading", "-1"], ["--snrs", "10,nan"],
+                  ["--snrs", "inf"], ["--seed", "-1"], ["--count", "0"],
+                  ["--count", "-1"]):
+        assert cli.main(["evaluate", "--count", "1", *flags, "--out", str(out)]) \
+            == cli.EXIT_CONFIG, flags
+    sims = tmp_path / "sims"
+    for flags in (["--snr", "nan"], ["--snr", "-inf"], ["--seed", "-1"],
+                  ["--count", "0"], ["--count", "-1"]):
+        assert cli.main(["simulate", *flags, "--out", str(sims)]) == cli.EXIT_CONFIG, flags
+    assert not out.exists() and not (tmp_path / "r.csv").exists() and not sims.exists()
 
 
 def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, static_bundle):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtfbeam import beamformer, metrics, rtf, simulator
+from rtfbeam import beamformer, cli, metrics, rtf, simulator
 
 
 def test_si_sdr_perfect_reconstruction_clamps():
@@ -161,3 +161,6 @@ def test_eval_report_csv_row():
     assert row["method"] == "past"
     assert row["si_sdr_left"] == 3.5
     assert "doa_error_per_frame" not in row
+    # the row is the results schema: no enhanced signals, no DOA column
+    assert set(row) <= set(cli.RESULT_FIELDS)
+    assert "enhanced" not in row and "doa_error_mean_deg" not in row
