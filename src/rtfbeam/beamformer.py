@@ -64,7 +64,7 @@ def mvdr_weights(
     inv = loaded_power(phi_nn_evd, -1.0, loading).matrices
 
     a = rtf.values  # (M, F, L)
-    num = np.einsum("kij,jkl->ikl", inv, a)  # Phi^{-1} a
+    num = (inv @ a.transpose(1, 0, 2)).transpose(1, 0, 2)  # Phi^{-1} a
     den = np.einsum("ikl,ikl->kl", a.conj(), num).real  # a^H Phi^{-1} a
     ok = rtf.valid & (den > 1e-300)
 

@@ -207,6 +207,9 @@ def cmd_beampattern(args) -> int:
         bundle, args.method, args.beta, args.loading, args.mvdr_loading,
         args.noise_frames, args.angle_step,
     )
+    # scored before any write: a pattern with no scorable frame (exit 1)
+    # leaves an earlier run's three files as they were
+    errs, mean_err, excluded = metrics.doa_error(grid, bundle.truth)
     _write_csv(
         bundle_dir / "beampattern_wideband.csv",
         ["frame", "bin", "theta_deg", "value"],
@@ -216,7 +219,6 @@ def cmd_beampattern(args) -> int:
     )
     with _atomic_open(bundle_dir / "beampattern_narrowband.npy") as fh:
         np.save(fh, grid.narrowband.astype(np.float32))
-    errs, mean_err, excluded = metrics.doa_error(grid, bundle.truth)
     _write_csv(
         bundle_dir / "doa_error.csv",
         ["frame", "doa_error_deg"],

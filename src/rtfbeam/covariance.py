@@ -6,6 +6,10 @@ matrix function the pipeline needs is ``loaded_power`` of that one EVD:
 V (Lambda + loading*mean|lambda|*I)^p V^H, with p = -1/2 for the whitener
 Phi_nn^{-1/2}, +1/2 for its de-whitening inverse and -1 for the MVDR
 inverse. Phi_nn is therefore decomposed once per bundle.
+
+The per-bin products (the covariances, the whitened frames and the whitened
+mixture covariance) are batched ``np.matmul`` over (F, M, .) views of the
+(M, F, L) spectrogram, one BLAS call per product.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ def _frame_outer_average(spec: ComplexSpectrogram, frames: slice) -> HermitianMa
     y = spec.data[:, :, frames]  # (M, F, Lsel)
     if y.shape[2] == 0:
         raise CovarianceError("empty frame range")
-    phi = np.einsum("ikl,jkl->kij", y, y.conj()) / y.shape[2]
+    yk = y.transpose(1, 0, 2)  # (F, M, Lsel)
+    phi = (yk @ yk.conj().transpose(0, 2, 1)) / y.shape[2]
     return HermitianMatrixField(_hermitize(phi))
 
 
@@ -143,14 +148,17 @@ def sqrt_pair(
 
 
 def whiten(spec: ComplexSpectrogram, w: HermitianMatrixField) -> ComplexSpectrogram:
-    """Apply the per-bin whitening matrix: y_w(l,k) = W(k) y(l,k)."""
+    """Apply the per-bin whitening matrix: y_w(l,k) = W(k) y(l,k).
+
+    The result's data is the (M, F, L) transposed view of an (F, M, L) array.
+    """
     if w.num_bins != spec.num_bins or w.num_channels != spec.num_channels:
         raise CovarianceError(
             f"whitener shape {w.matrices.shape} does not match spectrogram "
             f"({spec.num_channels} ch, {spec.num_bins} bins)"
         )
-    out = np.einsum("kij,jkl->ikl", w.matrices, spec.data)
-    return ComplexSpectrogram(out, spec.config)
+    out = w.matrices @ spec.data.transpose(1, 0, 2)  # (F, M, L)
+    return ComplexSpectrogram(out.transpose(1, 0, 2), spec.config)
 
 
 def whitened_mixture_covariance(
@@ -158,5 +166,5 @@ def whitened_mixture_covariance(
 ) -> HermitianMatrixField:
     """Phi_ww = Phi_nn^{-1/2} Phi_yy Phi_nn^{-H/2}."""
     w = phi_nn_invsqrt.matrices
-    out = np.einsum("kij,kjl,kml->kim", w, phi_yy.matrices, w.conj())
+    out = w @ phi_yy.matrices @ w.conj().transpose(0, 2, 1)
     return HermitianMatrixField(_hermitize(out))

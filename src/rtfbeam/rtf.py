@@ -130,7 +130,7 @@ def cw_trajectory(
     psi). Bins whose reference entry vanishes are flagged invalid.
     """
     _check_ref_channel(ref_channel, principal.shape[1])
-    b = np.einsum("kij,kj->ki", phi_nn_sqrt.matrices, principal)
+    b = (phi_nn_sqrt.matrices @ principal[:, :, None])[:, :, 0]
     a, valid = _normalize_dewhitened(b, ref_channel)
     values = np.repeat(a.T[:, :, None], num_frames, axis=2)
     mask = np.repeat(valid[:, None], num_frames, axis=1)
@@ -160,10 +160,10 @@ def track_rtf_past(
         raise RtfError(f"beta must be in (0, 1], got {beta}")
     if delta0 <= 0.0:
         raise RtfError("delta0 must be positive")
-    yw = spec_whitened.data  # (M, F, L)
-    m, nbins, nframes = yw.shape
+    m, nbins, nframes = spec_whitened.data.shape
     _check_ref_channel(ref_channel, m)
-    if not np.all(np.isfinite(yw)):
+    frames = np.ascontiguousarray(spec_whitened.data.transpose(2, 1, 0))  # (L, F, M)
+    if not np.all(np.isfinite(frames)):
         raise RtfError("non-finite whitened input to track_rtf_past")
 
     start = min(max(start_frame, 0), nframes)
@@ -172,7 +172,7 @@ def track_rtf_past(
     delta = np.full(nbins, float(delta0))
     tracked = np.empty((nframes - start, nbins, m), dtype=np.complex128)
     for l in range(start, nframes):
-        psi, delta = past_step(psi, delta, yw[:, :, l].T, beta)
+        psi, delta = past_step(psi, delta, frames[l], beta)
         tracked[l - start] = psi
 
     # de-whiten every frame at once: b[k, l] = Phi_nn^{1/2}(k) psi[l, k]

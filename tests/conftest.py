@@ -48,3 +48,22 @@ def count_calls(monkeypatch, fn):
                 if obj is fn:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+LAYOUTS = ("contiguous", "frame slice", "transposed")
+
+
+def layouts(x, pad=3):
+    """`x` in three memory layouts with equal values: contiguous, as the
+    slice [..., pad:] of an array wider in its last axis (a frame slice of
+    a spectrogram), and as the swapped view of an array with its first two
+    axes swapped (whiten's (M, F, L) view of an (F, M, L) array)."""
+    wide = np.concatenate([np.zeros(x.shape[:-1] + (pad,), x.dtype), x], axis=-1)
+    swapped = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 0, 1)), 0, 1)
+    return dict(zip(LAYOUTS, (x, wide[..., pad:], swapped)))
+
+
+def assert_matches_reference(out, ref):
+    """Agreement within 1e-12 of the reference's largest entry."""
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

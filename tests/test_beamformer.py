@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_spd
+from conftest import LAYOUTS, assert_matches_reference, layouts, random_complex, random_spd
 from rtfbeam import beamformer, covariance, metrics, pipeline, rtf, stft
 
 
@@ -89,6 +89,21 @@ def test_mvdr_shape_mismatch():
     a = np.ones((2, 3, 1), dtype=complex)
     with pytest.raises(beamformer.BeamformerError):
         beamformer.mvdr_weights(_traj(a), _noise_evd(np.eye(2, dtype=complex)), 0.0)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_mvdr_numerator_matches_einsum_reference(layout):
+    # every cell valid, so each weight is its own numerator over denominator
+    rng = np.random.default_rng(23)
+    m, nbins, nframes = 4, 5, 6
+    evd = _noise_evd(*(random_spd(rng, m) for _ in range(nbins)))
+    a = random_complex(rng, m, nbins, nframes)
+    a[0] = 1.0
+    w = beamformer.mvdr_weights(_traj(layouts(a)[layout]), evd)
+    inv = covariance.loaded_power(evd, -1.0, beamformer.MVDR_LOADING).matrices
+    num = np.einsum("kij,jkl->ikl", inv, a)
+    den = np.einsum("ikl,ikl->kl", a.conj(), num).real
+    assert_matches_reference(w.values, num / den)
 
 
 def test_distortionless_full_scenario(static_bundle):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -158,6 +159,23 @@ def test_beampattern_outputs(bundle_dir):
     errs = _read_csv(bundle_dir / "doa_error.csv")
     vals = [float(r["doa_error_deg"]) for r in errs if r["doa_error_deg"]]
     assert np.mean(vals) <= 10.0
+
+
+def test_beampattern_failing_score_keeps_earlier_outputs(tmp_path, static_bundle, capsys):
+    # 'none' passes the reference channel through: its pattern is flat in
+    # every frame, so the DOA score fails; it must do so before any write
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    args = ["beampattern", "--bundle", str(out), "--angle-step", "5"]
+    assert cli.main([*args, "--method", "past"]) == cli.EXIT_OK
+    names = ("beampattern_narrowband.npy", "beampattern_wideband.csv", "doa_error.csv")
+    before = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    capsys.readouterr()
+    assert cli.main([*args, "--method", "none"]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: no frames available for DOA error\n"
+    after = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    assert after == before
+    assert list(out.glob("*.tmp*")) == []
 
 
 # ------------------------------------------------------------- evaluate

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_spd
+from conftest import LAYOUTS, assert_matches_reference, layouts, random_complex, random_spd
 from rtfbeam import covariance, stft
 
 
@@ -258,6 +258,46 @@ def test_whitened_mixture_covariance_formula():
     out = covariance.whitened_mixture_covariance(phi_yy, w)
     oracle = w.matrices[0] @ phi_yy.matrices[0] @ w.matrices[0].conj().T
     np.testing.assert_allclose(out.matrices[0], oracle, atol=1e-12)
+
+
+# ------------------------------------ batched products vs. einsum reference
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_covariance_estimators_match_einsum_reference(layout):
+    rng = np.random.default_rng(20)
+    y = random_complex(rng, 4, 5, 30)
+    spec = _spec(layouts(y)[layout])
+    ln = 12
+    for phi, frames in ((covariance.estimate_noise_covariance(spec, ln), y[:, :, :ln]),
+                        (covariance.estimate_mixture_covariance(spec, ln), y[:, :, ln:])):
+        ref = np.einsum("ikl,jkl->kij", frames, frames.conj()) / frames.shape[2]
+        assert_matches_reference(phi.matrices, ref)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_whiten_matches_einsum_reference(layout):
+    rng = np.random.default_rng(21)
+    y = random_complex(rng, 4, 5, 30)
+    w = np.stack([random_spd(rng, 4) for _ in range(5)])
+    for w_layout in LAYOUTS:
+        out = covariance.whiten(
+            _spec(layouts(y)[layout]), covariance.HermitianMatrixField(layouts(w)[w_layout])
+        )
+        assert_matches_reference(out.data, np.einsum("kij,jkl->ikl", w, y))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_whitened_mixture_covariance_matches_einsum_reference(layout):
+    rng = np.random.default_rng(22)
+    phi_yy = np.stack([random_spd(rng, 4) for _ in range(5)])
+    w = np.stack([random_spd(rng, 4) for _ in range(5)])
+    out = covariance.whitened_mixture_covariance(
+        covariance.HermitianMatrixField(layouts(phi_yy)[layout]),
+        covariance.HermitianMatrixField(layouts(w)[layout]),
+    )
+    ref = np.einsum("kij,kjl,kml->kim", w, phi_yy, w.conj())
+    assert_matches_reference(out.matrices, ref)
 
 
 def test_field_shape_validation():

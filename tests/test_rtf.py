@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_spd
+from conftest import LAYOUTS, assert_matches_reference, layouts, random_complex, random_spd
 from rtfbeam import covariance, pipeline, rtf, stft
 
 
@@ -161,6 +161,24 @@ def test_cw_flags_reference_null():
     a, valid = rtf._normalize_dewhitened(b, 0)
     assert not valid[0] and valid[1]
     np.testing.assert_array_equal(a[0], [1.0, 0.0])  # trivial fallback
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_cw_dewhitening_matches_einsum_reference(layout):
+    rng = np.random.default_rng(24)
+    m, nbins = 4, 5
+    sqrt_nn = np.stack([random_spd(rng, m) for _ in range(nbins)])
+    principal = random_complex(rng, nbins, m)
+    traj = rtf.cw_trajectory(
+        layouts(principal)[layout],
+        covariance.HermitianMatrixField(layouts(sqrt_nn)[layout]), m - 1, 2,
+    )
+    b = np.einsum("kij,kj->ki", sqrt_nn, principal)
+    ok = traj.valid[:-1, 0]  # the Nyquist bin is flagged by design
+    assert ok.all()
+    ref = (b / b[:, m - 1 : m]).T[:, :-1]
+    assert_matches_reference(traj.values[:, :-1, 0], ref)
+    np.testing.assert_array_equal(traj.values[:, :, 1], traj.values[:, :, 0])
 
 
 def test_cw_ref_channel_out_of_range():
@@ -338,6 +356,24 @@ def test_track_matches_per_frame_reference():
         assert held.any() and not held.all()
         np.testing.assert_array_equal(traj.valid, valid)
         np.testing.assert_allclose(traj.values, values, rtol=0, atol=1e-12)
+
+
+def test_track_reads_whitened_view_as_its_contiguous_copy():
+    # whiten returns the (M, F, L) view of an (F, M, L) array
+    rng = np.random.default_rng(25)
+    cfg = stft.StftConfig(window_len=8, hop=8)
+    m, nbins = 3, cfg.num_bins
+    spec = stft.ComplexSpectrogram(random_complex(rng, m, nbins, 30), cfg)
+    invsqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
+    sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
+    whitened = covariance.whiten(spec, invsqrt_nn)
+    assert not whitened.data.flags["C_CONTIGUOUS"]
+    copy = stft.ComplexSpectrogram(np.ascontiguousarray(whitened.data), cfg)
+    for ref in (0, m - 1):
+        view_traj = rtf.track_rtf_past(whitened, sqrt_nn, ref, 0.8, start_frame=4)
+        copy_traj = rtf.track_rtf_past(copy, sqrt_nn, ref, 0.8, start_frame=4)
+        np.testing.assert_array_equal(view_traj.values, copy_traj.values)
+        np.testing.assert_array_equal(view_traj.valid, copy_traj.valid)
 
 
 # ------------------------------------------------------------------ MSE
