@@ -55,8 +55,10 @@ def mvdr_weights(
     """Distortionless MVDR weights per (k, l): w = Phi^{-1}a / (a^H Phi^{-1}a).
 
     Phi^{-1} is the loaded inverse from the EVD of the noise covariance.
-    Invalid RTF cells reuse the previous frame's weights; a bin with no
-    valid cell at all falls back to reference-channel passthrough.
+    Invalid RTF cells, which hold e_ref (`rtf._trajectory`), reuse the
+    previous frame's weights; a bin with no valid cell at all falls back to
+    reference-channel passthrough. This is the package's only zero-order
+    hold, and the weights do not depend on the values of invalid cells.
     """
     m, nbins, nframes = rtf.values.shape
     if phi_nn_evd.eigenvalues.shape != (nbins, m):

@@ -325,7 +325,7 @@ def cmd_evaluate(args) -> int:
                     )
                     row.update(report.csv_row(), status="ok")
                 except Exception as exc:  # record the failure, keep sweeping
-                    row["status"] = f"error: {exc}"
+                    row["status"] = f"error: {type(exc).__name__}: {exc}"
                 append_result_row(out, row)
                 print(f"seed {seed} snr {snr} method {method}: {row['status']}")
     return EXIT_OK

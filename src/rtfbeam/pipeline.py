@@ -101,7 +101,7 @@ def estimate_trajectory(
         for side, ref in refs.items():
             values = np.zeros((m, nbins, nframes), dtype=np.complex128)
             values[ref] = 1.0
-            out[side] = rtf.RtfTrajectory(values, ref, side)
+            out[side] = rtf.RtfTrajectory(values, ref)
         return out
     if method == "oracle":
         if truth is None:
@@ -112,12 +112,12 @@ def estimate_trajectory(
         phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
         phi_ww = covariance.whitened_mixture_covariance(phi_yy, stats.phi_nn_invsqrt)
         principal = covariance.hermitian_evd(phi_ww).principal_vectors
-        return {side: rtf.cw_trajectory(principal, stats.phi_nn_sqrt, ref, nframes, side)
+        return {side: rtf.cw_trajectory(principal, stats.phi_nn_sqrt, ref, nframes)
                 for side, ref in refs.items()}
     if method == "past":
         whitened = covariance.whiten(mix_spec, stats.phi_nn_invsqrt)
         return {side: rtf.track_rtf_past(whitened, stats.phi_nn_sqrt, ref, beta,
-                                         start_frame=noise_frames, side=side)
+                                         start_frame=noise_frames)
                 for side, ref in refs.items()}
     raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
 
@@ -208,8 +208,10 @@ def beampattern(
     angle_step_deg: float = 1.0,
 ) -> beamformer.BeampatternGrid:
     """Beampattern of the left-ear weights on a -90..90 deg broadside grid."""
-    _, stats, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))
-    weights = side_weights(trajs["left"], stats, method, mvdr_loading)
+    # the spectrogram and the trajectory are dropped before the grid is
+    # computed, so their ~16 MB is not held under it at the peak
+    stats, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
+    weights = side_weights(trajs.pop("left"), stats, method, mvdr_loading)
     angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
     return beamformer.narrowband_beampattern(
         weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles

@@ -1,14 +1,18 @@
 """RTF estimation: batch covariance whitening and recursive PAST tracking.
 
-Both paths produce reference-normalized steering vectors: the de-whitened
-principal eigenvector divided by its entry at the reference microphone, so
-the reference entry is exactly 1+0j wherever the estimate is valid.
+CW takes the principal vectors of the whitened mixture covariance once per
+bin; PAST tracks them frame by frame with ``past_step``, one O(M) recursion
+per bin. Both de-whiten in one batched product and end in one finisher,
+``_trajectory``: it divides each de-whitened vector by its entry at the
+reference microphone, so the reference entry is exactly 1+0j, and flags a
+cell invalid where that entry falls into the null of the vector, before the
+tracker's start frame, or in the Nyquist bin. Every invalid cell holds the
+trivial RTF e_ref; no estimator carries an earlier value forward, as the
+MVDR weights hold their own (``beamformer.mvdr_weights``).
 
-The reference channel enters only at that final normalization, apart from
-the PAST start vector e_ref. CW takes the principal vectors of the whitened
-mixture covariance; PAST tracks them frame by frame with ``past_step``, one
-O(M) recursion per bin. Both de-whiten in one batched product and then
-normalize.
+The reference channel enters only at that normalization, apart from the
+PAST start vector e_ref, and it is the trajectory's only side label: mic 0
+is the left ear, any other the right.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ DEFAULT_BETA = 0.7
 
 _MAGIC = b"RTFB"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIIIIIBIII")
 
 
 class RtfError(ValueError):
@@ -78,15 +83,12 @@ class RtfTrajectory:
 
     values: np.ndarray  # complex (M, F, L)
     ref_channel: int
-    side: str = "left"
     valid: np.ndarray = field(default=None)  # bool (F, L)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 3:
             raise RtfError("trajectory values must have shape (M, F, L)")
-        if self.side not in ("left", "right"):
-            raise RtfError(f"side must be 'left' or 'right', got {self.side!r}")
         if self.valid is None:
             self.valid = np.ones(self.values.shape[1:], dtype=bool)
         else:
@@ -95,20 +97,27 @@ class RtfTrajectory:
                 raise RtfError("valid mask shape must be (F, L)")
 
 
-def _normalize_dewhitened(
-    b: np.ndarray, ref: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Divide (..., M) de-whitened vectors by their reference entry.
+def _trajectory(b: np.ndarray, ref: int, start: int, num_frames: int) -> RtfTrajectory:
+    """Finish de-whitened principal vectors b, shape (F, L', M), into the
+    reference-normalized (M, F, num_frames) trajectory of either estimator.
+    b covers frames start..num_frames-1: one vector per frame (PAST), or
+    with L' = 1 one vector per bin for all of them (CW).
 
-    Returns (rtf, valid); invalid vectors get the trivial e_ref vector.
+    A cell is valid where its reference entry is clear of the null, from
+    `start` on and outside the Nyquist bin; every other cell holds e_ref.
     """
+    nbins, _, m = b.shape
     den = b[..., ref]
-    norm = np.linalg.norm(b, axis=-1)
-    valid = (np.abs(den) >= DENOM_TOL) & (np.abs(den) >= REF_NULL_REL_TOL * norm)
-    a = b / np.where(valid, den, 1.0)[..., None]
-    a[~valid] = 0.0
-    a[..., ref] = 1.0  # exact, not just within rounding
-    return a, valid
+    mag = np.abs(den)
+    ok = (mag >= DENOM_TOL) & (mag >= REF_NULL_REL_TOL * np.linalg.norm(b, axis=-1))
+    ok[-1] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
+    a = np.divide(b, den[..., None], out=np.zeros_like(b), where=ok[..., None])
+    values = np.zeros((m, nbins, num_frames), dtype=np.complex128)
+    values[:, :, start:] = a.transpose(2, 0, 1)  # L' = 1 broadcasts
+    values[ref] = 1.0  # exact, not just within rounding
+    valid = np.zeros((nbins, num_frames), dtype=bool)
+    valid[:, start:] = ok
+    return RtfTrajectory(values, ref, valid)
 
 
 def _check_ref_channel(ref_channel: int, m: int) -> None:
@@ -121,21 +130,16 @@ def cw_trajectory(
     phi_nn_sqrt: HermitianMatrixField,
     ref_channel: int,
     num_frames: int,
-    side: str = "left",
 ) -> RtfTrajectory:
     """Batch covariance-whitening RTF, broadcast over `num_frames` frames.
 
     `principal` (F, M) holds the principal eigenvectors psi of the whitened
     mixture covariance Phi_ww; a = (Phi_nn^{H/2} psi) / (e_ref^T Phi_nn^{H/2}
-    psi). Bins whose reference entry vanishes are flagged invalid.
+    psi), finished by `_trajectory`.
     """
     _check_ref_channel(ref_channel, principal.shape[1])
-    b = (phi_nn_sqrt.matrices @ principal[:, :, None])[:, :, 0]
-    a, valid = _normalize_dewhitened(b, ref_channel)
-    values = np.repeat(a.T[:, :, None], num_frames, axis=2)
-    mask = np.repeat(valid[:, None], num_frames, axis=1)
-    mask[-1, :] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
-    return RtfTrajectory(values, ref_channel, side, mask)
+    b = phi_nn_sqrt.matrices @ principal[:, :, None]  # (F, M, 1)
+    return _trajectory(b.transpose(0, 2, 1), ref_channel, 0, num_frames)
 
 
 def track_rtf_past(
@@ -145,16 +149,14 @@ def track_rtf_past(
     beta: float = DEFAULT_BETA,
     delta0: float = 1.0,
     start_frame: int = 0,
-    side: str = "left",
 ) -> RtfTrajectory:
-    """Run one PAST tracker per bin over the whitened frames, starting from
-    psi = e_ref, and de-whiten every tracked eigenvector into a
-    reference-normalized RTF.
+    """Run one PAST tracker per bin over the whitened frames from
+    `start_frame` on, starting from psi = e_ref, and de-whiten every tracked
+    eigenvector into a reference-normalized RTF with `_trajectory`.
 
-    Frames before `start_frame` emit the trivial RTF and are flagged
-    invalid. A bin whose normalization fails at frame l holds its last
-    valid value (the trivial RTF if there is none yet) and is flagged
-    invalid at (k, l). Causal: frame l depends only on frames <= l.
+    Causal: frame l depends only on frames <= l. Frames before
+    `start_frame`, and cells whose normalization fails, are invalid and hold
+    e_ref; nothing is carried over from an earlier frame.
     """
     if not (0.0 < beta <= 1.0):
         raise RtfError(f"beta must be in (0, 1], got {beta}")
@@ -177,19 +179,7 @@ def track_rtf_past(
 
     # de-whiten every frame at once: b[k, l] = Phi_nn^{1/2}(k) psi[l, k]
     b = np.matmul(tracked.transpose(1, 0, 2), phi_nn_sqrt.matrices.transpose(0, 2, 1))
-    a, ok = _normalize_dewhitened(b, ref_channel)  # (F, L', M), (F, L')
-    # zero-order hold: each cell takes its bin's last valid frame; a bin with
-    # none yet takes frame 0, which is then invalid and so already e_ref
-    last = np.maximum.accumulate(np.where(ok, np.arange(nframes - start), -1), axis=1)
-    a = np.take_along_axis(a, np.maximum(last, 0)[:, :, None], axis=1)
-
-    values = np.zeros((m, nbins, nframes), dtype=np.complex128)
-    values[ref_channel] = 1.0
-    values[:, :, start:] = a.transpose(2, 0, 1)
-    valid = np.zeros((nbins, nframes), dtype=bool)
-    valid[:, start:] = ok
-    valid[-1, :] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
-    return RtfTrajectory(values, ref_channel, side, valid)
+    return _trajectory(b, ref_channel, start, nframes)
 
 
 def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
@@ -211,39 +201,37 @@ def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
 
 def save_trajectory(fh, traj: RtfTrajectory, config: StftConfig) -> None:
     """Write to the binary file object `fh`. Layout (little endian): magic
-    'RTFB', u32 version, u32 M, F, L, u32 ref_channel, u8 side (0=left,
-    1=right), u32 sample_rate, window_len, hop; then F*L u8 validity mask,
-    then (M, F, L) row-major complex64."""
+    'RTFB', u32 version, u32 M, F, L, u32 ref_channel, u8 side (0=left for
+    ref_channel 0, else 1=right), u32 sample_rate, window_len, hop; then
+    F*L u8 validity mask, then (M, F, L) row-major complex64."""
     m, f, l = traj.values.shape
-    header = _MAGIC + struct.pack(
-        "<IIIIIBIII",
-        _VERSION,
-        m,
-        f,
-        l,
-        traj.ref_channel,
-        0 if traj.side == "left" else 1,
-        config.sample_rate_hz,
-        config.window_len,
-        config.hop,
-    )
-    fh.write(header)
+    fh.write(_HEADER.pack(
+        _MAGIC, _VERSION, m, f, l, traj.ref_channel, int(traj.ref_channel != 0),
+        config.sample_rate_hz, config.window_len, config.hop,
+    ))
     fh.write(traj.valid.astype(np.uint8).tobytes())
     fh.write(traj.values.astype(np.complex64).tobytes())
 
 
 def load_trajectory(path) -> tuple[RtfTrajectory, dict]:
+    """Read a `save_trajectory` file; a short, long or inconsistent one
+    raises RtfError naming `path`."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise RtfError(f"bad magic {magic!r} in trajectory file")
-        fields = struct.unpack("<IIIIIBIII", fh.read(33))
-        version, m, f, l, ref, side_code, rate, wlen, hop = fields
-        if version != _VERSION:
-            raise RtfError(f"unsupported trajectory version {version}")
-        valid = np.frombuffer(fh.read(f * l), dtype=np.uint8).reshape(f, l).astype(bool)
-        values = np.frombuffer(fh.read(m * f * l * 8), dtype=np.complex64)
-        values = values.reshape(m, f, l).astype(np.complex128)
-    side = "left" if side_code == 0 else "right"
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise RtfError(f"{path}: {len(data)} bytes, shorter than the header")
+    magic, version, m, f, l, ref, side_code, rate, wlen, hop = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise RtfError(f"{path}: bad magic {magic!r} in trajectory file")
+    if version != _VERSION:
+        raise RtfError(f"{path}: unsupported trajectory version {version}")
+    if not (ref < m and side_code == int(ref != 0)):
+        raise RtfError(f"{path}: side byte {side_code} does not match ref_channel {ref} of M={m}")
+    mask_end = _HEADER.size + f * l
+    size = mask_end + 8 * m * f * l
+    if len(data) != size:
+        raise RtfError(f"{path}: {len(data)} bytes, expected {size} for M={m}, F={f}, L={l}")
+    valid = np.frombuffer(data, np.uint8, f * l, _HEADER.size).reshape(f, l).astype(bool)
+    values = np.frombuffer(data, np.complex64, offset=mask_end).reshape(m, f, l)
     meta = {"sample_rate_hz": rate, "window_len": wlen, "hop": hop}
-    return RtfTrajectory(values, ref, side, valid), meta
+    return RtfTrajectory(values.astype(np.complex128), ref, valid), meta

@@ -298,7 +298,6 @@ def _analytic_rtf(
     frame_times: np.ndarray,
     config: StftConfig,
     ref_channel: int,
-    side: str,
 ) -> RtfTrajectory:
     mics = scenario.mic_positions()
     pos = scenario.source_position(frame_times)  # (L, 3)
@@ -311,7 +310,7 @@ def _analytic_rtf(
     values = gains.T[:, None, :] * np.exp(
         -2j * np.pi * freqs[None, :, None] * dtau.T[:, None, :]
     )
-    return RtfTrajectory(values, ref_channel, side)
+    return RtfTrajectory(values, ref_channel)
 
 
 def render_moving_source(
@@ -359,8 +358,8 @@ def render_moving_source(
     num_frames = config.num_frames(n)
     frame_times = (np.arange(num_frames) * config.hop + config.window_len / 2) / fs
     doa = scenario.source_doa_deg(frame_times)
-    rtf_left = _analytic_rtf(scenario, frame_times, config, 0, "left")
-    rtf_right = _analytic_rtf(scenario, frame_times, config, scenario.num_mics - 1, "right")
+    rtf_left = _analytic_rtf(scenario, frame_times, config, 0)
+    rtf_right = _analytic_rtf(scenario, frame_times, config, scenario.num_mics - 1)
 
     frame_energy = np.array(
         [

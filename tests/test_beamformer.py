@@ -10,7 +10,7 @@ def _noise_evd(*matrices):
 
 
 def _traj(values, ref=0, valid=None):
-    return rtf.RtfTrajectory(values, ref, "left", valid)
+    return rtf.RtfTrajectory(values, ref, valid)
 
 
 def _small_cfg():

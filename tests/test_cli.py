@@ -83,7 +83,7 @@ def test_estimate_rtf_past_static_high_snr(bundle_dir):
     for r in _read_csv(bundle_dir / "rtf_mse.csv"):
         assert float(r["mse_db"]) <= -20.0
     traj, meta = rtf.load_trajectory(bundle_dir / "rtf_est_left.rtfb")
-    assert traj.side == "left"
+    assert traj.ref_channel == 0
     assert meta["window_len"] == 512
 
 
@@ -142,6 +142,16 @@ def test_beamform_missing_bundle():
         cli.main(["beamform", "--bundle", "/nonexistent", "--results", "/tmp/x.csv"])
         == cli.EXIT_CONFIG
     )
+
+
+def test_beamform_on_a_cut_trajectory_file_names_it(tmp_path, static_bundle, capsys):
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    path = out / "rtf_true_left.rtfb"
+    path.write_bytes(path.read_bytes()[:1000])
+    rc = cli.main(["beamform", "--bundle", str(out), "--results", str(tmp_path / "r.csv")])
+    assert rc == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error: {path}: 1000 bytes")
 
 
 def test_beampattern_outputs(bundle_dir):
@@ -313,6 +323,22 @@ def test_evaluate_records_failure_rows(tmp_path, monkeypatch):
     assert rc == cli.EXIT_OK
     (row,) = _read_csv(out)
     assert row["status"].startswith("error:")
+
+
+def test_evaluate_failure_rows_keep_the_exception_type(tmp_path, monkeypatch):
+    def no_valid_cells(*args, **kwargs):
+        raise rtf.RtfError("no valid cells for MSE computation")
+
+    monkeypatch.setattr(pipeline, "simulate", lambda seed, snr, static: None)
+    monkeypatch.setattr(pipeline, "evaluate_bundle", no_valid_cells)
+    out = tmp_path / "results.csv"
+    rc = cli.main(
+        ["evaluate", "--seed", "3", "--count", "1", "--snrs", "10",
+         "--methods", "cw-batch", "--out", str(out)]
+    )
+    assert rc == cli.EXIT_OK
+    (row,) = _read_csv(out)
+    assert row["status"] == "error: RtfError: no valid cells for MSE computation"
 
 
 def test_bad_arguments_exit_code(bundle_dir, tmp_path):

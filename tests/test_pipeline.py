@@ -1,7 +1,11 @@
+import dataclasses
+import warnings
+
+import numpy as np
 import pytest
 
-from conftest import count_calls
-from rtfbeam import covariance, pipeline
+from conftest import count_calls, random_complex
+from rtfbeam import beamformer, covariance, metrics, pipeline, rtf, stft
 
 
 @pytest.mark.parametrize(
@@ -29,3 +33,79 @@ def test_evaluate_bundle_does_per_bundle_estimation_work_once(
     calls = count_calls(monkeypatch, fn)
     pipeline.evaluate_bundle(static_bundle, method)
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize("method", ["cw-batch", "past"])
+def test_invalid_cells_hold_e_ref_and_never_reach_the_weights(moving_bundle, method):
+    # the one rule for an estimated trajectory: every invalid cell holds
+    # e_ref, and the MVDR weights, which hold their own, ignore its values
+    rng = np.random.default_rng(27)
+    _, stats, trajs = pipeline.estimate(moving_bundle, method)
+    for traj in trajs.values():
+        m = traj.values.shape[0]
+        bad = ~traj.valid
+        assert bad.any()
+        assert np.all(traj.values[:, bad] == np.eye(m)[traj.ref_channel][:, None])
+        noisy = rtf.RtfTrajectory(traj.values.copy(), traj.ref_channel, traj.valid)
+        noisy.values[:, bad] = random_complex(rng, m, int(bad.sum()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
+            weights = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
+            noisy_weights = beamformer.mvdr_weights(noisy, stats.phi_nn_evd)
+        np.testing.assert_array_equal(noisy_weights.values, weights.values)
+
+
+# ------------------------------------------------------- fault injection
+# seed 3 moving at 10 dB; the outcomes were measured, not designed
+
+
+def _scores(report):
+    scores = [report.si_sdr_left, report.si_sdr_right,
+              report.si_sdr_input_left, report.si_sdr_input_right]
+    return scores if report.method == "none" else scores + [report.rtf_mse_db]
+
+
+@pytest.mark.parametrize("fault", ["zeroed", "clipped"])
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_a_faulty_non_reference_mic_gives_finite_reports(moving_bundle, fault, method):
+    mixture = moving_bundle.mixture.copy()
+    peak = 0.1 * np.max(np.abs(mixture[3]))
+    mixture[3] = 0.0 if fault == "zeroed" else np.clip(mixture[3], -peak, peak)
+    bundle = dataclasses.replace(moving_bundle, mixture=mixture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = pipeline.evaluate_bundle(bundle, method)
+    assert np.all(np.isfinite(_scores(report)))
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_a_zeroed_reference_mic(moving_bundle, method):
+    # mic 0 is the left reference: 'none' passes the silent mic through and
+    # the left 'past' weights come out as that passthrough, so both score
+    # the clamp; CW finds no valid left cell, so its MSE raises
+    mixture = moving_bundle.mixture.copy()
+    mixture[0] = 0.0
+    bundle = dataclasses.replace(moving_bundle, mixture=mixture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if method == "cw-batch":
+            with pytest.raises(rtf.RtfError, match="no valid cells for MSE computation"):
+                pipeline.evaluate_bundle(bundle, method)
+            return
+        report = pipeline.evaluate_bundle(bundle, method)
+    assert np.all(np.isfinite(_scores(report)))
+    assert report.si_sdr_input_left == -metrics.SI_SDR_CLAMP_DB
+    if method in ("past", "none"):
+        assert report.si_sdr_left == -metrics.SI_SDR_CLAMP_DB
+
+
+def test_a_nan_in_the_mixture_stops_before_any_estimator(moving_bundle, monkeypatch):
+    mixture = moving_bundle.mixture.copy()
+    mixture[2, 1000] = np.nan
+    bundle = dataclasses.replace(moving_bundle, mixture=mixture)
+    calls = [count_calls(monkeypatch, fn)
+             for fn in (rtf.cw_trajectory, rtf.track_rtf_past, covariance.hermitian_evd)]
+    for method in pipeline.METHODS:
+        with pytest.raises(stft.StftError, match="non-finite"):
+            pipeline.evaluate_bundle(bundle, method)
+    assert [c[0] for c in calls] == [0, 0, 0]

@@ -1,4 +1,6 @@
 import io
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -143,6 +145,14 @@ def test_cw_scalar_whitening_invariance_property(seed, c):
     np.testing.assert_allclose(results[0], results[1], atol=1e-8)
 
 
+def _finish(b, ref):
+    """The finisher on (N, M) vectors as N bins of one frame; returns their
+    (N, M) values and (N,) validity. A copy of the last vector is appended,
+    as the finisher flags the last (Nyquist) bin invalid."""
+    traj = rtf._trajectory(np.concatenate([b, b[-1:]])[:, None, :], ref, 0, 1)
+    return traj.values[:, :-1, 0].T, traj.valid[:-1, 0]
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10**6), st.floats(0.0, 2 * np.pi))
 def test_phase_invariance_of_normalization(seed, phase):
@@ -150,15 +160,15 @@ def test_phase_invariance_of_normalization(seed, phase):
     # reference-normalized RTF unchanged (the ratio cancels the phase)
     rng = np.random.default_rng(seed)
     b = random_complex(rng, 1, 4)
-    a1, v1 = rtf._normalize_dewhitened(b, 0)
-    a2, v2 = rtf._normalize_dewhitened(b * np.exp(1j * phase), 0)
+    a1, v1 = _finish(b, 0)
+    a2, v2 = _finish(b * np.exp(1j * phase), 0)
     np.testing.assert_array_equal(v1, v2)
     np.testing.assert_allclose(a1, a2, atol=1e-10)
 
 
 def test_cw_flags_reference_null():
     b = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
-    a, valid = rtf._normalize_dewhitened(b, 0)
+    a, valid = _finish(b, 0)
     assert not valid[0] and valid[1]
     np.testing.assert_array_equal(a[0], [1.0, 0.0])  # trivial fallback
 
@@ -303,7 +313,8 @@ def test_track_parameter_validation():
 
 def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
     """The per-frame tracking loop track_rtf_past replaced, kept as its
-    reference: step, de-whiten, normalize and hold, one frame at a time."""
+    reference: step, de-whiten and normalize one frame at a time; a cell
+    that fails, and the Nyquist bin, take the trivial RTF e_ref."""
     m, nbins, nframes = yw.shape
     psi = np.zeros((nbins, m), dtype=np.complex128)
     psi[:, ref] = 1.0
@@ -312,7 +323,6 @@ def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
     trivial[ref] = 1.0
     values = np.empty((m, nbins, nframes), dtype=np.complex128)
     valid = np.zeros((nbins, nframes), dtype=bool)
-    prev = np.tile(trivial, (nbins, 1))
     for l in range(nframes):
         if l < start_frame:
             values[:, :, l] = trivial[:, None]
@@ -327,12 +337,12 @@ def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
         ok = (np.abs(den) >= rtf.DENOM_TOL) & (
             np.abs(den) >= rtf.REF_NULL_REL_TOL * np.linalg.norm(b, axis=1)
         )
-        a = np.where(ok[:, None], b / np.where(ok, den, 1.0)[:, None], prev)
+        a = np.where(ok[:, None], b / np.where(ok, den, 1.0)[:, None], trivial)
         a[ok, ref] = 1.0
         values[:, :, l] = a.T
         valid[:, l] = ok
-        prev = a
     valid[-1, :] = False
+    values[:, -1, :] = trivial[:, None]
     return values, valid
 
 
@@ -344,7 +354,7 @@ def test_track_matches_per_frame_reference():
     sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
     # over frames 15-24, bins 0-1 carry one source whose de-whitened
     # direction is mic 1 alone: both reference entries fall into the null
-    # there, so those cells fail and hold
+    # there, so those cells fail and take e_ref
     v = np.linalg.solve(sqrt_nn.matrices[:2], np.eye(m)[1])  # (2, M)
     y[:, :2, 15:25] = 0.01 * y[:, :2, 15:25]
     y[:, :2, 15:25] += 10.0 * v.T[:, :, None] * random_complex(rng, 2, 10)
@@ -352,10 +362,11 @@ def test_track_matches_per_frame_reference():
     for ref in (0, m - 1):
         traj = rtf.track_rtf_past(spec, sqrt_nn, ref, 0.8, start_frame=start)
         values, valid = _track_per_frame(y, sqrt_nn.matrices, ref, 0.8, start)
-        held = ~valid[:-1, start:]
-        assert held.any() and not held.all()
+        failed = ~valid[:-1, start:]
+        assert failed.any() and not failed.all()
         np.testing.assert_array_equal(traj.valid, valid)
         np.testing.assert_allclose(traj.values, values, rtol=0, atol=1e-12)
+        assert np.all(traj.values[:, :-1, start:][:, failed] == np.eye(m)[ref][:, None])
 
 
 def test_track_reads_whitened_view_as_its_contiguous_copy():
@@ -380,7 +391,7 @@ def test_track_reads_whitened_view_as_its_contiguous_copy():
 
 
 def _traj(values, ref=0, valid=None):
-    return rtf.RtfTrajectory(values, ref, "left", valid)
+    return rtf.RtfTrajectory(values, ref, valid)
 
 
 def test_mse_perfect_estimate_hits_floor():
@@ -435,7 +446,7 @@ def test_trajectory_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     v = random_complex(rng, 2, 3, 4).astype(np.complex64).astype(np.complex128)
     valid = rng.uniform(size=(3, 4)) > 0.5
-    traj = rtf.RtfTrajectory(v, 1, "right", valid)
+    traj = rtf.RtfTrajectory(v, 1, valid)
     cfg = stft.StftConfig(window_len=4, hop=2)
     path = tmp_path / "t.rtfb"
     with open(path, "wb") as fh:
@@ -443,7 +454,7 @@ def test_trajectory_round_trip(tmp_path):
     loaded, meta = rtf.load_trajectory(path)
     np.testing.assert_array_equal(loaded.values, v)
     np.testing.assert_array_equal(loaded.valid, valid)
-    assert loaded.ref_channel == 1 and loaded.side == "right"
+    assert loaded.ref_channel == 1
     assert meta == {"sample_rate_hz": 16000, "window_len": 4, "hop": 2}
 
 
@@ -454,18 +465,41 @@ def test_trajectory_bad_magic(tmp_path):
         rtf.load_trajectory(path)
 
 
+@pytest.mark.parametrize(
+    "damage", ["header cut", "body cut", "trailing bytes", "side byte", "ref out of range"]
+)
+def test_trajectory_load_rejects_a_damaged_file(tmp_path, damage):
+    buf = io.BytesIO()
+    rtf.save_trajectory(buf, _traj(np.ones((2, 3, 4), dtype=complex), ref=1),
+                        stft.StftConfig(window_len=4, hop=2))
+    data = bytearray(buf.getvalue())
+    if damage == "header cut":
+        data = data[:20]
+    elif damage == "body cut":
+        data = data[:-3]
+    elif damage == "trailing bytes":
+        data += b"\0"
+    elif damage == "side byte":
+        data[24] = 0  # ref_channel 1 is the right side
+    else:
+        struct.pack_into("<I", data, 20, 2)  # ref_channel 2 of M = 2
+    path = tmp_path / "t.rtfb"
+    path.write_bytes(bytes(data))
+    with pytest.raises(rtf.RtfError, match=re.escape(str(path))):
+        rtf.load_trajectory(path)
+
+
 def test_trajectory_save_accepts_file_object():
     traj = _traj(np.ones((2, 2, 2), dtype=complex))
     buf = io.BytesIO()
     rtf.save_trajectory(buf, traj, stft.StftConfig(window_len=4, hop=2))
     assert buf.getvalue()[:4] == b"RTFB"
+    assert buf.getvalue()[24] == 0  # side byte: ref_channel 0 is the left side
 
 
 def test_trajectory_validation():
     with pytest.raises(rtf.RtfError):
         rtf.RtfTrajectory(np.ones((2, 2), dtype=complex), 0)
-    with pytest.raises(rtf.RtfError):
-        rtf.RtfTrajectory(np.ones((2, 2, 2), dtype=complex), 0, side="center")
     with pytest.raises(rtf.RtfError):
         rtf.RtfTrajectory(
             np.ones((2, 2, 2), dtype=complex), 0, valid=np.ones((3, 3), dtype=bool)
