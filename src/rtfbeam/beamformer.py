@@ -30,7 +30,8 @@ class BeamformerError(ValueError):
 
 @dataclass
 class BeamformerWeights:
-    """Complex weights w(l,k), shape (M, F, L); applied as s = w^H y."""
+    """Complex weights w(l,k), shape (M, F, L') with L' in {1, L}; applied
+    as s = w^H y."""
 
     values: np.ndarray
 
@@ -59,36 +60,42 @@ def mvdr_weights(
     previous frame's weights; a bin with no valid cell at all falls back to
     reference-channel passthrough. This is the package's only zero-order
     hold, and the weights do not depend on the values of invalid cells.
+    A one-frame trajectory gives one-frame weights: one solve per bin. The
+    Nyquist bin, invalid by design, is not counted in the dead-bin warning.
     """
     m, nbins, nframes = rtf.values.shape
     if phi_nn_evd.eigenvalues.shape != (nbins, m):
         raise BeamformerError("noise covariance shape does not match RTF")
     inv = loaded_power(phi_nn_evd, -1.0, loading).matrices
 
-    a = rtf.values  # (M, F, L)
+    a = rtf.values  # (M, F, L')
     num = (inv @ a.transpose(1, 0, 2)).transpose(1, 0, 2)  # Phi^{-1} a
     den = np.einsum("ikl,ikl->kl", a.conj(), num).real  # a^H Phi^{-1} a
     ok = rtf.valid & (den > 1e-300)
 
-    dead_bins = ~np.any(ok, axis=1)
+    dead_bins = ~np.any(ok[:-1], axis=1)
     if np.any(dead_bins):
         warnings.warn(
             f"{int(np.sum(dead_bins))} bins have no valid RTF; "
             "using reference passthrough weights"
         )
-    np.divide(num, den, out=num, where=ok)
-    # zero-order hold: each cell takes the weights of its bin's last valid frame
+    num /= np.where(ok, den, 1.0)
+    # zero-order hold: each invalid cell takes the weights of its bin's last
+    # valid frame, or the reference passthrough where there is none
     last = np.maximum.accumulate(np.where(ok, np.arange(nframes), -1), axis=1)
-    w = np.take_along_axis(num, np.maximum(last, 0)[None], axis=2)
+    k, l = np.nonzero(~ok & (last >= 0))
+    num[:, k, l] = num[:, k, last[k, l]]
     passthrough = np.zeros(m, dtype=np.complex128)
     passthrough[rtf.ref_channel] = 1.0
-    w[:, last < 0] = passthrough[:, None]
-    return BeamformerWeights(w)
+    num[:, last < 0] = passthrough[:, None]
+    return BeamformerWeights(num)
 
 
 def apply(weights: BeamformerWeights, spec: ComplexSpectrogram) -> ComplexSpectrogram:
-    """Filter-and-sum: s_hat(l,k) = w^H(l,k) y(l,k)."""
-    if weights.values.shape != spec.data.shape:
+    """Filter-and-sum: s_hat(l,k) = w^H(l,k) y(l,k); weights with one frame
+    apply to every frame."""
+    m, nbins, nframes = weights.values.shape
+    if (m, nbins) != spec.data.shape[:2] or nframes not in (1, spec.num_frames):
         raise BeamformerError(
             f"weights shape {weights.values.shape} != spectrogram {spec.data.shape}"
         )

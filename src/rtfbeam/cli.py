@@ -164,12 +164,15 @@ def cmd_simulate(args) -> int:
 def cmd_estimate_rtf(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
-    _, _, trajs = pipeline.estimate(
+    mix_spec, _, trajs = pipeline.estimate(
         bundle, args.method, args.beta, args.loading, args.noise_frames
     )
+    shape = mix_spec.data.shape  # a one-frame trajectory is written L times
     mse_rows = []
     for side, traj in trajs.items():
-        _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config)
+        full = rtf.RtfTrajectory(np.broadcast_to(traj.values, shape), traj.ref_channel,
+                                 np.broadcast_to(traj.valid, shape[1:]))
+        _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", full, bundle.config)
         truth_traj = bundle.truth.rtf_left if side == "left" else bundle.truth.rtf_right
         mse = rtf.rtf_mse(traj, truth_traj)
         mse_rows.append((side, args.method, mse))

@@ -92,14 +92,15 @@ def estimate_trajectory(
 
     The left side is referenced to mic 0, the right to mic M-1. The work
     shared by the sides (the whitening for 'past'; the mixture covariance
-    and its whitened EVD for 'cw-batch') is done once.
+    and its whitened EVD for 'cw-batch') is done once. The frame-invariant
+    'cw-batch' and 'none' trajectories have one frame (`rtf.RtfTrajectory`).
     """
-    m, nbins, nframes = mix_spec.data.shape
+    m, nbins, _ = mix_spec.data.shape
     refs = {side: {"left": 0, "right": m - 1}[side] for side in sides}
     if method == "none":
         out = {}
         for side, ref in refs.items():
-            values = np.zeros((m, nbins, nframes), dtype=np.complex128)
+            values = np.zeros((m, nbins, 1), dtype=np.complex128)
             values[ref] = 1.0
             out[side] = rtf.RtfTrajectory(values, ref)
         return out
@@ -112,7 +113,7 @@ def estimate_trajectory(
         phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
         phi_ww = covariance.whitened_mixture_covariance(phi_yy, stats.phi_nn_invsqrt)
         principal = covariance.hermitian_evd(phi_ww).principal_vectors
-        return {side: rtf.cw_trajectory(principal, stats.phi_nn_sqrt, ref, nframes)
+        return {side: rtf.cw_trajectory(principal, stats.phi_nn_sqrt, ref)
                 for side, ref in refs.items()}
     if method == "past":
         whitened = covariance.whiten(mix_spec, stats.phi_nn_invsqrt)
@@ -207,11 +208,14 @@ def beampattern(
     noise_frames: int | None = None,
     angle_step_deg: float = 1.0,
 ) -> beamformer.BeampatternGrid:
-    """Beampattern of the left-ear weights on a -90..90 deg broadside grid."""
+    """Beampattern of the left-ear weights on a -90..90 deg broadside grid,
+    one column per STFT frame."""
     # the spectrogram and the trajectory are dropped before the grid is
     # computed, so their ~16 MB is not held under it at the peak
     stats, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
-    weights = side_weights(trajs.pop("left"), stats, method, mvdr_loading)
+    w = side_weights(trajs.pop("left"), stats, method, mvdr_loading).values
+    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
+    weights = beamformer.BeamformerWeights(np.broadcast_to(w, w.shape[:2] + (nframes,)))
     angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
     return beamformer.narrowband_beampattern(
         weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles

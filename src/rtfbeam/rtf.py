@@ -10,6 +10,12 @@ tracker's start frame, or in the Nyquist bin. Every invalid cell holds the
 trivial RTF e_ref; no estimator carries an earlier value forward, as the
 MVDR weights hold their own (``beamformer.mvdr_weights``).
 
+A trajectory whose RTF does not change over frames (CW, and the trivial
+'none' trajectory) keeps a frame axis of length L' = 1 instead of L copies
+of one frame. Every consumer broadcasts that axis as numpy does: the MVDR
+weights are then solved once per bin, and `rtf_mse` scores the one frame
+against every frame of the truth.
+
 The reference channel enters only at that normalization, apart from the
 PAST start vector e_ref, and it is the trajectory's only side label: mic 0
 is the left ear, any other the right.
@@ -79,11 +85,15 @@ def past_step(
 
 @dataclass
 class RtfTrajectory:
-    """Per-bin, per-frame RTF estimates, shape (M, F, L), with validity mask."""
+    """Per-bin, per-frame RTF estimates, shape (M, F, L'), with validity mask.
 
-    values: np.ndarray  # complex (M, F, L)
+    L' is the frame count L, or 1 for an RTF that is the same in every
+    frame; the one frame then stands for all L of them.
+    """
+
+    values: np.ndarray  # complex (M, F, L')
     ref_channel: int
-    valid: np.ndarray = field(default=None)  # bool (F, L)
+    valid: np.ndarray = field(default=None)  # bool (F, L')
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -101,7 +111,7 @@ def _trajectory(b: np.ndarray, ref: int, start: int, num_frames: int) -> RtfTraj
     """Finish de-whitened principal vectors b, shape (F, L', M), into the
     reference-normalized (M, F, num_frames) trajectory of either estimator.
     b covers frames start..num_frames-1: one vector per frame (PAST), or
-    with L' = 1 one vector per bin for all of them (CW).
+    one vector per bin for the one frame of a frame-invariant (CW) trajectory.
 
     A cell is valid where its reference entry is clear of the null, from
     `start` on and outside the Nyquist bin; every other cell holds e_ref.
@@ -113,7 +123,7 @@ def _trajectory(b: np.ndarray, ref: int, start: int, num_frames: int) -> RtfTraj
     ok[-1] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
     a = np.divide(b, den[..., None], out=np.zeros_like(b), where=ok[..., None])
     values = np.zeros((m, nbins, num_frames), dtype=np.complex128)
-    values[:, :, start:] = a.transpose(2, 0, 1)  # L' = 1 broadcasts
+    values[:, :, start:] = a.transpose(2, 0, 1)
     values[ref] = 1.0  # exact, not just within rounding
     valid = np.zeros((nbins, num_frames), dtype=bool)
     valid[:, start:] = ok
@@ -129,9 +139,8 @@ def cw_trajectory(
     principal: np.ndarray,
     phi_nn_sqrt: HermitianMatrixField,
     ref_channel: int,
-    num_frames: int,
 ) -> RtfTrajectory:
-    """Batch covariance-whitening RTF, broadcast over `num_frames` frames.
+    """Batch covariance-whitening RTF: one frame, valid for every frame.
 
     `principal` (F, M) holds the principal eigenvectors psi of the whitened
     mixture covariance Phi_ww; a = (Phi_nn^{H/2} psi) / (e_ref^T Phi_nn^{H/2}
@@ -139,7 +148,7 @@ def cw_trajectory(
     """
     _check_ref_channel(ref_channel, principal.shape[1])
     b = phi_nn_sqrt.matrices @ principal[:, :, None]  # (F, M, 1)
-    return _trajectory(b.transpose(0, 2, 1), ref_channel, 0, num_frames)
+    return _trajectory(b.transpose(0, 2, 1), ref_channel, 0, 1)
 
 
 def track_rtf_past(
@@ -182,17 +191,26 @@ def track_rtf_past(
     return _trajectory(b, ref_channel, start, nframes)
 
 
+def _norm2(values: np.ndarray) -> np.ndarray:
+    """Squared norm over the channel axis of complex (M, F, L) values."""
+    return np.sum(values.real ** 2 + values.imag ** 2, axis=0)
+
+
 def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
-    """Normalized MSE in dB: mean over valid (k,l) of ||a_hat - a||^2/||a||^2."""
-    if estimate.values.shape != truth.values.shape:
+    """Normalized MSE in dB: mean over valid (k,l) of ||a_hat - a||^2/||a||^2.
+
+    An estimate with one frame is scored against every frame of the truth.
+    """
+    est, true = estimate.values.shape, truth.values.shape
+    if est[:2] != true[:2] or est[2] not in (1, true[2]):
         raise RtfError("estimate/truth shape mismatch")
     if estimate.ref_channel != truth.ref_channel:
         raise RtfError("estimate/truth reference channels differ")
-    norm2 = np.sum(np.abs(truth.values) ** 2, axis=0)  # (F, L)
+    norm2 = _norm2(truth.values)  # (F, L)
     mask = estimate.valid & truth.valid & (norm2 > 0)
     if not np.any(mask):
         raise RtfError("no valid cells for MSE computation")
-    err2 = np.sum(np.abs(estimate.values - truth.values) ** 2, axis=0)
+    err2 = _norm2(estimate.values - truth.values)
     mse = np.mean(err2[mask] / norm2[mask])
     if mse <= 10.0 ** (MSE_FLOOR_DB / 10.0):
         return MSE_FLOOR_DB

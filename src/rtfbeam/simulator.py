@@ -306,10 +306,10 @@ def _analytic_rtf(
     freqs = config.bin_frequencies_hz()  # (F,)
     dtau = tau - tau[:, ref_channel : ref_channel + 1]
     gains = dists[:, ref_channel : ref_channel + 1] / dists
+    # (M, L) copies, so the (M, F, L) product comes out in C order
+    gains, dtau = np.ascontiguousarray(gains.T), np.ascontiguousarray(dtau.T)
     # a_m(k, l) = exp(-j 2 pi f_k (tau_m - tau_ref)) * d_ref / d_m
-    values = gains.T[:, None, :] * np.exp(
-        -2j * np.pi * freqs[None, :, None] * dtau.T[:, None, :]
-    )
+    values = gains[:, None, :] * np.exp(-2j * np.pi * freqs[None, :, None] * dtau[:, None, :])
     return RtfTrajectory(values, ref_channel)
 
 

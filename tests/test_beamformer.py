@@ -76,13 +76,57 @@ def test_mvdr_invalid_cell_carries_previous_weights():
 
 
 def test_mvdr_dead_bin_warns_and_passes_through():
-    a = np.ones((2, 2, 2), dtype=complex)
-    valid = np.array([[True, True], [False, False]])
+    # bin 1 is interior; the last (Nyquist) bin is not counted as dead
+    a = np.ones((2, 3, 2), dtype=complex)
+    valid = np.array([[True, True], [False, False], [True, True]])
     with pytest.warns(UserWarning, match="no valid RTF"):
         w = beamformer.mvdr_weights(
-            _traj(a, valid=valid), _noise_evd(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), 0.0
+            _traj(a, valid=valid), _noise_evd(*[np.eye(2, dtype=complex)] * 3), 0.0
         )
     np.testing.assert_array_equal(w.values[:, 1, :], [[1.0, 1.0], [0.0, 0.0]])
+
+
+def test_mvdr_hold_matches_a_frame_loop():
+    # each invalid cell takes its bin's last valid weights, or passthrough
+    rng = np.random.default_rng(6)
+    m, nbins, nframes = 3, 6, 9
+    evd = _noise_evd(*(random_spd(rng, m) for _ in range(nbins)))
+    a = random_complex(rng, m, nbins, nframes)
+    a[1] = 1.0
+    valid = rng.random((nbins, nframes)) < 0.5
+    valid[2] = False  # an interior dead bin
+    with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
+        w = beamformer.mvdr_weights(_traj(a, ref=1, valid=valid), evd).values
+    fresh = beamformer.mvdr_weights(_traj(a, ref=1), evd).values
+    for k in range(nbins):
+        held = np.eye(m)[1]
+        for l in range(nframes):
+            held = fresh[:, k, l] if valid[k, l] else held
+            np.testing.assert_array_equal(w[:, k, l], held)
+
+
+def test_mvdr_one_frame_trajectory_matches_its_broadcast():
+    # a frame-invariant trajectory keeps one frame; its weights, applied to
+    # every frame, equal those of the trajectory broadcast to all L frames
+    rng = np.random.default_rng(7)
+    m, nbins, nframes = 4, 5, 6
+    evd = _noise_evd(*(random_spd(rng, m) for _ in range(nbins)))
+    a = random_complex(rng, m, nbins, 1)
+    a[0] = 1.0
+    valid = np.array([[True], [False], [True], [True], [False]])
+    one = _traj(a, valid=valid)
+    full = _traj(np.broadcast_to(a, (m, nbins, nframes)),
+                 valid=np.broadcast_to(valid, (nbins, nframes)))
+    with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
+        w1 = beamformer.mvdr_weights(one, evd)
+    with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
+        wl = beamformer.mvdr_weights(full, evd)
+    assert w1.values.shape == (m, nbins, 1)
+    assert_matches_reference(np.broadcast_to(w1.values, wl.values.shape), wl.values)
+    spec = stft.ComplexSpectrogram(random_complex(rng, m, nbins, nframes),
+                                   stft.StftConfig(window_len=8, hop=4))
+    assert_matches_reference(beamformer.apply(w1, spec).data,
+                             beamformer.apply(wl, spec).data)
 
 
 def test_mvdr_shape_mismatch():
@@ -165,6 +209,15 @@ def test_apply_shape_mismatch():
         beamformer.apply(
             beamformer.BeamformerWeights(np.zeros((2, 3, 5), dtype=complex)), y
         )
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 1), (2, 2, 1)])
+def test_apply_one_frame_weights_need_matching_channels_and_bins(shape):
+    # one frame broadcasts over the spectrogram's frames, nothing else does
+    cfg = _small_cfg()
+    y = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
+    with pytest.raises(beamformer.BeamformerError):
+        beamformer.apply(beamformer.BeamformerWeights(np.zeros(shape, dtype=complex)), y)
 
 
 # ------------------------------------------------------------- steering

@@ -7,12 +7,13 @@ import ast
 import importlib
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rtfbeam import beamformer, covariance, rtf
+from rtfbeam import beamformer, covariance, pipeline, rtf
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 SPAN_SUFFIXES = (".ms", ".self_ms", ".calls_per_cell")
@@ -61,3 +62,15 @@ def test_dead_bin_warning_matches_the_benchmark_pattern():
         beamformer.mvdr_weights(traj, evd)
     matches = [pattern.search(str(w.message)) for w in record]
     assert [int(x.group(1)) for x in matches if x] == [1]
+
+
+@pytest.mark.parametrize("method", ["cw-batch", "past"])
+def test_a_clean_cell_reports_no_dead_bin(method):
+    # both estimators flag the Nyquist bin invalid by design; it is not a
+    # dead bin, so a clean scene gives the benchmark nothing to count
+    pattern = re.compile(_run_py_constants()["DEAD_BINS"])
+    bundle = pipeline.simulate(5, 10.0, static=True)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        pipeline.evaluate_bundle(bundle, method)
+    assert not [w for w in record if pattern.search(str(w.message))]

@@ -87,6 +87,22 @@ def test_estimate_rtf_past_static_high_snr(bundle_dir):
     assert meta["window_len"] == 512
 
 
+@pytest.mark.parametrize("method", ["cw-batch", "none"])
+def test_estimate_rtf_writes_frame_invariant_trajectories_with_every_frame(
+    bundle_dir, static_bundle, method
+):
+    # the estimate keeps one frame; the file repeats it over the L frames
+    # of the spectrogram, as the true trajectories in the bundle have them
+    rc = cli.main(["estimate-rtf", "--bundle", str(bundle_dir), "--method", method])
+    assert rc == cli.EXIT_OK
+    nframes = static_bundle.config.num_frames(static_bundle.mixture.shape[1])
+    for side in ("left", "right"):
+        traj, _ = rtf.load_trajectory(bundle_dir / f"rtf_est_{side}.rtfb")
+        assert traj.values.shape[2] == traj.valid.shape[1] == nframes
+        assert np.all(traj.values == traj.values[:, :, :1])
+        assert np.all(traj.valid == traj.valid[:, :1])
+
+
 def test_estimate_rtf_bad_path_exit_code():
     assert cli.main(["estimate-rtf", "--bundle", "/nonexistent"]) == cli.EXIT_CONFIG
 

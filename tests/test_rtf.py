@@ -103,7 +103,7 @@ def _cw(phi_nn_sqrt, phi_ww, ref):
     phi_ww = _field(*phi_ww.matrices, phi_ww.matrices[-1])
     phi_nn_sqrt = _field(*phi_nn_sqrt.matrices, phi_nn_sqrt.matrices[-1])
     principal = covariance.hermitian_evd(phi_ww).principal_vectors
-    traj = rtf.cw_trajectory(principal, phi_nn_sqrt, ref, 1)
+    traj = rtf.cw_trajectory(principal, phi_nn_sqrt, ref)
     return traj.values[:, :-1, 0].T, traj.valid[:-1, 0]
 
 
@@ -181,19 +181,19 @@ def test_cw_dewhitening_matches_einsum_reference(layout):
     principal = random_complex(rng, nbins, m)
     traj = rtf.cw_trajectory(
         layouts(principal)[layout],
-        covariance.HermitianMatrixField(layouts(sqrt_nn)[layout]), m - 1, 2,
+        covariance.HermitianMatrixField(layouts(sqrt_nn)[layout]), m - 1,
     )
     b = np.einsum("kij,kj->ki", sqrt_nn, principal)
     ok = traj.valid[:-1, 0]  # the Nyquist bin is flagged by design
     assert ok.all()
     ref = (b / b[:, m - 1 : m]).T[:, :-1]
     assert_matches_reference(traj.values[:, :-1, 0], ref)
-    np.testing.assert_array_equal(traj.values[:, :, 1], traj.values[:, :, 0])
+    assert traj.values.shape == (m, nbins, 1) and traj.valid.shape == (nbins, 1)
 
 
 def test_cw_ref_channel_out_of_range():
     with pytest.raises(rtf.RtfError):
-        rtf.cw_trajectory(np.eye(2, dtype=complex)[:1], _eye_field(1, 2), 2, 1)
+        rtf.cw_trajectory(np.eye(2, dtype=complex)[:1], _eye_field(1, 2), 2)
 
 
 def test_cw_static_scenario_mse(static_bundle):
@@ -424,6 +424,27 @@ def test_mse_errors():
         rtf.rtf_mse(_traj(a, ref=0), _traj(a, ref=1))
     with pytest.raises(rtf.RtfError):
         rtf.rtf_mse(_traj(a), _traj(np.zeros((2, 2, 2), dtype=complex)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1), (2, 3, 1), (3, 2, 3), (2, 3, 3)])
+def test_mse_raises_on_a_channel_or_bin_mismatch(shape):
+    # only the frame axis broadcasts, and only from one frame
+    with pytest.raises(rtf.RtfError, match="shape mismatch"):
+        rtf.rtf_mse(_traj(np.ones(shape, dtype=complex)),
+                    _traj(np.ones((2, 2, 3), dtype=complex)))
+
+
+def test_mse_of_a_one_frame_estimate_matches_its_broadcast():
+    rng = np.random.default_rng(17)
+    m, nbins, nframes = 3, 4, 5
+    est = random_complex(rng, m, nbins, 1)
+    valid = np.array([[True], [False], [True], [True]])
+    truth = random_complex(rng, m, nbins, nframes)
+    truth_valid = rng.random((nbins, nframes)) < 0.8
+    full = _traj(np.broadcast_to(est, (m, nbins, nframes)),
+                 valid=np.broadcast_to(valid, (nbins, nframes)))
+    one = rtf.rtf_mse(_traj(est, valid=valid), _traj(truth, valid=truth_valid))
+    assert abs(one - rtf.rtf_mse(full, _traj(truth, valid=truth_valid))) <= 1e-12
 
 
 def test_mse_monotone_with_snr(static_bundle):
