@@ -30,9 +30,10 @@ class SimBundle:
 
     @property
     def noise_frames(self) -> int:
-        """Frames fully inside the leading source-silent segment."""
+        """Frames fully inside the leading source-silent segment; 0 when the
+        lead silence is shorter than one window."""
         lead = int(round(self.scenario.lead_silence_s * self.scenario.sample_rate))
-        return (lead - self.config.window_len) // self.config.hop + 1
+        return max(0, (lead - self.config.window_len) // self.config.hop + 1)
 
 
 def simulate(seed: int, snr_db: float, static: bool = False) -> SimBundle:
@@ -133,9 +134,17 @@ def estimate(
 ) -> tuple[stft.ComplexSpectrogram, NoiseStats, dict[str, rtf.RtfTrajectory]]:
     """Analyse the mixture, take the noise statistics of its first
     `noise_frames` frames (0 or None: the bundle's lead-silence count) and
-    estimate the RTF trajectory of each side."""
-    mix_spec = stft.analyze(bundle.mixture, bundle.config)
+    estimate the RTF trajectory of each side. A lead silence shorter than
+    one window holds no noise-only frame: then `noise_frames` must be given.
+    """
     ln = noise_frames or bundle.noise_frames
+    if ln == 0:
+        raise ValueError(
+            f"the lead silence of {bundle.scenario.lead_silence_s} s is shorter than "
+            f"one {bundle.config.window_len}-sample window, so no frame is noise-only; "
+            "give the noise-only frame count (--noise-frames)"
+        )
+    mix_spec = stft.analyze(bundle.mixture, bundle.config)
     stats = noise_stats(mix_spec, ln, loading)
     trajs = estimate_trajectory(mix_spec, stats, ln, method, beta, bundle.truth, sides)
     return mix_spec, stats, trajs
@@ -209,14 +218,19 @@ def beampattern(
     angle_step_deg: float = 1.0,
 ) -> beamformer.BeampatternGrid:
     """Beampattern of the left-ear weights on a -90..90 deg broadside grid,
-    one column per STFT frame."""
+    one column per STFT frame. Frame-invariant ('cw-batch', 'none') weights
+    give one column, broadcast (read-only) over the frames."""
     # the spectrogram and the trajectory are dropped before the grid is
     # computed, so their ~16 MB is not held under it at the peak
     stats, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
-    w = side_weights(trajs.pop("left"), stats, method, mvdr_loading).values
-    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
-    weights = beamformer.BeamformerWeights(np.broadcast_to(w, w.shape[:2] + (nframes,)))
+    weights = side_weights(trajs.pop("left"), stats, method, mvdr_loading)
     angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
-    return beamformer.narrowband_beampattern(
+    grid = beamformer.narrowband_beampattern(
         weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles
+    )
+    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
+    return beamformer.BeampatternGrid(
+        grid.angles_deg,
+        np.broadcast_to(grid.narrowband, grid.narrowband.shape[:2] + (nframes,)),
+        np.broadcast_to(grid.wideband, (angles.size, nframes)),
     )

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -170,6 +171,29 @@ def test_beamform_on_a_cut_trajectory_file_names_it(tmp_path, static_bundle, cap
     assert capsys.readouterr().err.startswith(f"error: {path}: 1000 bytes")
 
 
+def test_a_lead_silence_shorter_than_a_window_needs_noise_frames(
+    tmp_path, static_bundle, capsys
+):
+    # 0.01 s is less than one 512-sample window: no frame is noise-only, so
+    # the count is 0 and the estimate asks for --noise-frames
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    path = out / "scenario.json"
+    scenario = json.loads(path.read_text())
+    scenario["lead_silence_s"] = 0.01
+    path.write_text(json.dumps(scenario))
+    assert cli.load_bundle(out).noise_frames == 0
+    args = ["beamform", "--bundle", str(out), "--method", "cw-batch",
+            "--results", str(tmp_path / "r.csv")]
+    capsys.readouterr()
+    assert cli.main(args) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: the lead silence of 0.01 s is shorter than one "
+                          "512-sample window")
+    assert "--noise-frames" in err
+    assert cli.main([*args, "--noise-frames", "20"]) == cli.EXIT_OK
+
+
 def test_beampattern_outputs(bundle_dir):
     rc = cli.main(
         ["beampattern", "--bundle", str(bundle_dir), "--method", "oracle",
@@ -185,6 +209,25 @@ def test_beampattern_outputs(bundle_dir):
     errs = _read_csv(bundle_dir / "doa_error.csv")
     vals = [float(r["doa_error_deg"]) for r in errs if r["doa_error_deg"]]
     assert np.mean(vals) <= 10.0
+
+
+def test_beampattern_wideband_csv_is_what_a_csv_writer_writes(bundle_dir):
+    # the CSV is written from Python float reprs, one string per angle; its
+    # bytes must be those of csv.writer over the grid's numpy scalars, and
+    # each value must read back as the float in the grid
+    rc = cli.main(["beampattern", "--bundle", str(bundle_dir), "--angle-step", "5"])
+    assert rc == cli.EXIT_OK
+    grid = pipeline.beampattern(cli.load_bundle(bundle_dir), "past", angle_step_deg=5.0)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["frame", "bin", "theta_deg", "value"])
+    writer.writerows((l, "wideband", theta, value)
+                     for theta, powers in zip(grid.angles_deg, grid.wideband)
+                     for l, value in enumerate(powers))
+    written = (bundle_dir / "beampattern_wideband.csv").read_bytes()
+    assert written == ref.getvalue().encode()
+    values = [float(r["value"]) for r in _read_csv(bundle_dir / "beampattern_wideband.csv")]
+    np.testing.assert_array_equal(values, grid.wideband.ravel())
 
 
 def test_beampattern_failing_score_keeps_earlier_outputs(tmp_path, static_bundle, capsys):

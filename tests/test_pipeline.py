@@ -109,3 +109,14 @@ def test_a_nan_in_the_mixture_stops_before_any_estimator(moving_bundle, monkeypa
         with pytest.raises(stft.StftError, match="non-finite"):
             pipeline.evaluate_bundle(bundle, method)
     assert [c[0] for c in calls] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("method", ["cw-batch", "none"])
+def test_a_frame_invariant_pattern_is_one_column_for_every_frame(moving_bundle, method):
+    # one-frame weights give one grid column, broadcast to the L frames;
+    # a product over L copies of the weights differs in the last bits
+    grid = pipeline.beampattern(moving_bundle, method, angle_step_deg=5.0)
+    nframes = moving_bundle.config.num_frames(moving_bundle.mixture.shape[1])
+    assert grid.narrowband.shape[2] == grid.wideband.shape[1] == nframes
+    assert np.all(grid.narrowband == grid.narrowband[:, :, :1])
+    assert np.all(grid.wideband == grid.wideband[:, :1])
