@@ -3,7 +3,7 @@
 The MVDR beamformer here is a classical distortionless design steered by
 the RTF trajectory: w = Phi_nn^{-1} a / (a^H Phi_nn^{-1} a). Beampatterns
 are evaluated against far-field plane-wave steering vectors on a broadside
-angle grid.
+angle grid. Weights are bin-major, (F, M, L'), like the RTF trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class BeamformerError(ValueError):
 
 @dataclass
 class BeamformerWeights:
-    """Complex weights w(l,k), shape (M, F, L') with L' in {1, L}; applied
+    """Complex weights w(l,k), shape (F, M, L') with L' in {1, L}; applied
     as s = w^H y."""
 
     values: np.ndarray
@@ -38,7 +38,7 @@ class BeamformerWeights:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 3:
-            raise BeamformerError("weights must have shape (M, F, L)")
+            raise BeamformerError("weights must have shape (F, M, L)")
 
 
 @dataclass
@@ -63,14 +63,14 @@ def mvdr_weights(
     A one-frame trajectory gives one-frame weights: one solve per bin. The
     Nyquist bin, invalid by design, is not counted in the dead-bin warning.
     """
-    m, nbins, nframes = rtf.values.shape
+    nbins, m, nframes = rtf.values.shape
     if phi_nn_evd.eigenvalues.shape != (nbins, m):
         raise BeamformerError("noise covariance shape does not match RTF")
     inv = loaded_power(phi_nn_evd, -1.0, loading).matrices
 
-    a = rtf.values  # (M, F, L')
-    num = (inv @ a.transpose(1, 0, 2)).transpose(1, 0, 2)  # Phi^{-1} a
-    den = np.einsum("ikl,ikl->kl", a.conj(), num).real  # a^H Phi^{-1} a
+    a = rtf.values  # (F, M, L')
+    num = inv @ a  # Phi^{-1} a
+    den = np.einsum("kml,kml->kl", a.conj(), num).real  # a^H Phi^{-1} a
     ok = rtf.valid & (den > 1e-300)
 
     dead_bins = ~np.any(ok[:-1], axis=1)
@@ -79,43 +79,40 @@ def mvdr_weights(
             f"{int(np.sum(dead_bins))} bins have no valid RTF; "
             "using reference passthrough weights"
         )
-    num /= np.where(ok, den, 1.0)
+    num /= np.where(ok, den, 1.0)[:, None]
     # zero-order hold: each invalid cell takes the weights of its bin's last
     # valid frame, or the reference passthrough where there is none
     last = np.maximum.accumulate(np.where(ok, np.arange(nframes), -1), axis=1)
     k, l = np.nonzero(~ok & (last >= 0))
-    num[:, k, l] = num[:, k, last[k, l]]
-    passthrough = np.zeros(m, dtype=np.complex128)
-    passthrough[rtf.ref_channel] = 1.0
-    num[:, last < 0] = passthrough[:, None]
+    num[k, :, l] = num[k, :, last[k, l]]
+    k, l = np.nonzero(last < 0)
+    num[k, :, l] = np.eye(m)[rtf.ref_channel]
     return BeamformerWeights(num)
 
 
 def apply(weights: BeamformerWeights, spec: ComplexSpectrogram) -> ComplexSpectrogram:
     """Filter-and-sum: s_hat(l,k) = w^H(l,k) y(l,k); weights with one frame
     apply to every frame."""
-    m, nbins, nframes = weights.values.shape
-    if (m, nbins) != spec.data.shape[:2] or nframes not in (1, spec.num_frames):
+    nbins, m, nframes = weights.values.shape
+    if (nbins, m) != spec.data.shape[:2] or nframes not in (1, spec.num_frames):
         raise BeamformerError(
             f"weights shape {weights.values.shape} != spectrogram {spec.data.shape}"
         )
-    out = np.einsum("mkl,mkl->kl", weights.values.conj(), spec.data)
-    return ComplexSpectrogram(out[None, :, :], spec.config)
+    out = np.einsum("kml,kml->kl", weights.values.conj(), spec.data)
+    return ComplexSpectrogram(out[:, None, :], spec.config)
 
 
 def narrowband_beampattern(
     weights: BeamformerWeights,
     positions_m: np.ndarray,
     config: StftConfig,
-    angles_deg: np.ndarray | None = None,
+    angles_deg: np.ndarray,
 ) -> BeampatternGrid:
     """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the angle grid, and
     the wideband P(theta, l) = sum_k |B|^2, both filled one bin at a time."""
-    if angles_deg is None:
-        angles_deg = np.arange(-90.0, 91.0, 1.0)
     angles_deg = np.asarray(angles_deg, dtype=np.float64)
     x = np.asarray(positions_m, dtype=np.float64)
-    m, nbins, nframes = weights.values.shape
+    nbins, m, nframes = weights.values.shape
     if x.shape != (m,):
         raise BeamformerError("geometry length must equal channel count")
     if nbins != config.num_bins:
@@ -123,7 +120,7 @@ def narrowband_beampattern(
 
     tau = (x - x[0])[None, :] / SPEED_OF_SOUND * np.sin(np.deg2rad(angles_deg))[:, None]
     h = np.exp(-2j * np.pi * config.bin_frequencies_hz()[:, None, None] * tau)  # (F, T, M)
-    w = weights.values.conj().transpose(1, 0, 2)  # (F, M, L)
+    w = weights.values.conj()
     b = np.empty((nbins, angles_deg.size, nframes))
     wide = np.zeros((angles_deg.size, nframes))
     for k in range(nbins):

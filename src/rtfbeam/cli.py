@@ -171,7 +171,7 @@ def cmd_estimate_rtf(args) -> int:
     mse_rows = []
     for side, traj in trajs.items():
         full = rtf.RtfTrajectory(np.broadcast_to(traj.values, shape), traj.ref_channel,
-                                 np.broadcast_to(traj.valid, shape[1:]))
+                                 np.broadcast_to(traj.valid, (shape[0], shape[2])))
         _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", full, bundle.config)
         truth_traj = bundle.truth.rtf_left if side == "left" else bundle.truth.rtf_right
         mse = rtf.rtf_mse(traj, truth_traj)

@@ -8,8 +8,8 @@ Phi_nn^{-1/2}, +1/2 for its de-whitening inverse and -1 for the MVDR
 inverse. Phi_nn is therefore decomposed once per bundle.
 
 The per-bin products (the covariances, the whitened frames and the whitened
-mixture covariance) are batched ``np.matmul`` over (F, M, .) views of the
-(M, F, L) spectrogram, one BLAS call per product.
+mixture covariance) are batched ``np.matmul`` over the bin-major (F, M, L)
+spectrogram as it is stored, one BLAS call per product.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ class HermitianMatrixField:
         self.matrices = np.asarray(self.matrices, dtype=np.complex128)
         if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
             raise CovarianceError("field must have shape (F, M, M)")
-
-    @property
-    def num_bins(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.matrices.shape[1]
 
     def hermitian_defect(self) -> float:
         return float(
@@ -78,11 +70,10 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def _frame_outer_average(spec: ComplexSpectrogram, frames: slice) -> HermitianMatrixField:
-    y = spec.data[:, :, frames]  # (M, F, Lsel)
+    y = spec.data[:, :, frames]  # (F, M, Lsel)
     if y.shape[2] == 0:
         raise CovarianceError("empty frame range")
-    yk = y.transpose(1, 0, 2)  # (F, M, Lsel)
-    phi = (yk @ yk.conj().transpose(0, 2, 1)) / y.shape[2]
+    phi = (y @ y.conj().transpose(0, 2, 1)) / y.shape[2]
     return HermitianMatrixField(_hermitize(phi))
 
 
@@ -148,17 +139,13 @@ def sqrt_pair(
 
 
 def whiten(spec: ComplexSpectrogram, w: HermitianMatrixField) -> ComplexSpectrogram:
-    """Apply the per-bin whitening matrix: y_w(l,k) = W(k) y(l,k).
-
-    The result's data is the (M, F, L) transposed view of an (F, M, L) array.
-    """
-    if w.num_bins != spec.num_bins or w.num_channels != spec.num_channels:
+    """Apply the per-bin whitening matrix: y_w(l,k) = W(k) y(l,k); the
+    result's data is a contiguous (F, M, L) array."""
+    if w.matrices.shape[:2] != spec.data.shape[:2]:  # both lead with (F, M)
         raise CovarianceError(
-            f"whitener shape {w.matrices.shape} does not match spectrogram "
-            f"({spec.num_channels} ch, {spec.num_bins} bins)"
+            f"whitener shape {w.matrices.shape} does not match spectrogram {spec.data.shape}"
         )
-    out = w.matrices @ spec.data.transpose(1, 0, 2)  # (F, M, L)
-    return ComplexSpectrogram(out.transpose(1, 0, 2), spec.config)
+    return ComplexSpectrogram(w.matrices @ spec.data, spec.config)
 
 
 def whitened_mixture_covariance(

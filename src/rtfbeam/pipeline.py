@@ -16,6 +16,10 @@ import numpy as np
 from . import beamformer, covariance, metrics, rtf, simulator, stft
 
 METHODS = ("cw-batch", "past", "oracle", "none")
+# a reference mic with at most this share of the median mic's noise-only
+# power is dead: on 16 clean scenes (seeds 0-7, static and moving, 10 dB)
+# every mic lies within 0.965-1.054 of the median, a zeroed one at exactly 0
+DEAD_MIC_POWER_RATIO = 0.01
 
 
 @dataclass
@@ -73,7 +77,17 @@ def noise_stats(
     noise_frames: int,
     loading: float = covariance.DEFAULT_LOADING,
 ) -> NoiseStats:
+    """Phi_nn of the first `noise_frames` frames, decomposed once. A dead
+    reference mic, which MVDR would take for a noise-free one, raises
+    CovarianceError naming the mic and its side."""
     phi_nn = covariance.estimate_noise_covariance(mix_spec, noise_frames)
+    power = phi_nn.matrices.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # per mic
+    median = np.median(power)
+    for side, ref in (("left", 0), ("right", power.size - 1)):
+        if power[ref] <= DEAD_MIC_POWER_RATIO * median:
+            raise covariance.CovarianceError(
+                f"reference mic {ref} ({side} side) is dead: its noise-only power is "
+                f"{power[ref]:.3g}, the median mic's {median:.3g}")
     evd = covariance.hermitian_evd(phi_nn)
     sqrt_nn, invsqrt_nn = covariance.sqrt_pair(evd, loading)
     return NoiseStats(evd, sqrt_nn, invsqrt_nn)
@@ -96,13 +110,13 @@ def estimate_trajectory(
     and its whitened EVD for 'cw-batch') is done once. The frame-invariant
     'cw-batch' and 'none' trajectories have one frame (`rtf.RtfTrajectory`).
     """
-    m, nbins, _ = mix_spec.data.shape
+    nbins, m, _ = mix_spec.data.shape
     refs = {side: {"left": 0, "right": m - 1}[side] for side in sides}
     if method == "none":
         out = {}
         for side, ref in refs.items():
-            values = np.zeros((m, nbins, 1), dtype=np.complex128)
-            values[ref] = 1.0
+            values = np.zeros((nbins, m, 1), dtype=np.complex128)
+            values[:, ref] = 1.0
             out[side] = rtf.RtfTrajectory(values, ref)
         return out
     if method == "oracle":

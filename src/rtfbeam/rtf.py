@@ -10,15 +10,17 @@ tracker's start frame, or in the Nyquist bin. Every invalid cell holds the
 trivial RTF e_ref; no estimator carries an earlier value forward, as the
 MVDR weights hold their own (``beamformer.mvdr_weights``).
 
-A trajectory whose RTF does not change over frames (CW, and the trivial
-'none' trajectory) keeps a frame axis of length L' = 1 instead of L copies
-of one frame. Every consumer broadcasts that axis as numpy does: the MVDR
+Trajectories are bin-major, (F, M, L'), like the spectrogram. One whose RTF
+does not change over frames (CW, and the trivial 'none' trajectory) keeps a
+frame axis of length L' = 1 instead of L copies of one frame. Every
+consumer broadcasts that axis as numpy does: the MVDR
 weights are then solved once per bin, and `rtf_mse` scores the one frame
 against every frame of the truth.
 
 The reference channel enters only at that normalization, apart from the
 PAST start vector e_ref, and it is the trajectory's only side label: mic 0
-is the left ear, any other the right.
+is the left ear, any other the right. The ``.rtfb`` file stays (M, F, L);
+only `save_trajectory` and `load_trajectory` convert.
 """
 
 from __future__ import annotations
@@ -85,46 +87,46 @@ def past_step(
 
 @dataclass
 class RtfTrajectory:
-    """Per-bin, per-frame RTF estimates, shape (M, F, L'), with validity mask.
+    """Per-bin, per-frame RTF estimates, shape (F, M, L'), with validity mask.
 
     L' is the frame count L, or 1 for an RTF that is the same in every
     frame; the one frame then stands for all L of them.
     """
 
-    values: np.ndarray  # complex (M, F, L')
+    values: np.ndarray  # complex (F, M, L')
     ref_channel: int
     valid: np.ndarray = field(default=None)  # bool (F, L')
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 3:
-            raise RtfError("trajectory values must have shape (M, F, L)")
+            raise RtfError("trajectory values must have shape (F, M, L)")
+        nbins, _, nframes = self.values.shape
         if self.valid is None:
-            self.valid = np.ones(self.values.shape[1:], dtype=bool)
+            self.valid = np.ones((nbins, nframes), dtype=bool)
         else:
             self.valid = np.asarray(self.valid, dtype=bool)
-            if self.valid.shape != self.values.shape[1:]:
+            if self.valid.shape != (nbins, nframes):
                 raise RtfError("valid mask shape must be (F, L)")
 
 
 def _trajectory(b: np.ndarray, ref: int, start: int, num_frames: int) -> RtfTrajectory:
-    """Finish de-whitened principal vectors b, shape (F, L', M), into the
-    reference-normalized (M, F, num_frames) trajectory of either estimator.
+    """Finish de-whitened principal vectors b, shape (F, M, L'), into the
+    reference-normalized (F, M, num_frames) trajectory of either estimator.
     b covers frames start..num_frames-1: one vector per frame (PAST), or
     one vector per bin for the one frame of a frame-invariant (CW) trajectory.
 
     A cell is valid where its reference entry is clear of the null, from
     `start` on and outside the Nyquist bin; every other cell holds e_ref.
     """
-    nbins, _, m = b.shape
-    den = b[..., ref]
+    nbins, m, _ = b.shape
+    den = b[:, ref]
     mag = np.abs(den)
-    ok = (mag >= DENOM_TOL) & (mag >= REF_NULL_REL_TOL * np.linalg.norm(b, axis=-1))
+    ok = (mag >= DENOM_TOL) & (mag >= REF_NULL_REL_TOL * np.linalg.norm(b, axis=1))
     ok[-1] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
-    a = np.divide(b, den[..., None], out=np.zeros_like(b), where=ok[..., None])
-    values = np.zeros((m, nbins, num_frames), dtype=np.complex128)
-    values[:, :, start:] = a.transpose(2, 0, 1)
-    values[ref] = 1.0  # exact, not just within rounding
+    values = np.zeros((nbins, m, num_frames), dtype=np.complex128)
+    np.divide(b, den[:, None], out=values[:, :, start:], where=ok[:, None])
+    values[:, ref] = 1.0  # exact, not just within rounding
     valid = np.zeros((nbins, num_frames), dtype=bool)
     valid[:, start:] = ok
     return RtfTrajectory(values, ref, valid)
@@ -148,7 +150,7 @@ def cw_trajectory(
     """
     _check_ref_channel(ref_channel, principal.shape[1])
     b = phi_nn_sqrt.matrices @ principal[:, :, None]  # (F, M, 1)
-    return _trajectory(b.transpose(0, 2, 1), ref_channel, 0, 1)
+    return _trajectory(b, ref_channel, 0, 1)
 
 
 def track_rtf_past(
@@ -156,12 +158,11 @@ def track_rtf_past(
     phi_nn_sqrt: HermitianMatrixField,
     ref_channel: int,
     beta: float = DEFAULT_BETA,
-    delta0: float = 1.0,
     start_frame: int = 0,
 ) -> RtfTrajectory:
     """Run one PAST tracker per bin over the whitened frames from
-    `start_frame` on, starting from psi = e_ref, and de-whiten every tracked
-    eigenvector into a reference-normalized RTF with `_trajectory`.
+    `start_frame` on, from psi = e_ref and delta = 1, and de-whiten every
+    tracked eigenvector into a reference-normalized RTF with `_trajectory`.
 
     Causal: frame l depends only on frames <= l. Frames before
     `start_frame`, and cells whose normalization fails, are invalid and hold
@@ -169,31 +170,30 @@ def track_rtf_past(
     """
     if not (0.0 < beta <= 1.0):
         raise RtfError(f"beta must be in (0, 1], got {beta}")
-    if delta0 <= 0.0:
-        raise RtfError("delta0 must be positive")
-    m, nbins, nframes = spec_whitened.data.shape
+    nbins, m, nframes = spec_whitened.data.shape
     _check_ref_channel(ref_channel, m)
-    frames = np.ascontiguousarray(spec_whitened.data.transpose(2, 1, 0))  # (L, F, M)
+    # one contiguous (F, M) block per step of the recursion
+    frames = np.ascontiguousarray(spec_whitened.data.transpose(2, 0, 1))  # (L, F, M)
     if not np.all(np.isfinite(frames)):
         raise RtfError("non-finite whitened input to track_rtf_past")
 
     start = min(max(start_frame, 0), nframes)
     psi = np.zeros((nbins, m), dtype=np.complex128)
     psi[:, ref_channel] = 1.0
-    delta = np.full(nbins, float(delta0))
-    tracked = np.empty((nframes - start, nbins, m), dtype=np.complex128)
+    delta = np.ones(nbins)
+    tracked = np.empty((nbins, m, nframes - start), dtype=np.complex128)
     for l in range(start, nframes):
         psi, delta = past_step(psi, delta, frames[l], beta)
-        tracked[l - start] = psi
+        tracked[:, :, l - start] = psi
 
-    # de-whiten every frame at once: b[k, l] = Phi_nn^{1/2}(k) psi[l, k]
-    b = np.matmul(tracked.transpose(1, 0, 2), phi_nn_sqrt.matrices.transpose(0, 2, 1))
+    # de-whiten every frame at once: b[k, :, l] = Phi_nn^{1/2}(k) psi[l, k]
+    b = phi_nn_sqrt.matrices @ tracked
     return _trajectory(b, ref_channel, start, nframes)
 
 
 def _norm2(values: np.ndarray) -> np.ndarray:
-    """Squared norm over the channel axis of complex (M, F, L) values."""
-    return np.sum(values.real ** 2 + values.imag ** 2, axis=0)
+    """Squared norm over the channel axis of complex (F, M, L) values."""
+    return np.sum(values.real ** 2 + values.imag ** 2, axis=1)
 
 
 def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
@@ -221,14 +221,15 @@ def save_trajectory(fh, traj: RtfTrajectory, config: StftConfig) -> None:
     """Write to the binary file object `fh`. Layout (little endian): magic
     'RTFB', u32 version, u32 M, F, L, u32 ref_channel, u8 side (0=left for
     ref_channel 0, else 1=right), u32 sample_rate, window_len, hop; then
-    F*L u8 validity mask, then (M, F, L) row-major complex64."""
-    m, f, l = traj.values.shape
+    F*L u8 validity mask, then (M, F, L) row-major complex64, converted
+    here from the (F, M, L) values."""
+    f, m, l = traj.values.shape
     fh.write(_HEADER.pack(
         _MAGIC, _VERSION, m, f, l, traj.ref_channel, int(traj.ref_channel != 0),
         config.sample_rate_hz, config.window_len, config.hop,
     ))
     fh.write(traj.valid.astype(np.uint8).tobytes())
-    fh.write(traj.values.astype(np.complex64).tobytes())
+    fh.write(traj.values.transpose(1, 0, 2).astype(np.complex64).tobytes())
 
 
 def load_trajectory(path) -> tuple[RtfTrajectory, dict]:
@@ -251,5 +252,6 @@ def load_trajectory(path) -> tuple[RtfTrajectory, dict]:
         raise RtfError(f"{path}: {len(data)} bytes, expected {size} for M={m}, F={f}, L={l}")
     valid = np.frombuffer(data, np.uint8, f * l, _HEADER.size).reshape(f, l).astype(bool)
     values = np.frombuffer(data, np.complex64, offset=mask_end).reshape(m, f, l)
+    values = values.transpose(1, 0, 2).astype(np.complex128, order="C")  # (F, M, L)
     meta = {"sample_rate_hz": rate, "window_len": wlen, "hop": hop}
-    return RtfTrajectory(values.astype(np.complex128), ref, valid), meta
+    return RtfTrajectory(values, ref, valid), meta

@@ -301,15 +301,13 @@ def _analytic_rtf(
 ) -> RtfTrajectory:
     mics = scenario.mic_positions()
     pos = scenario.source_position(frame_times)  # (L, 3)
-    dists = np.linalg.norm(pos[:, None, :] - mics[None, :, :], axis=2)  # (L, M)
+    dists = np.linalg.norm(mics[:, None, :] - pos[None, :, :], axis=2)  # (M, L)
     tau = dists / SPEED_OF_SOUND
     freqs = config.bin_frequencies_hz()  # (F,)
-    dtau = tau - tau[:, ref_channel : ref_channel + 1]
-    gains = dists[:, ref_channel : ref_channel + 1] / dists
-    # (M, L) copies, so the (M, F, L) product comes out in C order
-    gains, dtau = np.ascontiguousarray(gains.T), np.ascontiguousarray(dtau.T)
-    # a_m(k, l) = exp(-j 2 pi f_k (tau_m - tau_ref)) * d_ref / d_m
-    values = gains[:, None, :] * np.exp(-2j * np.pi * freqs[None, :, None] * dtau[:, None, :])
+    dtau = tau - tau[ref_channel]
+    gains = dists[ref_channel] / dists
+    # a_m(k, l) = exp(-j 2 pi f_k (tau_m - tau_ref)) * d_ref / d_m, (F, M, L)
+    values = gains * np.exp(-2j * np.pi * freqs[:, None, None] * dtau)
     return RtfTrajectory(values, ref_channel)
 
 

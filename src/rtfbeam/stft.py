@@ -3,7 +3,9 @@
 Frames are laid out without centering or zero padding: frame l covers
 samples [l*hop, l*hop + window_len), so L = 1 + (N - window_len)//hop.
 Synthesis uses the dual window w_a / sum_shifts(w_a^2), which gives perfect
-reconstruction on the fully-overlapped interior for any NOLA window.
+reconstruction on the fully-overlapped interior for any NOLA window. The
+spectrogram is bin-major, (F, M, L), the layout of every per-bin product
+downstream; `analyze` has the rfft write its output into that layout.
 """
 
 from __future__ import annotations
@@ -71,27 +73,23 @@ class StftConfig:
 
 @dataclass
 class ComplexSpectrogram:
-    """Complex STFT tensor indexed (channel m, frequency bin k, frame l)."""
+    """Complex STFT tensor indexed (frequency bin k, channel m, frame l)."""
 
-    data: np.ndarray  # complex, shape (M, F, L)
+    data: np.ndarray  # complex, shape (F, M, L)
     config: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 3:
-            raise StftError("spectrogram data must have shape (M, F, L)")
-        if self.data.shape[1] != self.config.num_bins:
+            raise StftError("spectrogram data must have shape (F, M, L)")
+        if self.data.shape[0] != self.config.num_bins:
             raise StftError(
-                f"bin count {self.data.shape[1]} does not match config "
+                f"bin count {self.data.shape[0]} does not match config "
                 f"({self.config.num_bins})"
             )
 
     @property
     def num_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_bins(self) -> int:
         return self.data.shape[1]
 
     @property
@@ -100,7 +98,7 @@ class ComplexSpectrogram:
 
 
 def analyze(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
-    """STFT of a (M, N) or (N,) real signal; returns one-sided spectra."""
+    """STFT of a (M, N) or (N,) real signal; returns (F, M, L) one-sided spectra."""
     x = np.atleast_2d(np.asarray(signal, dtype=np.float64))
     if x.ndim != 2:
         raise StftError("signal must be 1-D or 2-D (channels, samples)")
@@ -113,8 +111,10 @@ def analyze(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
 
     frames = np.lib.stride_tricks.sliding_window_view(x, wlen, axis=1)
     frames = frames[:, :: hop, :][:, :num_frames, :]  # (M, L, W)
-    spec = np.fft.rfft(frames * win, axis=-1)  # (M, L, F)
-    return ComplexSpectrogram(np.ascontiguousarray(spec.transpose(0, 2, 1)), config)
+    spec = np.empty((config.num_bins, x.shape[0], num_frames), dtype=np.complex128)
+    # the rfft writes each frame's spectrum straight into its (F, M, L) place
+    np.fft.rfft(frames * win, axis=-1, out=spec.transpose(1, 2, 0))
+    return ComplexSpectrogram(spec, config)
 
 
 def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
@@ -130,11 +130,11 @@ def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
         raise StftError("window/hop pair violates NOLA; cannot invert")
     syn_win = win / norm
 
-    frames = np.fft.irfft(spec.data[0].T, n=wlen, axis=-1)  # (L, W)
-    frames *= syn_win
+    frames = np.fft.irfft(spec.data[:, 0], n=wlen, axis=0)  # (W, L)
+    frames *= syn_win[:, None]
     out = np.zeros((num_frames - 1) * hop + wlen)
     for l in range(num_frames):
-        out[l * hop : l * hop + wlen] += frames[l]
+        out[l * hop : l * hop + wlen] += frames[:, l]
     return out
 
 

@@ -57,7 +57,7 @@ def layouts(x, pad=3):
     """`x` in three memory layouts with equal values: contiguous, as the
     slice [..., pad:] of an array wider in its last axis (a frame slice of
     a spectrogram), and as the swapped view of an array with its first two
-    axes swapped (whiten's (M, F, L) view of an (F, M, L) array)."""
+    axes swapped (the (F, M, L) view of a channel-major (M, F, L) array)."""
     wide = np.concatenate([np.zeros(x.shape[:-1] + (pad,), x.dtype), x], axis=-1)
     swapped = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 0, 1)), 0, 1)
     return dict(zip(LAYOUTS, (x, wide[..., pad:], swapped)))

@@ -74,7 +74,7 @@ def test_acceptance_3_distortionless_constraint(capsys, moving_bundle):
     trajs = pipeline.estimate_trajectory(spec, stats, moving_bundle.noise_frames, "past")
     for traj in trajs.values():
         w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
-        dots = np.einsum("mkl,mkl->kl", w.values.conj(), traj.values)
+        dots = np.einsum("kml,kml->kl", w.values.conj(), traj.values)
         worst = max(worst, float(np.max(np.abs(dots[traj.valid] - 1.0))))
     ok = worst < 1e-8
     _report(capsys, "3 (distortionless)", ok, f"max |w^H a - 1| {worst:.2e}")

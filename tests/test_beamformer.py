@@ -22,19 +22,19 @@ def _small_cfg():
 
 def test_mvdr_identity_covariance_closed_form():
     a = np.array([1.0, 0.5], dtype=complex)
-    traj = _traj(np.tile(a[:, None, None], (1, 1, 1)))
+    traj = _traj(np.tile(a[None, :, None], (1, 1, 1)))
     w = beamformer.mvdr_weights(traj, _noise_evd(np.eye(2, dtype=complex)), 0.0)
-    np.testing.assert_allclose(w.values[:, 0, 0], [0.8, 0.4], atol=1e-12)
-    assert abs(np.vdot(w.values[:, 0, 0], a) - 1.0) < 1e-12
+    np.testing.assert_allclose(w.values[0, :, 0], [0.8, 0.4], atol=1e-12)
+    assert abs(np.vdot(w.values[0, :, 0], a) - 1.0) < 1e-12
 
 
 def test_mvdr_reference_passthrough():
-    a = np.zeros((3, 1, 1), dtype=complex)
-    a[1] = 1.0
+    a = np.zeros((1, 3, 1), dtype=complex)
+    a[:, 1] = 1.0
     w = beamformer.mvdr_weights(
         _traj(a, ref=1), _noise_evd(np.diag([2.0, 3.0, 4.0]).astype(complex)), 0.0
     )
-    np.testing.assert_allclose(w.values[:, 0, 0], [0.0, 1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(w.values[0, :, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_mvdr_covariance_scale_invariance():
@@ -42,7 +42,7 @@ def test_mvdr_covariance_scale_invariance():
     phi = random_spd(rng, 3)
     a = random_complex(rng, 3)
     a /= a[0]
-    traj = _traj(a[:, None, None])
+    traj = _traj(a[None, :, None])
     w1 = beamformer.mvdr_weights(traj, _noise_evd(phi), 0.0)
     w2 = beamformer.mvdr_weights(traj, _noise_evd(7.0 * phi), 0.0)
     np.testing.assert_allclose(w1.values, w2.values, atol=1e-10)
@@ -55,7 +55,7 @@ def test_mvdr_optimality_brute_force():
     phi = random_spd(rng, 2)
     a = random_complex(rng, 2)
     a /= a[0]
-    w = beamformer.mvdr_weights(_traj(a[:, None, None]), _noise_evd(phi), 0.0).values[:, 0, 0]
+    w = beamformer.mvdr_weights(_traj(a[None, :, None]), _noise_evd(phi), 0.0).values[0, :, 0]
     p_opt = np.real(np.vdot(w, phi @ w))
     null = np.array([-np.conj(a[1]), np.conj(a[0])])  # null^H a = 0
     for _ in range(200):
@@ -67,23 +67,23 @@ def test_mvdr_optimality_brute_force():
 
 def test_mvdr_invalid_cell_carries_previous_weights():
     rng = np.random.default_rng(2)
-    a = random_complex(rng, 2, 1, 3)
-    a[0] = 1.0
+    a = random_complex(rng, 1, 2, 3)
+    a[:, 0] = 1.0
     valid = np.array([[True, False, True]])
     w = beamformer.mvdr_weights(_traj(a, valid=valid), _noise_evd(np.eye(2, dtype=complex)), 0.0)
-    np.testing.assert_array_equal(w.values[:, 0, 1], w.values[:, 0, 0])
-    assert not np.array_equal(w.values[:, 0, 2], w.values[:, 0, 1])
+    np.testing.assert_array_equal(w.values[0, :, 1], w.values[0, :, 0])
+    assert not np.array_equal(w.values[0, :, 2], w.values[0, :, 1])
 
 
 def test_mvdr_dead_bin_warns_and_passes_through():
     # bin 1 is interior; the last (Nyquist) bin is not counted as dead
-    a = np.ones((2, 3, 2), dtype=complex)
+    a = np.ones((3, 2, 2), dtype=complex)
     valid = np.array([[True, True], [False, False], [True, True]])
     with pytest.warns(UserWarning, match="no valid RTF"):
         w = beamformer.mvdr_weights(
             _traj(a, valid=valid), _noise_evd(*[np.eye(2, dtype=complex)] * 3), 0.0
         )
-    np.testing.assert_array_equal(w.values[:, 1, :], [[1.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(w.values[1], [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_mvdr_hold_matches_a_frame_loop():
@@ -91,8 +91,8 @@ def test_mvdr_hold_matches_a_frame_loop():
     rng = np.random.default_rng(6)
     m, nbins, nframes = 3, 6, 9
     evd = _noise_evd(*(random_spd(rng, m) for _ in range(nbins)))
-    a = random_complex(rng, m, nbins, nframes)
-    a[1] = 1.0
+    a = random_complex(rng, nbins, m, nframes)
+    a[:, 1] = 1.0
     valid = rng.random((nbins, nframes)) < 0.5
     valid[2] = False  # an interior dead bin
     with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
@@ -101,8 +101,8 @@ def test_mvdr_hold_matches_a_frame_loop():
     for k in range(nbins):
         held = np.eye(m)[1]
         for l in range(nframes):
-            held = fresh[:, k, l] if valid[k, l] else held
-            np.testing.assert_array_equal(w[:, k, l], held)
+            held = fresh[k, :, l] if valid[k, l] else held
+            np.testing.assert_array_equal(w[k, :, l], held)
 
 
 def test_mvdr_one_frame_trajectory_matches_its_broadcast():
@@ -111,26 +111,26 @@ def test_mvdr_one_frame_trajectory_matches_its_broadcast():
     rng = np.random.default_rng(7)
     m, nbins, nframes = 4, 5, 6
     evd = _noise_evd(*(random_spd(rng, m) for _ in range(nbins)))
-    a = random_complex(rng, m, nbins, 1)
-    a[0] = 1.0
+    a = random_complex(rng, nbins, m, 1)
+    a[:, 0] = 1.0
     valid = np.array([[True], [False], [True], [True], [False]])
     one = _traj(a, valid=valid)
-    full = _traj(np.broadcast_to(a, (m, nbins, nframes)),
+    full = _traj(np.broadcast_to(a, (nbins, m, nframes)),
                  valid=np.broadcast_to(valid, (nbins, nframes)))
     with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
         w1 = beamformer.mvdr_weights(one, evd)
     with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
         wl = beamformer.mvdr_weights(full, evd)
-    assert w1.values.shape == (m, nbins, 1)
+    assert w1.values.shape == (nbins, m, 1)
     assert_matches_reference(np.broadcast_to(w1.values, wl.values.shape), wl.values)
-    spec = stft.ComplexSpectrogram(random_complex(rng, m, nbins, nframes),
+    spec = stft.ComplexSpectrogram(random_complex(rng, nbins, m, nframes),
                                    stft.StftConfig(window_len=8, hop=4))
     assert_matches_reference(beamformer.apply(w1, spec).data,
                              beamformer.apply(wl, spec).data)
 
 
 def test_mvdr_shape_mismatch():
-    a = np.ones((2, 3, 1), dtype=complex)
+    a = np.ones((3, 2, 1), dtype=complex)
     with pytest.raises(beamformer.BeamformerError):
         beamformer.mvdr_weights(_traj(a), _noise_evd(np.eye(2, dtype=complex)), 0.0)
 
@@ -141,13 +141,13 @@ def test_mvdr_numerator_matches_einsum_reference(layout):
     rng = np.random.default_rng(23)
     m, nbins, nframes = 4, 5, 6
     evd = _noise_evd(*(random_spd(rng, m) for _ in range(nbins)))
-    a = random_complex(rng, m, nbins, nframes)
-    a[0] = 1.0
+    a = random_complex(rng, nbins, m, nframes)
+    a[:, 0] = 1.0
     w = beamformer.mvdr_weights(_traj(layouts(a)[layout]), evd)
     inv = covariance.loaded_power(evd, -1.0, beamformer.MVDR_LOADING).matrices
-    num = np.einsum("kij,jkl->ikl", inv, a)
-    den = np.einsum("ikl,ikl->kl", a.conj(), num).real
-    assert_matches_reference(w.values, num / den)
+    num = np.einsum("kij,kjl->kil", inv, a)
+    den = np.einsum("kil,kil->kl", a.conj(), num).real
+    assert_matches_reference(w.values, num / den[:, None])
 
 
 def test_distortionless_full_scenario(static_bundle):
@@ -157,7 +157,7 @@ def test_distortionless_full_scenario(static_bundle):
         spec, stats, static_bundle.noise_frames, "cw-batch", sides=("left",)
     )["left"]
     w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
-    dots = np.einsum("mkl,mkl->kl", w.values.conj(), traj.values)
+    dots = np.einsum("kml,kml->kl", w.values.conj(), traj.values)
     assert np.max(np.abs(dots[traj.valid] - 1.0)) < 1e-8
 
 
@@ -167,11 +167,11 @@ def test_distortionless_full_scenario(static_bundle):
 def test_apply_selects_channel():
     rng = np.random.default_rng(3)
     cfg = _small_cfg()
-    y = stft.ComplexSpectrogram(random_complex(rng, 2, 3, 4), cfg)
-    w = np.zeros((2, 3, 4), dtype=complex)
-    w[0] = 1.0
+    y = stft.ComplexSpectrogram(random_complex(rng, 3, 2, 4), cfg)
+    w = np.zeros((3, 2, 4), dtype=complex)
+    w[:, 0] = 1.0
     out = beamformer.apply(beamformer.BeamformerWeights(w), y)
-    np.testing.assert_allclose(out.data[0], y.data[0])
+    np.testing.assert_allclose(out.data[:, 0], y.data[:, 0])
 
 
 def test_apply_noise_free_model_is_exact():
@@ -180,34 +180,34 @@ def test_apply_noise_free_model_is_exact():
     a = random_complex(rng, 3)
     a /= a[0]
     s = random_complex(rng, 3, 5)  # (bins, frames)
-    y = a[:, None, None] * s[None, :, :]
+    y = a[None, :, None] * s[:, None, :]
     cfg = _small_cfg()
-    traj = _traj(np.tile(a[:, None, None], (1, 3, 5)))
+    traj = _traj(np.tile(a[None, :, None], (3, 1, 5)))
     w = beamformer.mvdr_weights(traj, _noise_evd(*[np.eye(3, dtype=complex)] * 3), 0.0)
     out = beamformer.apply(w, stft.ComplexSpectrogram(y, cfg))
-    np.testing.assert_allclose(out.data[0], s, atol=1e-10)
+    np.testing.assert_allclose(out.data[:, 0], s, atol=1e-10)
 
 
 def test_apply_matches_loop_oracle():
     rng = np.random.default_rng(5)
     cfg = _small_cfg()
-    y = random_complex(rng, 4, 3, 6)
-    w = random_complex(rng, 4, 3, 6)
+    y = random_complex(rng, 3, 4, 6)
+    w = random_complex(rng, 3, 4, 6)
     out = beamformer.apply(
         beamformer.BeamformerWeights(w), stft.ComplexSpectrogram(y, cfg)
     )
     for k in range(3):
         for l in range(6):
-            oracle = np.vdot(w[:, k, l], y[:, k, l])
-            assert abs(out.data[0, k, l] - oracle) < 1e-12
+            oracle = np.vdot(w[k, :, l], y[k, :, l])
+            assert abs(out.data[k, 0, l] - oracle) < 1e-12
 
 
 def test_apply_shape_mismatch():
     cfg = _small_cfg()
-    y = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
+    y = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
     with pytest.raises(beamformer.BeamformerError):
         beamformer.apply(
-            beamformer.BeamformerWeights(np.zeros((2, 3, 5), dtype=complex)), y
+            beamformer.BeamformerWeights(np.zeros((3, 2, 5), dtype=complex)), y
         )
 
 
@@ -215,7 +215,7 @@ def test_apply_shape_mismatch():
 def test_apply_one_frame_weights_need_matching_channels_and_bins(shape):
     # one frame broadcasts over the spectrogram's frames, nothing else does
     cfg = _small_cfg()
-    y = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
+    y = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
     with pytest.raises(beamformer.BeamformerError):
         beamformer.apply(beamformer.BeamformerWeights(np.zeros(shape, dtype=complex)), y)
 
@@ -233,7 +233,7 @@ def test_steering_broadside_and_dc_are_ones():
     # the uniform-average beam gives |B| = 1 only where every h_m is equal
     cfg = stft.StftConfig()
     x = np.arange(4) * 0.05
-    average = np.full((4, cfg.num_bins), 0.25, dtype=complex)
+    average = np.full((cfg.num_bins, 4), 0.25, dtype=complex)
     b = _pattern(average, x, cfg, np.array([0.0, 37.0]))
     np.testing.assert_allclose(b[100, 0], 1.0, atol=1e-12)  # broadside
     np.testing.assert_allclose(b[0, 1], 1.0, atol=1e-12)  # DC
@@ -247,8 +247,8 @@ def test_steering_half_wavelength_endfire():
     x = np.array([0.0, d])
     # h = [1, -1]: the matched weights pass it, the uniform average nulls it
     for pair, gain in (([0.5, -0.5], 1.0), ([0.5, 0.5], 0.0)):
-        w = np.zeros((2, cfg.num_bins), dtype=complex)
-        w[:, k] = pair
+        w = np.zeros((cfg.num_bins, 2), dtype=complex)
+        w[k] = pair
         b = _pattern(w, x, cfg, np.array([90.0]))
         np.testing.assert_allclose(b[k, 0], gain, atol=1e-12)
 
@@ -261,7 +261,7 @@ def test_delay_and_sum_beampattern_peaks_at_steered_angle():
     x = np.arange(8) * 0.05
     # delay-and-sum weights h(30 deg)/M per bin, constant over two frames
     tau = x / beamformer.SPEED_OF_SOUND * np.sin(np.deg2rad(30.0))
-    h = np.exp(-2j * np.pi * cfg.bin_frequencies_hz()[None, :] * tau[:, None])
+    h = np.exp(-2j * np.pi * cfg.bin_frequencies_hz()[:, None] * tau[None, :])
     w = beamformer.BeamformerWeights(np.repeat(h[:, :, None] / 8, 2, axis=2))
     angles = np.arange(-90.0, 91.0, 1.0)
     grid = beamformer.narrowband_beampattern(w, x, cfg, angles)
@@ -273,10 +273,10 @@ def test_delay_and_sum_beampattern_peaks_at_steered_angle():
 
 def test_single_mic_weights_are_omnidirectional():
     cfg = stft.StftConfig()
-    w = np.zeros((4, cfg.num_bins, 2), dtype=complex)
-    w[0] = 1.0
+    w = np.zeros((cfg.num_bins, 4, 2), dtype=complex)
+    w[:, 0] = 1.0
     grid = beamformer.narrowband_beampattern(
-        beamformer.BeamformerWeights(w), np.arange(4) * 0.05, cfg
+        beamformer.BeamformerWeights(w), np.arange(4) * 0.05, cfg, np.arange(-90.0, 91.0, 1.0)
     )
     np.testing.assert_allclose(grid.narrowband, 1.0, atol=1e-12)
 
@@ -285,7 +285,7 @@ def test_narrowband_matches_loop_oracle():
     rng = np.random.default_rng(6)
     cfg = _small_cfg()
     x = np.arange(3) * 0.05
-    w = random_complex(rng, 3, cfg.num_bins, 2)
+    w = random_complex(rng, cfg.num_bins, 3, 2)
     angles = np.array([-40.0, 0.0, 65.0])
     grid = beamformer.narrowband_beampattern(
         beamformer.BeamformerWeights(w), x, cfg, angles
@@ -296,7 +296,7 @@ def test_narrowband_matches_loop_oracle():
             tau = x / beamformer.SPEED_OF_SOUND * np.sin(np.deg2rad(theta))
             h = np.exp(-2j * np.pi * freqs[k] * tau)
             for l in range(2):
-                oracle = abs(np.vdot(w[:, k, l], h))
+                oracle = abs(np.vdot(w[k, :, l], h))
                 assert abs(grid.narrowband[k, ti, l] - oracle) < 1e-12
 
 
@@ -306,7 +306,7 @@ def test_wideband_recompute_and_examples():
     cfg = _small_cfg()
     x = np.arange(3) * 0.05
     angles = np.array([-10.0, 0.0, 10.0])
-    w = random_complex(rng, 3, cfg.num_bins, 2)
+    w = random_complex(rng, cfg.num_bins, 3, 2)
     grid = beamformer.narrowband_beampattern(
         beamformer.BeamformerWeights(w), x, cfg, angles
     )
@@ -316,16 +316,16 @@ def test_wideband_recompute_and_examples():
     np.testing.assert_allclose(grid.wideband, oracle, rtol=1e-12)
 
     # single nonzero bin -> P = |B|^2 at that bin
-    w1 = np.zeros((3, cfg.num_bins, 2), dtype=complex)
-    w1[0, 2] = 0.5
+    w1 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
+    w1[2, 0] = 0.5
     out1 = beamformer.narrowband_beampattern(
         beamformer.BeamformerWeights(w1), x, cfg, angles
     )
     np.testing.assert_allclose(out1.wideband, 0.25)
 
     # unit gain in every one of the F bins -> P = F
-    w2 = np.zeros((3, cfg.num_bins, 2), dtype=complex)
-    w2[0] = 1.0
+    w2 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
+    w2[:, 0] = 1.0
     out2 = beamformer.narrowband_beampattern(
         beamformer.BeamformerWeights(w2), x, cfg, angles
     )
@@ -337,7 +337,7 @@ def test_mvdr_beampattern_tracks_static_doa(static_bundle):
     stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
     w = beamformer.mvdr_weights(static_bundle.truth.rtf_left, stats.phi_nn_evd)
     grid = beamformer.narrowband_beampattern(
-        w, static_bundle.scenario.mic_axis_offsets(), static_bundle.config
+        w, static_bundle.scenario.mic_axis_offsets(), static_bundle.config, np.arange(-90.0, 91.0, 1.0)
     )
     _, mean_err, _ = metrics.doa_error(grid, static_bundle.truth)
     assert mean_err <= 10.0
@@ -348,16 +348,18 @@ def test_weights_validation():
         beamformer.BeamformerWeights(np.zeros((2, 3), dtype=complex))
     with pytest.raises(beamformer.BeamformerError):
         beamformer.narrowband_beampattern(
-            beamformer.BeamformerWeights(np.zeros((2, 3, 4), dtype=complex)),
+            beamformer.BeamformerWeights(np.zeros((3, 2, 4), dtype=complex)),
             np.arange(3) * 0.05,
             _small_cfg(),
+            np.arange(-90.0, 91.0, 1.0),
         )
     # 2 bins against the config's 3
     with pytest.raises(beamformer.BeamformerError):
         beamformer.narrowband_beampattern(
-            beamformer.BeamformerWeights(np.zeros((3, 2, 4), dtype=complex)),
+            beamformer.BeamformerWeights(np.zeros((2, 3, 4), dtype=complex)),
             np.arange(3) * 0.05,
             _small_cfg(),
+            np.arange(-90.0, 91.0, 1.0),
         )
 
 

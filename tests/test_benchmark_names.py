@@ -54,7 +54,7 @@ def test_dead_bin_warning_matches_the_benchmark_pattern():
     m, nbins, nframes = 3, 4, 2
     valid = np.ones((nbins, nframes), dtype=bool)
     valid[1] = False  # one bin with no valid RTF
-    traj = rtf.RtfTrajectory(np.ones((m, nbins, nframes), dtype=complex), 0, valid=valid)
+    traj = rtf.RtfTrajectory(np.ones((nbins, m, nframes), dtype=complex), 0, valid=valid)
     evd = covariance.hermitian_evd(
         covariance.HermitianMatrixField(np.repeat(np.eye(m)[None], nbins, axis=0))
     )

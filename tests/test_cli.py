@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -169,6 +170,19 @@ def test_beamform_on_a_cut_trajectory_file_names_it(tmp_path, static_bundle, cap
     rc = cli.main(["beamform", "--bundle", str(out), "--results", str(tmp_path / "r.csv")])
     assert rc == cli.EXIT_RUNTIME
     assert capsys.readouterr().err.startswith(f"error: {path}: 1000 bytes")
+
+
+def test_beamform_on_a_dead_reference_mic_names_it(tmp_path, static_bundle, capsys):
+    mixture = static_bundle.mixture.copy()
+    mixture[0] = 0.0
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, dataclasses.replace(static_bundle, mixture=mixture))
+    results = tmp_path / "r.csv"
+    capsys.readouterr()
+    rc = cli.main(["beamform", "--bundle", str(out), "--results", str(results)])
+    assert rc == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: reference mic 0 (left side) is dead")
+    assert not results.exists() and not (out / "enhanced_left.wav").exists()
 
 
 def test_a_lead_silence_shorter_than_a_window_needs_noise_frames(

@@ -8,7 +8,7 @@ from rtfbeam import covariance, stft
 
 
 def _spec(data):
-    m, nbins, nframes = data.shape
+    nbins, m, nframes = data.shape
     cfg = stft.StftConfig(window_len=2 * (nbins - 1), hop=nbins - 1)
     return stft.ComplexSpectrogram(data, cfg)
 
@@ -22,7 +22,7 @@ def _field(*matrices):
 
 def test_noise_covariance_single_frame_rank_one():
     y = np.zeros((2, 2, 1), dtype=complex)
-    y[0, :, 0] = 1.0  # y = e_0 in both bins
+    y[:, 0, 0] = 1.0  # y = e_0 in both bins
     phi = covariance.estimate_noise_covariance(_spec(y), 1)
     expected = np.zeros((2, 2), dtype=complex)
     expected[0, 0] = 1.0
@@ -31,15 +31,15 @@ def test_noise_covariance_single_frame_rank_one():
 
 def test_noise_covariance_two_frames_hand_sum():
     y = np.zeros((2, 2, 2), dtype=complex)
-    y[0, :, 0] = 1.0  # frame 0: [1, 0]
-    y[1, :, 1] = 1.0  # frame 1: [0, 1]
+    y[:, 0, 0] = 1.0  # frame 0: [1, 0]
+    y[:, 1, 1] = 1.0  # frame 1: [0, 1]
     phi = covariance.estimate_noise_covariance(_spec(y), 2)
     np.testing.assert_allclose(phi.matrices[0], np.diag([0.5, 0.5]), atol=1e-15)
 
 
 def test_noise_covariance_monte_carlo_identity():
     rng = np.random.default_rng(0)
-    y = random_complex(rng, 3, 2, 10000)
+    y = random_complex(rng, 2, 3, 10000)
     phi = covariance.estimate_noise_covariance(_spec(y), 10000)
     for k in range(2):
         assert np.linalg.norm(phi.matrices[k] - np.eye(3)) < 0.1
@@ -47,21 +47,21 @@ def test_noise_covariance_monte_carlo_identity():
 
 def test_mixture_covariance_mirrors_noise_estimator():
     rng = np.random.default_rng(1)
-    y = random_complex(rng, 3, 2, 40)
+    y = random_complex(rng, 2, 3, 40)
     spec = _spec(y)
     phi_mix = covariance.estimate_mixture_covariance(spec, 10)
-    oracle = np.einsum("ikl,jkl->kij", y[:, :, 10:], y[:, :, 10:].conj()) / 30
+    oracle = np.einsum("kil,kjl->kij", y[:, :, 10:], y[:, :, 10:].conj()) / 30
     np.testing.assert_allclose(phi_mix.matrices, oracle, atol=1e-12)
     # single trailing frame reduces to the rank-one outer product
     phi_one = covariance.estimate_mixture_covariance(spec, 39)
     np.testing.assert_allclose(
-        phi_one.matrices[0], np.outer(y[:, 0, 39], y[:, 0, 39].conj()), atol=1e-12
+        phi_one.matrices[0], np.outer(y[0, :, 39], y[0, :, 39].conj()), atol=1e-12
     )
 
 
 def test_estimators_exactly_hermitian():
     rng = np.random.default_rng(2)
-    y = random_complex(rng, 4, 3, 50)
+    y = random_complex(rng, 3, 4, 50)
     phi = covariance.estimate_noise_covariance(_spec(y), 50)
     assert phi.hermitian_defect() == 0.0
 
@@ -208,7 +208,7 @@ def test_sqrt_pair_consistency():
 
 def test_whiten_identity_and_scalar():
     rng = np.random.default_rng(8)
-    y = random_complex(rng, 3, 2, 6)
+    y = random_complex(rng, 2, 3, 6)
     spec = _spec(y)
     eye = covariance.HermitianMatrixField(
         np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)).copy()
@@ -220,7 +220,7 @@ def test_whiten_identity_and_scalar():
 
 def test_whiten_shape_mismatch():
     rng = np.random.default_rng(9)
-    spec = _spec(random_complex(rng, 3, 2, 6))
+    spec = _spec(random_complex(rng, 2, 3, 6))
     eye = covariance.HermitianMatrixField(
         np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)).copy()
     )
@@ -233,7 +233,7 @@ def test_whitening_stationary_noise_monte_carlo():
     # the empirical covariance of the output must approach the identity
     rng = np.random.default_rng(10)
     mix = random_complex(rng, 3, 3)
-    y = np.einsum("ij,jkl->ikl", mix, random_complex(rng, 3, 2, 5000))
+    y = np.einsum("ij,kjl->kil", mix, random_complex(rng, 2, 3, 5000))
     spec = _spec(y)
     phi = covariance.estimate_noise_covariance(spec, 5000)
     w = _power(phi, -0.5)
@@ -266,25 +266,25 @@ def test_whitened_mixture_covariance_formula():
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_covariance_estimators_match_einsum_reference(layout):
     rng = np.random.default_rng(20)
-    y = random_complex(rng, 4, 5, 30)
+    y = random_complex(rng, 5, 4, 30)
     spec = _spec(layouts(y)[layout])
     ln = 12
     for phi, frames in ((covariance.estimate_noise_covariance(spec, ln), y[:, :, :ln]),
                         (covariance.estimate_mixture_covariance(spec, ln), y[:, :, ln:])):
-        ref = np.einsum("ikl,jkl->kij", frames, frames.conj()) / frames.shape[2]
+        ref = np.einsum("kil,kjl->kij", frames, frames.conj()) / frames.shape[2]
         assert_matches_reference(phi.matrices, ref)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_whiten_matches_einsum_reference(layout):
     rng = np.random.default_rng(21)
-    y = random_complex(rng, 4, 5, 30)
+    y = random_complex(rng, 5, 4, 30)
     w = np.stack([random_spd(rng, 4) for _ in range(5)])
     for w_layout in LAYOUTS:
         out = covariance.whiten(
             _spec(layouts(y)[layout]), covariance.HermitianMatrixField(layouts(w)[w_layout])
         )
-        assert_matches_reference(out.data, np.einsum("kij,jkl->ikl", w, y))
+        assert_matches_reference(out.data, np.einsum("kij,kjl->kil", w, y))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, random_complex
-from rtfbeam import beamformer, covariance, metrics, pipeline, rtf, stft
+from rtfbeam import beamformer, covariance, pipeline, rtf, stft
 
 
 @pytest.mark.parametrize(
@@ -42,12 +42,12 @@ def test_invalid_cells_hold_e_ref_and_never_reach_the_weights(moving_bundle, met
     rng = np.random.default_rng(27)
     _, stats, trajs = pipeline.estimate(moving_bundle, method)
     for traj in trajs.values():
-        m = traj.values.shape[0]
-        bad = ~traj.valid
-        assert bad.any()
-        assert np.all(traj.values[:, bad] == np.eye(m)[traj.ref_channel][:, None])
+        m = traj.values.shape[1]
+        k, l = np.nonzero(~traj.valid)
+        assert k.size
+        assert np.all(traj.values[k, :, l] == np.eye(m)[traj.ref_channel])
         noisy = rtf.RtfTrajectory(traj.values.copy(), traj.ref_channel, traj.valid)
-        noisy.values[:, bad] = random_complex(rng, m, int(bad.sum()))
+        noisy.values[k, :, l] = random_complex(rng, k.size, m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
             weights = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
@@ -56,7 +56,7 @@ def test_invalid_cells_hold_e_ref_and_never_reach_the_weights(moving_bundle, met
 
 
 # ------------------------------------------------------- fault injection
-# seed 3 moving at 10 dB; the outcomes were measured, not designed
+# seed 3 moving at 10 dB; the non-reference outcomes were measured, not designed
 
 
 def _scores(report):
@@ -79,24 +79,20 @@ def test_a_faulty_non_reference_mic_gives_finite_reports(moving_bundle, fault, m
 
 
 @pytest.mark.parametrize("method", pipeline.METHODS)
-def test_a_zeroed_reference_mic(moving_bundle, method):
-    # mic 0 is the left reference: 'none' passes the silent mic through and
-    # the left 'past' weights come out as that passthrough, so both score
-    # the clamp; CW finds no valid left cell, so its MSE raises
-    mixture = moving_bundle.mixture.copy()
-    mixture[0] = 0.0
-    bundle = dataclasses.replace(moving_bundle, mixture=mixture)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if method == "cw-batch":
-            with pytest.raises(rtf.RtfError, match="no valid cells for MSE computation"):
-                pipeline.evaluate_bundle(bundle, method)
-            return
-        report = pipeline.evaluate_bundle(bundle, method)
-    assert np.all(np.isfinite(_scores(report)))
-    assert report.si_sdr_input_left == -metrics.SI_SDR_CLAMP_DB
-    if method in ("past", "none"):
-        assert report.si_sdr_left == -metrics.SI_SDR_CLAMP_DB
+def test_a_zeroed_reference_mic(moving_bundle, monkeypatch, method):
+    # a dead reference mic would look noise-free to MVDR, which would pass
+    # its silence through: the noise statistics refuse it, naming the mic
+    # and its side, before any estimator runs
+    calls = [count_calls(monkeypatch, fn)
+             for fn in (rtf.cw_trajectory, rtf.track_rtf_past, beamformer.mvdr_weights)]
+    for mic, side in ((0, "left"), (moving_bundle.mixture.shape[0] - 1, "right")):
+        mixture = moving_bundle.mixture.copy()
+        mixture[mic] = 0.0
+        bundle = dataclasses.replace(moving_bundle, mixture=mixture)
+        with pytest.raises(covariance.CovarianceError,
+                           match=rf"^reference mic {mic} \({side} side\) is dead"):
+            pipeline.evaluate_bundle(bundle, method)
+    assert [c[0] for c in calls] == [0, 0, 0]
 
 
 def test_a_nan_in_the_mixture_stops_before_any_estimator(moving_bundle, monkeypatch):

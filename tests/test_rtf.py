@@ -37,18 +37,18 @@ def test_past_init_defaults():
     # the tracker starts from psi = e_ref, delta = 1: one frame y = [1, 1]
     # with beta = 1 gives psi = [1, 0.5] from e_0 and [0.5, 1] from e_1
     cfg = stft.StftConfig(window_len=2, hop=2)
-    spec = stft.ComplexSpectrogram(np.ones((2, cfg.num_bins, 1), dtype=complex), cfg)
+    spec = stft.ComplexSpectrogram(np.ones((cfg.num_bins, 2, 1), dtype=complex), cfg)
     for ref, expected in ((0, [1.0, 0.5]), (1, [0.5, 1.0])):
         traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), ref, beta=1.0)
         assert traj.valid[0, 0]
-        np.testing.assert_allclose(traj.values[:, 0, 0], expected, atol=1e-15)
+        np.testing.assert_allclose(traj.values[0, :, 0], expected, atol=1e-15)
 
 
 def test_past_init_rejects_bad_parameters():
-    # the tracker's start parameters: beta in (0, 1] and delta0 > 0
+    # the tracker's start parameter: beta in (0, 1]
     cfg = stft.StftConfig(window_len=4, hop=4)
-    spec = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
-    for kwargs in ({"beta": 0.0}, {"beta": 1.5}, {"delta0": 0.0}):
+    spec = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
+    for kwargs in ({"beta": 0.0}, {"beta": 1.5}):
         with pytest.raises(rtf.RtfError):
             rtf.track_rtf_past(spec, _eye_field(3, 2), 0, **kwargs)
 
@@ -76,8 +76,8 @@ def test_past_update_eigendirection_is_fixed_point():
 def test_past_update_rejects_non_finite():
     # one NaN frame must raise, not silently invalidate every later frame
     cfg = stft.StftConfig(window_len=4, hop=4)
-    y = random_complex(np.random.default_rng(18), 2, cfg.num_bins, 6)
-    y[1, 0, 3] = np.nan
+    y = random_complex(np.random.default_rng(18), cfg.num_bins, 2, 6)
+    y[0, 1, 3] = np.nan
     spec = stft.ComplexSpectrogram(y, cfg)
     with pytest.raises(rtf.RtfError):
         rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), 0)
@@ -104,7 +104,7 @@ def _cw(phi_nn_sqrt, phi_ww, ref):
     phi_nn_sqrt = _field(*phi_nn_sqrt.matrices, phi_nn_sqrt.matrices[-1])
     principal = covariance.hermitian_evd(phi_ww).principal_vectors
     traj = rtf.cw_trajectory(principal, phi_nn_sqrt, ref)
-    return traj.values[:, :-1, 0].T, traj.valid[:-1, 0]
+    return traj.values[:-1, :, 0], traj.valid[:-1, 0]
 
 
 def test_cw_rank_one_plus_identity():
@@ -149,8 +149,8 @@ def _finish(b, ref):
     """The finisher on (N, M) vectors as N bins of one frame; returns their
     (N, M) values and (N,) validity. A copy of the last vector is appended,
     as the finisher flags the last (Nyquist) bin invalid."""
-    traj = rtf._trajectory(np.concatenate([b, b[-1:]])[:, None, :], ref, 0, 1)
-    return traj.values[:, :-1, 0].T, traj.valid[:-1, 0]
+    traj = rtf._trajectory(np.concatenate([b, b[-1:]])[:, :, None], ref, 0, 1)
+    return traj.values[:-1, :, 0], traj.valid[:-1, 0]
 
 
 @settings(deadline=None, max_examples=30)
@@ -186,9 +186,9 @@ def test_cw_dewhitening_matches_einsum_reference(layout):
     b = np.einsum("kij,kj->ki", sqrt_nn, principal)
     ok = traj.valid[:-1, 0]  # the Nyquist bin is flagged by design
     assert ok.all()
-    ref = (b / b[:, m - 1 : m]).T[:, :-1]
-    assert_matches_reference(traj.values[:, :-1, 0], ref)
-    assert traj.values.shape == (m, nbins, 1) and traj.valid.shape == (nbins, 1)
+    ref = (b / b[:, m - 1 : m])[:-1]
+    assert_matches_reference(traj.values[:-1, :, 0], ref)
+    assert traj.values.shape == (nbins, m, 1) and traj.valid.shape == (nbins, 1)
 
 
 def test_cw_ref_channel_out_of_range():
@@ -215,7 +215,7 @@ def _whitened_stream(a, nframes, noise, seed):
     m = a.shape[0]
     s = random_complex(rng, nframes)
     y = a[:, None] * s[None, :] + noise * random_complex(rng, m, nframes)
-    return y[:, None, :]  # (M, 1, L)
+    return y[None, :, :]  # (1, M, L)
 
 
 def test_track_stationary_matches_batch_cw():
@@ -223,7 +223,7 @@ def test_track_stationary_matches_batch_cw():
     a = random_complex(rng, 3)
     a /= a[0]
     cfg = stft.StftConfig(window_len=4, hop=4)
-    y = np.repeat(_whitened_stream(a, 800, 0.05, 0), cfg.num_bins, axis=1)
+    y = np.repeat(_whitened_stream(a, 800, 0.05, 0), cfg.num_bins, axis=0)
     spec = stft.ComplexSpectrogram(y, cfg)
     traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 3), 0, beta=1.0)
 
@@ -231,30 +231,30 @@ def test_track_stationary_matches_batch_cw():
     batch, _ = _cw(_eye_field(cfg.num_bins, 3), phi_ww, 0)
     for k in range(cfg.num_bins - 1):  # Nyquist bin is flagged by design
         assert traj.valid[k, -1]
-        err = np.linalg.norm(traj.values[:, k, -1] - batch[k])
+        err = np.linalg.norm(traj.values[k, :, -1] - batch[k])
         assert err / np.linalg.norm(batch[k]) < 1e-3
 
 
 def test_track_reference_direction_source():
     cfg = stft.StftConfig(window_len=4, hop=4)
     a = np.array([1.0, 0.0, 0.0], dtype=complex)
-    y = np.repeat(_whitened_stream(a, 50, 0.0, 1), cfg.num_bins, axis=1)
+    y = np.repeat(_whitened_stream(a, 50, 0.0, 1), cfg.num_bins, axis=0)
     spec = stft.ComplexSpectrogram(y, cfg)
     traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 3), 0, beta=0.9)
     np.testing.assert_allclose(
-        traj.values[:, 0, -1], [1.0, 0.0, 0.0], atol=1e-12
+        traj.values[0, :, -1], [1.0, 0.0, 0.0], atol=1e-12
     )
 
 
 def test_track_is_causal_and_respects_start_frame():
     rng = np.random.default_rng(14)
     cfg = stft.StftConfig(window_len=4, hop=4)
-    y = random_complex(rng, 2, cfg.num_bins, 20)
+    y = random_complex(rng, cfg.num_bins, 2, 20)
     spec = stft.ComplexSpectrogram(y, cfg)
     traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), 0, 0.9, start_frame=5)
     assert not traj.valid[:, :5].any()
-    np.testing.assert_array_equal(traj.values[0, :, :5], 1.0)
-    np.testing.assert_array_equal(traj.values[1, :, :5], 0.0)
+    np.testing.assert_array_equal(traj.values[:, 0, :5], 1.0)
+    np.testing.assert_array_equal(traj.values[:, 1, :5], 0.0)
 
     # causality: perturbing frame 10 leaves frames < 10 unchanged
     y2 = y.copy()
@@ -272,7 +272,7 @@ def test_track_reference_cells_exactly_one(static_bundle):
     traj = pipeline.estimate_trajectory(
         spec, stats, static_bundle.noise_frames, "past", sides=("left",)
     )["left"]
-    ref_vals = traj.values[0][traj.valid]
+    ref_vals = traj.values[:, 0][traj.valid]
     assert np.all(ref_vals == 1.0 + 0.0j)
 
 
@@ -304,9 +304,7 @@ def test_track_moving_scene_mse(moving_bundle):
 
 def test_track_parameter_validation():
     cfg = stft.StftConfig(window_len=4, hop=4)
-    spec = stft.ComplexSpectrogram(np.zeros((2, 3, 4), dtype=complex), cfg)
-    with pytest.raises(rtf.RtfError):
-        rtf.track_rtf_past(spec, _eye_field(3, 2), 0, delta0=-1.0)
+    spec = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
     with pytest.raises(rtf.RtfError):
         rtf.track_rtf_past(spec, _eye_field(3, 2), 5)
 
@@ -315,19 +313,19 @@ def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
     """The per-frame tracking loop track_rtf_past replaced, kept as its
     reference: step, de-whiten and normalize one frame at a time; a cell
     that fails, and the Nyquist bin, take the trivial RTF e_ref."""
-    m, nbins, nframes = yw.shape
+    nbins, m, nframes = yw.shape
     psi = np.zeros((nbins, m), dtype=np.complex128)
     psi[:, ref] = 1.0
     delta = np.ones(nbins)
     trivial = np.zeros(m, dtype=np.complex128)
     trivial[ref] = 1.0
-    values = np.empty((m, nbins, nframes), dtype=np.complex128)
+    values = np.empty((nbins, m, nframes), dtype=np.complex128)
     valid = np.zeros((nbins, nframes), dtype=bool)
     for l in range(nframes):
         if l < start_frame:
-            values[:, :, l] = trivial[:, None]
+            values[:, :, l] = trivial
             continue
-        y = yw[:, :, l].T
+        y = yw[:, :, l]
         alpha = np.einsum("km,km->k", psi.conj(), y)
         delta = beta * delta + np.abs(alpha) ** 2
         e = y - psi * alpha[:, None]
@@ -339,10 +337,10 @@ def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
         )
         a = np.where(ok[:, None], b / np.where(ok, den, 1.0)[:, None], trivial)
         a[ok, ref] = 1.0
-        values[:, :, l] = a.T
+        values[:, :, l] = a
         valid[:, l] = ok
     valid[-1, :] = False
-    values[:, -1, :] = trivial[:, None]
+    values[-1, :, :] = trivial[:, None]
     return values, valid
 
 
@@ -350,14 +348,14 @@ def test_track_matches_per_frame_reference():
     rng = np.random.default_rng(19)
     cfg = stft.StftConfig(window_len=8, hop=8)
     m, nbins, nframes, start = 3, cfg.num_bins, 40, 6
-    y = random_complex(rng, m, nbins, nframes)
+    y = random_complex(rng, nbins, m, nframes)
     sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
     # over frames 15-24, bins 0-1 carry one source whose de-whitened
     # direction is mic 1 alone: both reference entries fall into the null
     # there, so those cells fail and take e_ref
     v = np.linalg.solve(sqrt_nn.matrices[:2], np.eye(m)[1])  # (2, M)
-    y[:, :2, 15:25] = 0.01 * y[:, :2, 15:25]
-    y[:, :2, 15:25] += 10.0 * v.T[:, :, None] * random_complex(rng, 2, 10)
+    y[:2, :, 15:25] = 0.01 * y[:2, :, 15:25]
+    y[:2, :, 15:25] += 10.0 * v[:, :, None] * random_complex(rng, 2, 10)[:, None, :]
     spec = stft.ComplexSpectrogram(y, cfg)
     for ref in (0, m - 1):
         traj = rtf.track_rtf_past(spec, sqrt_nn, ref, 0.8, start_frame=start)
@@ -366,20 +364,23 @@ def test_track_matches_per_frame_reference():
         assert failed.any() and not failed.all()
         np.testing.assert_array_equal(traj.valid, valid)
         np.testing.assert_allclose(traj.values, values, rtol=0, atol=1e-12)
-        assert np.all(traj.values[:, :-1, start:][:, failed] == np.eye(m)[ref][:, None])
+        k, l = np.nonzero(failed)
+        assert np.all(traj.values[k, :, start + l] == np.eye(m)[ref])
 
 
 def test_track_reads_whitened_view_as_its_contiguous_copy():
-    # whiten returns the (M, F, L) view of an (F, M, L) array
+    # whiten returns a contiguous (F, M, L) array; the same values as the
+    # strided (F, M, L) view of a channel-major array track identically
     rng = np.random.default_rng(25)
     cfg = stft.StftConfig(window_len=8, hop=8)
     m, nbins = 3, cfg.num_bins
-    spec = stft.ComplexSpectrogram(random_complex(rng, m, nbins, 30), cfg)
+    spec = stft.ComplexSpectrogram(random_complex(rng, nbins, m, 30), cfg)
     invsqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
     sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
-    whitened = covariance.whiten(spec, invsqrt_nn)
+    copy = covariance.whiten(spec, invsqrt_nn)
+    assert copy.data.flags["C_CONTIGUOUS"]
+    whitened = stft.ComplexSpectrogram(layouts(copy.data)["transposed"], cfg)
     assert not whitened.data.flags["C_CONTIGUOUS"]
-    copy = stft.ComplexSpectrogram(np.ascontiguousarray(whitened.data), cfg)
     for ref in (0, m - 1):
         view_traj = rtf.track_rtf_past(whitened, sqrt_nn, ref, 0.8, start_frame=4)
         copy_traj = rtf.track_rtf_past(copy, sqrt_nn, ref, 0.8, start_frame=4)
@@ -396,21 +397,21 @@ def _traj(values, ref=0, valid=None):
 
 def test_mse_perfect_estimate_hits_floor():
     rng = np.random.default_rng(15)
-    v = random_complex(rng, 2, 3, 4)
-    v[0] = 1.0
+    v = random_complex(rng, 3, 2, 4)
+    v[:, 0] = 1.0
     assert rtf.rtf_mse(_traj(v), _traj(v.copy())) == -120.0
 
 
 def test_mse_doubled_estimate_is_zero_db():
     rng = np.random.default_rng(16)
-    a = random_complex(rng, 2, 3, 4)
+    a = random_complex(rng, 3, 2, 4)
     assert rtf.rtf_mse(_traj(2 * a), _traj(a)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mse_excludes_invalid_cells():
     a = np.ones((2, 2, 2), dtype=complex)
     est = a.copy()
-    est[:, 0, 0] = 100.0  # corrupted but flagged invalid
+    est[0, :, 0] = 100.0  # corrupted but flagged invalid
     valid = np.ones((2, 2), dtype=bool)
     valid[0, 0] = False
     assert rtf.rtf_mse(_traj(est, valid=valid), _traj(a)) == -120.0
@@ -437,11 +438,11 @@ def test_mse_raises_on_a_channel_or_bin_mismatch(shape):
 def test_mse_of_a_one_frame_estimate_matches_its_broadcast():
     rng = np.random.default_rng(17)
     m, nbins, nframes = 3, 4, 5
-    est = random_complex(rng, m, nbins, 1)
+    est = random_complex(rng, nbins, m, 1)
     valid = np.array([[True], [False], [True], [True]])
-    truth = random_complex(rng, m, nbins, nframes)
+    truth = random_complex(rng, nbins, m, nframes)
     truth_valid = rng.random((nbins, nframes)) < 0.8
-    full = _traj(np.broadcast_to(est, (m, nbins, nframes)),
+    full = _traj(np.broadcast_to(est, (nbins, m, nframes)),
                  valid=np.broadcast_to(valid, (nbins, nframes)))
     one = rtf.rtf_mse(_traj(est, valid=valid), _traj(truth, valid=truth_valid))
     assert abs(one - rtf.rtf_mse(full, _traj(truth, valid=truth_valid))) <= 1e-12
@@ -465,7 +466,7 @@ def test_mse_monotone_with_snr(static_bundle):
 
 def test_trajectory_round_trip(tmp_path):
     rng = np.random.default_rng(17)
-    v = random_complex(rng, 2, 3, 4).astype(np.complex64).astype(np.complex128)
+    v = random_complex(rng, 3, 2, 4).astype(np.complex64).astype(np.complex128)
     valid = rng.uniform(size=(3, 4)) > 0.5
     traj = rtf.RtfTrajectory(v, 1, valid)
     cfg = stft.StftConfig(window_len=4, hop=2)
@@ -477,6 +478,25 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.valid, valid)
     assert loaded.ref_channel == 1
     assert meta == {"sample_rate_hz": 16000, "window_len": 4, "hop": 2}
+
+
+def test_trajectory_file_body_is_channel_major(tmp_path):
+    # the body is (M, F, L) row-major complex64 whatever the in-memory
+    # layout: the value at [m, k, l] encodes (m, k, l), and the expected
+    # bytes are packed here cell by cell, not by save_trajectory
+    m, nbins, nframes = 2, 3, 4
+    cells = [(c, k, l) for c in range(m) for k in range(nbins) for l in range(nframes)]
+    values = np.zeros((nbins, m, nframes), dtype=complex)
+    for c, k, l in cells:
+        values[k, c, l] = complex(100 * c + 10 * k + l, -1 - c)
+    body = b"".join(struct.pack("<ff", 100 * c + 10 * k + l, -1 - c) for c, k, l in cells)
+    path = tmp_path / "t.rtfb"
+    with open(path, "wb") as fh:
+        rtf.save_trajectory(fh, _traj(values), stft.StftConfig(window_len=4, hop=2))
+    data = path.read_bytes()
+    assert struct.unpack_from("<III", data, 8) == (m, nbins, nframes)
+    assert data[len(data) - len(body):] == body
+    np.testing.assert_array_equal(rtf.load_trajectory(path)[0].values, values)
 
 
 def test_trajectory_bad_magic(tmp_path):
@@ -491,7 +511,7 @@ def test_trajectory_bad_magic(tmp_path):
 )
 def test_trajectory_load_rejects_a_damaged_file(tmp_path, damage):
     buf = io.BytesIO()
-    rtf.save_trajectory(buf, _traj(np.ones((2, 3, 4), dtype=complex), ref=1),
+    rtf.save_trajectory(buf, _traj(np.ones((3, 2, 4), dtype=complex), ref=1),
                         stft.StftConfig(window_len=4, hop=2))
     data = bytearray(buf.getvalue())
     if damage == "header cut":

@@ -139,7 +139,7 @@ def test_ground_truth_rtf_matches_geometry_oracle(moving_bundle):
             a = (dists[0] / dists) * np.exp(
                 -2j * np.pi * freqs[k] * (dists - dists[0]) / SPEED_OF_SOUND
             )
-            np.testing.assert_allclose(truth.rtf_left.values[:, k, l], a, atol=1e-9)
+            np.testing.assert_allclose(truth.rtf_left.values[k, :, l], a, atol=1e-9)
 
 
 def test_channel_power_follows_inverse_distance():

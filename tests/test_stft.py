@@ -42,8 +42,8 @@ def test_impulse_frame_matches_dft_oracle():
     win = cfg.analysis_window()
     oracle = np.fft.rfft(win * x[:64])
     assert np.all(np.isfinite(spec.data))
-    np.testing.assert_allclose(np.abs(spec.data[0, :, 0]), np.abs(oracle), atol=1e-12)
-    np.testing.assert_allclose(spec.data[0, :, 0], oracle, atol=1e-12)
+    np.testing.assert_allclose(np.abs(spec.data[:, 0, 0]), np.abs(oracle), atol=1e-12)
+    np.testing.assert_allclose(spec.data[:, 0, 0], oracle, atol=1e-12)
 
 
 def test_zero_signal_gives_zero_spectrogram():
@@ -58,7 +58,7 @@ def test_sinusoid_energy_concentrated_at_bin():
     n = np.arange(512 + 4 * 256)
     x = np.cos(2 * np.pi * k0 * n / 512)
     spec = stft.analyze(x, cfg)
-    power = np.abs(spec.data[0]) ** 2  # (F, L)
+    power = np.abs(spec.data[:, 0]) ** 2  # (F, L)
     for l in range(spec.num_frames):
         total = np.sum(power[:, l])
         mainlobe = np.sum(power[k0 - 2 : k0 + 3, l])
@@ -86,7 +86,7 @@ def test_constant_signal_round_trip():
 
 def test_zero_spectrogram_synthesizes_zero():
     cfg = stft.StftConfig()
-    spec = stft.ComplexSpectrogram(np.zeros((1, 257, 10)), cfg)
+    spec = stft.ComplexSpectrogram(np.zeros((257, 1, 10)), cfg)
     assert np.all(stft.synthesize(spec) == 0)
 
 
@@ -96,7 +96,7 @@ def test_parseval_one_frame():
     x = rng.standard_normal(512)
     spec = stft.analyze(x, cfg)
     xw = cfg.analysis_window() * x
-    mag2 = np.abs(spec.data[0, :, 0]) ** 2
+    mag2 = np.abs(spec.data[:, 0, 0]) ** 2
     # one-sided spectrum: interior bins count twice
     spectral = (mag2[0] + 2 * np.sum(mag2[1:-1]) + mag2[-1]) / 512
     time_energy = np.sum(xw**2)
@@ -115,7 +115,7 @@ def test_analyze_errors():
 
 def test_synthesize_rejects_multichannel():
     cfg = stft.StftConfig()
-    spec = stft.ComplexSpectrogram(np.zeros((2, 257, 4)), cfg)
+    spec = stft.ComplexSpectrogram(np.zeros((257, 2, 4)), cfg)
     with pytest.raises(stft.StftError):
         stft.synthesize(spec)
 
@@ -125,7 +125,7 @@ def test_spectrogram_shape_validation():
     with pytest.raises(stft.StftError):
         stft.ComplexSpectrogram(np.zeros((257, 4)), cfg)
     with pytest.raises(stft.StftError):
-        stft.ComplexSpectrogram(np.zeros((1, 99, 4)), cfg)
+        stft.ComplexSpectrogram(np.zeros((99, 1, 4)), cfg)
 
 
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-7), ("pcm16", 1e-4)])
