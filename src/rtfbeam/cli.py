@@ -97,10 +97,11 @@ def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
     _write_wav(out_dir / "mixture.wav", rate, bundle.mixture)
     _write_wav(out_dir / "clean.wav", rate, bundle.clean)
     _write_wav(out_dir / "noise.wav", rate, bundle.noise)
-    _write_wav(out_dir / "clean_ref_left.wav", rate, bundle.truth.clean_ref_left)
-    _write_wav(out_dir / "clean_ref_right.wav", rate, bundle.truth.clean_ref_right)
-    _write_trajectory(out_dir / "rtf_true_left.rtfb", bundle.truth.rtf_left, bundle.config)
-    _write_trajectory(out_dir / "rtf_true_right.rtfb", bundle.truth.rtf_right, bundle.config)
+    for side, traj in bundle.truth.rtf.items():
+        # for readers of the bundle; load_bundle takes these rows from clean.wav
+        ref = bundle.clean[traj.ref_channel]
+        _write_wav(out_dir / f"clean_ref_{side}.wav", rate, ref)
+        _write_trajectory(out_dir / f"rtf_true_{side}.rtfb", traj, bundle.config)
     meta = {
         "snr_db": bundle.snr_db,
         "noise_frames": bundle.noise_frames,
@@ -133,16 +134,10 @@ def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
     _, mixture = stft.read_wav(bundle_dir / "mixture.wav", rate)
     _, clean = stft.read_wav(bundle_dir / "clean.wav", rate)
     _, noise = stft.read_wav(bundle_dir / "noise.wav", rate)
-    _, ref_l = stft.read_wav(bundle_dir / "clean_ref_left.wav", rate)
-    _, ref_r = stft.read_wav(bundle_dir / "clean_ref_right.wav", rate)
-    rtf_l, _ = rtf.load_trajectory(bundle_dir / "rtf_true_left.rtfb")
-    rtf_r, _ = rtf.load_trajectory(bundle_dir / "rtf_true_right.rtfb")
     truth = simulator.GroundTruth(
         doa_per_frame=np.asarray(meta["doa_per_frame_deg"]),
-        rtf_left=rtf_l,
-        rtf_right=rtf_r,
-        clean_ref_left=ref_l[0],
-        clean_ref_right=ref_r[0],
+        rtf={side: rtf.load_trajectory(bundle_dir / f"rtf_true_{side}.rtfb")[0]
+             for side in rtf.SIDES},
         active_frames=np.asarray(meta["active_frames"], dtype=bool),
     )
     return pipeline.SimBundle(
@@ -173,8 +168,7 @@ def cmd_estimate_rtf(args) -> int:
         full = rtf.RtfTrajectory(np.broadcast_to(traj.values, shape), traj.ref_channel,
                                  np.broadcast_to(traj.valid, (shape[0], shape[2])))
         _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", full, bundle.config)
-        truth_traj = bundle.truth.rtf_left if side == "left" else bundle.truth.rtf_right
-        mse = rtf.rtf_mse(traj, truth_traj)
+        mse = rtf.rtf_mse(traj, bundle.truth.rtf[side])
         mse_rows.append((side, args.method, mse))
         print(f"{side}: MSE {mse:.2f} dB")
     _write_csv(bundle_dir / "rtf_mse.csv", ["side", "method", "mse_db"], mse_rows)

@@ -1,4 +1,4 @@
-"""Objective evaluation: SI-SDR, binaural sum loss, DOA tracking error."""
+"""Objective evaluation: SI-SDR and DOA tracking error."""
 
 from __future__ import annotations
 
@@ -58,16 +58,6 @@ def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
     if p_err <= p_target * 10.0 ** (-SI_SDR_CLAMP_DB / 10.0):
         return SI_SDR_CLAMP_DB
     return float(np.clip(10.0 * np.log10(p_target / p_err), -SI_SDR_CLAMP_DB, SI_SDR_CLAMP_DB))
-
-
-def binaural_loss(
-    est_left: np.ndarray,
-    est_right: np.ndarray,
-    ref_left: np.ndarray,
-    ref_right: np.ndarray,
-) -> float:
-    """Sum of the negated left and right SI-SDRs (training-style loss)."""
-    return -si_sdr(est_left, ref_left) - si_sdr(est_right, ref_right)
 
 
 def doa_error(

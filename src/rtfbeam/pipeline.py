@@ -76,14 +76,17 @@ def noise_stats(
     mix_spec: stft.ComplexSpectrogram,
     noise_frames: int,
     loading: float = covariance.DEFAULT_LOADING,
+    sides: tuple[str, ...] = rtf.SIDES,
 ) -> NoiseStats:
     """Phi_nn of the first `noise_frames` frames, decomposed once. A dead
-    reference mic, which MVDR would take for a noise-free one, raises
-    CovarianceError naming the mic and its side."""
+    reference mic of one of `sides`, which MVDR would take for a noise-free
+    one, raises CovarianceError naming the mic and its side."""
     phi_nn = covariance.estimate_noise_covariance(mix_spec, noise_frames)
     power = phi_nn.matrices.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # per mic
     median = np.median(power)
-    for side, ref in (("left", 0), ("right", power.size - 1)):
+    refs = rtf.reference_mics(power.size)
+    for side in sides:
+        ref = refs[side]
         if power[ref] <= DEAD_MIC_POWER_RATIO * median:
             raise covariance.CovarianceError(
                 f"reference mic {ref} ({side} side) is dead: its noise-only power is "
@@ -100,18 +103,18 @@ def estimate_trajectory(
     method: str,
     beta: float = rtf.DEFAULT_BETA,
     truth: simulator.GroundTruth | None = None,
-    sides: tuple[str, ...] = ("left", "right"),
+    sides: tuple[str, ...] = rtf.SIDES,
 ) -> dict[str, rtf.RtfTrajectory]:
     """RTF trajectory per side by the chosen method ('oracle' needs ground
     truth; 'none' is the trivial e_ref trajectory of reference passthrough).
 
-    The left side is referenced to mic 0, the right to mic M-1. The work
+    Each side is referenced to its mic in `rtf.reference_mics`. The work
     shared by the sides (the whitening for 'past'; the mixture covariance
     and its whitened EVD for 'cw-batch') is done once. The frame-invariant
     'cw-batch' and 'none' trajectories have one frame (`rtf.RtfTrajectory`).
     """
     nbins, m, _ = mix_spec.data.shape
-    refs = {side: {"left": 0, "right": m - 1}[side] for side in sides}
+    refs = {side: rtf.reference_mics(m)[side] for side in sides}
     if method == "none":
         out = {}
         for side, ref in refs.items():
@@ -122,8 +125,7 @@ def estimate_trajectory(
     if method == "oracle":
         if truth is None:
             raise ValueError("oracle method requires ground truth")
-        return {side: truth.rtf_left if side == "left" else truth.rtf_right
-                for side in refs}
+        return {side: truth.rtf[side] for side in refs}
     if method == "cw-batch":
         phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
         phi_ww = covariance.whitened_mixture_covariance(phi_yy, stats.phi_nn_invsqrt)
@@ -144,11 +146,12 @@ def estimate(
     beta: float = rtf.DEFAULT_BETA,
     loading: float = covariance.DEFAULT_LOADING,
     noise_frames: int | None = None,
-    sides: tuple[str, ...] = ("left", "right"),
+    sides: tuple[str, ...] = rtf.SIDES,
 ) -> tuple[stft.ComplexSpectrogram, NoiseStats, dict[str, rtf.RtfTrajectory]]:
     """Analyse the mixture, take the noise statistics of its first
     `noise_frames` frames (0 or None: the bundle's lead-silence count) and
-    estimate the RTF trajectory of each side. A lead silence shorter than
+    estimate the RTF trajectory of each of `sides`; only their reference
+    mics are checked for a dead one. A lead silence shorter than
     one window holds no noise-only frame: then `noise_frames` must be given.
     """
     ln = noise_frames or bundle.noise_frames
@@ -159,7 +162,7 @@ def estimate(
             "give the noise-only frame count (--noise-frames)"
         )
     mix_spec = stft.analyze(bundle.mixture, bundle.config)
-    stats = noise_stats(mix_spec, ln, loading)
+    stats = noise_stats(mix_spec, ln, loading, sides)
     trajs = estimate_trajectory(mix_spec, stats, ln, method, beta, bundle.truth, sides)
     return mix_spec, stats, trajs
 
@@ -206,19 +209,18 @@ def evaluate_bundle(
         snr_db=bundle.snr_db,
         method=method,
     )
-    for side, traj in trajs.items():
-        report.enhanced[side] = beamform_side(
-            mix_spec, stats, traj, method, mvdr_loading
-        )
-
     n = bundle.clean.shape[1]
-    truth = bundle.truth
-    report.si_sdr_left = metrics.si_sdr(report.enhanced["left"][:n], truth.clean_ref_left)
-    report.si_sdr_right = metrics.si_sdr(report.enhanced["right"][:n], truth.clean_ref_right)
-    report.si_sdr_input_left = metrics.si_sdr(bundle.mixture[0], truth.clean_ref_left)
-    report.si_sdr_input_right = metrics.si_sdr(bundle.mixture[-1], truth.clean_ref_right)
+    for side, traj in trajs.items():
+        enhanced = beamform_side(mix_spec, stats, traj, method, mvdr_loading)
+        report.enhanced[side] = enhanced
+        # a loaded bundle's rows are strided, and BLAS sums a strided dot
+        # product in another order: score against a contiguous copy
+        clean = np.ascontiguousarray(bundle.clean[traj.ref_channel])
+        mixture = bundle.mixture[traj.ref_channel]
+        setattr(report, f"si_sdr_{side}", metrics.si_sdr(enhanced[:n], clean))
+        setattr(report, f"si_sdr_input_{side}", metrics.si_sdr(mixture, clean))
     if method != "none":
-        report.rtf_mse_db = rtf.rtf_mse(trajs["left"], truth.rtf_left)
+        report.rtf_mse_db = rtf.rtf_mse(trajs["left"], bundle.truth.rtf["left"])
     return report
 
 

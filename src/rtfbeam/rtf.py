@@ -18,9 +18,11 @@ weights are then solved once per bin, and `rtf_mse` scores the one frame
 against every frame of the truth.
 
 The reference channel enters only at that normalization, apart from the
-PAST start vector e_ref, and it is the trajectory's only side label: mic 0
-is the left ear, any other the right. The ``.rtfb`` file stays (M, F, L);
-only `save_trajectory` and `load_trajectory` convert.
+PAST start vector e_ref, and it is the trajectory's only side label.
+`reference_mics` is the one rule from a side to its reference mic: the left
+ear is mic 0, the right mic M-1. The ``.rtfb`` file stays (M, F, L) and
+writes the side as a byte, 0 for ref_channel 0 and 1 for any other; only
+`save_trajectory` and `load_trajectory` convert.
 """
 
 from __future__ import annotations
@@ -46,10 +48,18 @@ DEFAULT_BETA = 0.7
 _MAGIC = b"RTFB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIBIII")
+# the two ears, in the order of the .rtfb side byte
+SIDES = ("left", "right")
 
 
 class RtfError(ValueError):
     pass
+
+
+def reference_mics(num_mics: int) -> dict[str, int]:
+    """The reference mic of each side of an M-mic array, keyed by SIDES: the
+    left ear is mic 0, the right mic M-1."""
+    return dict(zip(SIDES, (0, num_mics - 1)))
 
 
 class OpCounter:

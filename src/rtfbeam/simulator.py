@@ -17,13 +17,12 @@ estimators.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .beamformer import SPEED_OF_SOUND
-from .rtf import RtfTrajectory
+from .rtf import RtfTrajectory, reference_mics
 from .stft import StftConfig
 
 NUM_MICS = 8
@@ -132,10 +131,7 @@ class Scenario:
 @dataclass
 class GroundTruth:
     doa_per_frame: np.ndarray  # degrees, (L,)
-    rtf_left: RtfTrajectory
-    rtf_right: RtfTrajectory
-    clean_ref_left: np.ndarray
-    clean_ref_right: np.ndarray
+    rtf: dict[str, RtfTrajectory]  # side -> analytic trajectory
     active_frames: np.ndarray  # bool (L,)
 
 
@@ -188,6 +184,9 @@ def sample_scenario(seed: int, static: bool = False) -> Scenario:
 
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n: a length numpy's FFT transforms fast."""
+    # not scipy.fft.next_fast_len(n, real=True), which gives the same
+    # lengths: no rtfbeam module imports scipy.fft, and importing it adds
+    # 150-180 ms (python -X importtime) to the ~400-600 ms import of rtfbeam
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -287,12 +286,6 @@ def _delay_varying(
     return gain * out
 
 
-def _render_static(
-    signal: np.ndarray, source_pos: np.ndarray, mic_positions: np.ndarray, fs: int
-) -> np.ndarray:
-    return _render_sources(signal[None, :], source_pos[None, :], mic_positions, fs)
-
-
 def _analytic_rtf(
     scenario: Scenario,
     frame_times: np.ndarray,
@@ -312,16 +305,13 @@ def _analytic_rtf(
 
 
 def render_moving_source(
-    source: np.ndarray, scenario: Scenario, config: StftConfig | None = None
+    source: np.ndarray, scenario: Scenario, config: StftConfig
 ) -> tuple[np.ndarray, GroundTruth]:
     """Free-field render of the (possibly moving) target source.
 
     Returns the (M, N) multichannel clean signal and ground truth sampled
-    at STFT frame centers: DOA, analytic left/right RTF trajectories, and
-    the clean reference-mic signals.
+    at STFT frame centers: DOA and the analytic RTF trajectory of each side.
     """
-    if config is None:
-        config = StftConfig(sample_rate_hz=scenario.sample_rate)
     source = np.asarray(source, dtype=np.float64)
     n = scenario.num_samples
     if source.shape != (n,):
@@ -341,7 +331,9 @@ def render_moving_source(
         raise SimulatorError("source trajectory exits the room")
 
     if scenario.source_delta_deg == 0.0:
-        clean = _render_static(source, scenario.source_position(0.0), mics, fs)
+        clean = _render_sources(
+            source[None, :], scenario.source_position(0.0)[None, :], mics, fs
+        )
     else:
         # positions at hop resolution, linearly interpolated per sample
         hop_times = np.arange(0, n + config.hop, config.hop) / fs
@@ -356,8 +348,8 @@ def render_moving_source(
     num_frames = config.num_frames(n)
     frame_times = (np.arange(num_frames) * config.hop + config.window_len / 2) / fs
     doa = scenario.source_doa_deg(frame_times)
-    rtf_left = _analytic_rtf(scenario, frame_times, config, 0)
-    rtf_right = _analytic_rtf(scenario, frame_times, config, scenario.num_mics - 1)
+    rtfs = {side: _analytic_rtf(scenario, frame_times, config, ref)
+            for side, ref in reference_mics(scenario.num_mics).items()}
 
     frame_energy = np.array(
         [
@@ -366,28 +358,19 @@ def render_moving_source(
         ]
     )
     active = frame_energy > 1e-4 * max(np.max(frame_energy), 1e-300)
-    truth = GroundTruth(
-        doa_per_frame=doa,
-        rtf_left=rtf_left,
-        rtf_right=rtf_right,
-        clean_ref_left=clean[0].copy(),
-        clean_ref_right=clean[-1].copy(),
-        active_frames=active,
-    )
+    truth = GroundTruth(doa_per_frame=doa, rtf=rtfs, active_frames=active)
     return clean, truth
 
 
 def render_babble(scenario: Scenario, babbler_signals: np.ndarray) -> np.ndarray:
-    """Sum of static free-field renderings of each babbler, (M, N)."""
+    """Sum of static free-field renderings of each babbler, (M, N): one
+    signal per babbler position of the scenario."""
     sigs = np.atleast_2d(np.asarray(babbler_signals, dtype=np.float64))
-    count = sigs.shape[0]
-    if count != scenario.babbler_positions.shape[0]:
-        warnings.warn(
-            f"{count} babbler signals for {scenario.babbler_positions.shape[0]} "
-            "configured positions"
-        )
     positions = scenario.babbler_positions
-    positions = positions[np.arange(count) % positions.shape[0]]
+    if sigs.shape[0] != positions.shape[0]:
+        raise SimulatorError(
+            f"{sigs.shape[0]} babbler signals for {positions.shape[0]} positions"
+        )
     mics = scenario.mic_positions()
     return _render_sources(sigs, positions, mics, scenario.sample_rate)
 

@@ -335,7 +335,7 @@ def test_wideband_recompute_and_examples():
 def test_mvdr_beampattern_tracks_static_doa(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
     stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
-    w = beamformer.mvdr_weights(static_bundle.truth.rtf_left, stats.phi_nn_evd)
+    w = beamformer.mvdr_weights(static_bundle.truth.rtf["left"], stats.phi_nn_evd)
     grid = beamformer.narrowband_beampattern(
         w, static_bundle.scenario.mic_axis_offsets(), static_bundle.config, np.arange(-90.0, 91.0, 1.0)
     )

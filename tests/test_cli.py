@@ -38,6 +38,17 @@ def test_write_load_bundle_round_trip(bundle_dir, static_bundle):
     np.testing.assert_array_equal(
         loaded.truth.active_frames, static_bundle.truth.active_frames
     )
+    m = static_bundle.clean.shape[0]
+    for side, ref in zip(rtf.SIDES, (0, m - 1)):
+        # .rtfb payloads are complex64; the mask and the reference mic are exact
+        written, read = static_bundle.truth.rtf[side], loaded.truth.rtf[side]
+        np.testing.assert_array_equal(read.values, written.values.astype(np.complex64))
+        np.testing.assert_array_equal(read.valid, written.valid)
+        assert read.ref_channel == written.ref_channel == ref
+        # the scores take a side's clean reference from clean.wav: it must be
+        # the row that clean_ref_{side}.wav holds
+        _, clean_ref = stft.read_wav(bundle_dir / f"clean_ref_{side}.wav")
+        np.testing.assert_array_equal(loaded.clean[ref], clean_ref[0])
 
 
 def test_bundle_snr_remeasured_from_files(tmp_path):
@@ -183,6 +194,31 @@ def test_beamform_on_a_dead_reference_mic_names_it(tmp_path, static_bundle, caps
     assert rc == cli.EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("error: reference mic 0 (left side) is dead")
     assert not results.exists() and not (out / "enhanced_left.wav").exists()
+
+
+@pytest.mark.parametrize("method", ["cw-batch", "past", "oracle"])
+def test_a_dead_right_mic_refuses_beamform_but_not_the_left_beampattern(
+    tmp_path, static_bundle, capsys, method
+):
+    # the beampattern only uses the left side, so only mic 0 is checked
+    mixture = static_bundle.mixture.copy()
+    mixture[-1] = 0.0
+    bundle = dataclasses.replace(static_bundle, mixture=mixture)
+    grid = pipeline.beampattern(bundle, method, angle_step_deg=5.0)
+    assert np.all(np.isfinite(grid.narrowband)) and np.all(np.isfinite(grid.wideband))
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, bundle)
+    args = ["--bundle", str(out), "--method", method]
+    assert cli.main(["beampattern", *args, "--angle-step", "5"]) == cli.EXIT_OK
+    assert np.all(np.isfinite(np.load(out / "beampattern_narrowband.npy")))
+    values = [float(r["value"]) for r in _read_csv(out / "beampattern_wideband.csv")]
+    assert np.all(np.isfinite(values))
+    errs = [r["doa_error_deg"] for r in _read_csv(out / "doa_error.csv")]
+    assert np.all(np.isfinite([float(e) for e in errs if e]))
+    capsys.readouterr()
+    rc = cli.main(["beamform", *args, "--results", str(tmp_path / "r.csv")])
+    assert rc == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: reference mic 7 (right side) is dead")
 
 
 def test_a_lead_silence_shorter_than_a_window_needs_noise_frames(

@@ -63,40 +63,13 @@ def test_si_sdr_bounded_by_clamp(seed):
     assert metrics.si_sdr(est, ref) <= 120.0
 
 
-def test_binaural_loss_examples():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(500)
-    y = rng.standard_normal(500)
-    assert metrics.binaural_loss(x, y, x, y) == -240.0  # both channels perfect
-    # symmetric channels: twice the single-channel loss
-    est = x + 0.3 * y
-    single = -metrics.si_sdr(est, x)
-    assert metrics.binaural_loss(est, est, x, x) == pytest.approx(2 * single)
-    # two 0 dB sides sum to zero
-    e = np.array([1.0, 1.0])
-    r = np.array([1.0, 0.0])
-    assert metrics.binaural_loss(e, e, r, r) == pytest.approx(0.0)
-
-
-def test_binaural_loss_swap_symmetry():
-    rng = np.random.default_rng(2)
-    el, er = rng.standard_normal(300), rng.standard_normal(300)
-    rl, rr = rng.standard_normal(300), rng.standard_normal(300)
-    assert metrics.binaural_loss(el, er, rl, rr) == pytest.approx(
-        metrics.binaural_loss(er, el, rr, rl)
-    )
-
-
 def _truth_for_doa(doas, active=None):
     nframes = len(doas)
     values = np.ones((2, 2, nframes), dtype=complex)
     traj = rtf.RtfTrajectory(values, 0)
     return simulator.GroundTruth(
         doa_per_frame=np.asarray(doas, dtype=float),
-        rtf_left=traj,
-        rtf_right=traj,
-        clean_ref_left=np.zeros(4),
-        clean_ref_right=np.zeros(4),
+        rtf=dict.fromkeys(rtf.SIDES, traj),
         active_frames=np.ones(nframes, dtype=bool) if active is None else active,
     )
 

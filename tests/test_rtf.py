@@ -204,7 +204,7 @@ def test_cw_static_scenario_mse(static_bundle):
     traj = pipeline.estimate_trajectory(
         spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
     )["left"]
-    assert rtf.rtf_mse(traj, bundle.truth.rtf_left) <= -20.0
+    assert rtf.rtf_mse(traj, bundle.truth.rtf["left"]) <= -20.0
 
 
 # -------------------------------------------------------------- tracking
@@ -282,7 +282,7 @@ def test_track_static_scene_mse(static_bundle):
     traj = pipeline.estimate_trajectory(
         spec, stats, static_bundle.noise_frames, "past", sides=("left",)
     )["left"]
-    assert rtf.rtf_mse(traj, static_bundle.truth.rtf_left) <= -20.0
+    assert rtf.rtf_mse(traj, static_bundle.truth.rtf["left"]) <= -20.0
 
 
 @pytest.mark.xfail(
@@ -299,7 +299,7 @@ def test_track_moving_scene_mse(moving_bundle):
     traj = pipeline.estimate_trajectory(
         spec, stats, moving_bundle.noise_frames, "past", sides=("left",)
     )["left"]
-    assert rtf.rtf_mse(traj, moving_bundle.truth.rtf_left) <= -15.0
+    assert rtf.rtf_mse(traj, moving_bundle.truth.rtf["left"]) <= -15.0
 
 
 def test_track_parameter_validation():
@@ -457,7 +457,7 @@ def test_mse_monotone_with_snr(static_bundle):
         traj = pipeline.estimate_trajectory(
             spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
         )["left"]
-        mses.append(rtf.rtf_mse(traj, bundle.truth.rtf_left))
+        mses.append(rtf.rtf_mse(traj, bundle.truth.rtf["left"]))
     assert all(b < a for a, b in zip(mses, mses[1:]))
 
 

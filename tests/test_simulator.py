@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -81,6 +82,10 @@ def test_scenario_validation():
 # ------------------------------------------------------------ rendering
 
 
+def _config(scenario):
+    return stft.StftConfig(sample_rate_hz=scenario.sample_rate)
+
+
 def _static_scenario(seed=0, start_deg=0.0):
     s = simulator.sample_scenario(seed, static=True)
     d = json.loads(s.to_json())
@@ -92,7 +97,7 @@ def _static_scenario(seed=0, start_deg=0.0):
 def test_static_broadside_source_symmetric_channels():
     scenario = _static_scenario(start_deg=0.0)
     source = simulator.synthesize_target_signal(0, scenario)
-    clean, _ = simulator.render_moving_source(source, scenario)
+    clean, _ = simulator.render_moving_source(source, scenario, _config(scenario))
     # broadside source is equidistant from mirror-image element pairs
     for m in range(scenario.num_mics // 2):
         np.testing.assert_allclose(
@@ -103,7 +108,7 @@ def test_static_broadside_source_symmetric_channels():
 def test_static_source_cross_correlation_matches_geometry():
     scenario = _static_scenario(start_deg=40.0)
     source = simulator.synthesize_target_signal(1, scenario)
-    clean, _ = simulator.render_moving_source(source, scenario)
+    clean, _ = simulator.render_moving_source(source, scenario, _config(scenario))
     mics = scenario.mic_positions()
     pos = scenario.source_position(0.0)
     d0 = np.linalg.norm(pos - mics[0])
@@ -117,7 +122,7 @@ def test_static_source_cross_correlation_matches_geometry():
 def test_moving_source_doa_monotone():
     scenario = simulator.sample_scenario(3)
     source = simulator.synthesize_target_signal(3, scenario)
-    _, truth = simulator.render_moving_source(source, scenario)
+    _, truth = simulator.render_moving_source(source, scenario, _config(scenario))
     diffs = np.diff(truth.doa_per_frame)
     sign = np.sign(scenario.source_delta_deg)
     assert np.all(sign * diffs >= 0)
@@ -139,13 +144,13 @@ def test_ground_truth_rtf_matches_geometry_oracle(moving_bundle):
             a = (dists[0] / dists) * np.exp(
                 -2j * np.pi * freqs[k] * (dists - dists[0]) / SPEED_OF_SOUND
             )
-            np.testing.assert_allclose(truth.rtf_left.values[k, :, l], a, atol=1e-9)
+            np.testing.assert_allclose(truth.rtf["left"].values[k, :, l], a, atol=1e-9)
 
 
 def test_channel_power_follows_inverse_distance():
     scenario = _static_scenario(start_deg=50.0)
     source = simulator.synthesize_target_signal(2, scenario)
-    clean, _ = simulator.render_moving_source(source, scenario)
+    clean, _ = simulator.render_moving_source(source, scenario, _config(scenario))
     dists = np.linalg.norm(
         scenario.mic_positions() - scenario.source_position(0.0), axis=1
     )
@@ -157,7 +162,7 @@ def test_channel_power_follows_inverse_distance():
 def test_render_rejects_wrong_length():
     scenario = simulator.sample_scenario(0)
     with pytest.raises(simulator.SimulatorError):
-        simulator.render_moving_source(np.zeros(100), scenario)
+        simulator.render_moving_source(np.zeros(100), scenario, _config(scenario))
 
 
 def test_active_frames_exclude_lead_silence(moving_bundle):
@@ -177,7 +182,7 @@ def test_render_static_integer_sample_delays_are_shifts():
     dists = lags * SPEED_OF_SOUND / fs
     mics = np.stack([dists, np.zeros_like(dists), np.zeros_like(dists)], axis=1)
     source = np.random.default_rng(0).standard_normal(3000)
-    out = simulator._render_static(source, np.zeros(3), mics, fs)
+    out = simulator._render_sources(source[None, :], np.zeros((1, 3)), mics, fs)
     for m, (lag, d) in enumerate(zip(lags, dists)):
         expected = np.concatenate([np.zeros(lag), source[:-lag]]) / d
         np.testing.assert_allclose(out[m], expected, rtol=0, atol=1e-12)
@@ -232,15 +237,23 @@ def test_fast_len_matches_scipy_next_fast_len():
 
 def test_render_babble_single_matches_static_render():
     scenario = simulator.sample_scenario(4)
+    one = dataclasses.replace(scenario, babbler_positions=scenario.babbler_positions[:1])
     sig = simulator.synthesize_babbler_signals(0, 1, scenario.duration_s,
                                                scenario.sample_rate)
-    with pytest.warns(UserWarning):
-        out = simulator.render_babble(scenario, sig)
-    oracle = simulator._render_static(
-        sig[0], scenario.babbler_positions[0], scenario.mic_positions(),
+    out = simulator.render_babble(one, sig)
+    oracle = simulator._render_sources(
+        sig, scenario.babbler_positions[:1], scenario.mic_positions(),
         scenario.sample_rate,
     )
     np.testing.assert_allclose(out, oracle, atol=1e-12)
+
+
+def test_render_babble_needs_one_signal_per_position():
+    scenario = simulator.sample_scenario(4)
+    sig = np.zeros((1, scenario.num_samples))
+    with pytest.raises(simulator.SimulatorError,
+                       match="^1 babbler signals for 20 positions"):
+        simulator.render_babble(scenario, sig)
 
 
 def test_render_babble_zero_signals():
