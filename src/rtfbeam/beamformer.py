@@ -9,6 +9,7 @@ angle grid. Weights are bin-major, (F, M, L'), like the RTF trajectory.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,7 @@ class BeamformerWeights:
 @dataclass
 class BeampatternGrid:
     angles_deg: np.ndarray  # (T,)
-    narrowband: np.ndarray  # |B(k, theta, l)|, shape (F, T, L)
-    wideband: np.ndarray  # P(theta, l) = sum_k |B|^2, shape (T, L)
+    wideband: np.ndarray  # P(theta, l) = sum_k |B(k, theta, l)|^2, shape (T, L)
 
 
 def mvdr_weights(
@@ -107,9 +107,15 @@ def narrowband_beampattern(
     positions_m: np.ndarray,
     config: StftConfig,
     angles_deg: np.ndarray,
+    sink: Callable[[np.ndarray], None],
 ) -> BeampatternGrid:
-    """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the angle grid, and
-    the wideband P(theta, l) = sum_k |B|^2, both filled one bin at a time."""
+    """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the angle grid, one bin
+    at a time, and the wideband P(theta, l) = sum_k |B|^2.
+
+    Each bin's float64 |B|, shape (T, L'), is handed to `sink` in bin order,
+    in one buffer that the next bin overwrites: the (F, T, L') grid is never
+    held. The returned grid holds the angles and the wideband power.
+    """
     angles_deg = np.asarray(angles_deg, dtype=np.float64)
     x = np.asarray(positions_m, dtype=np.float64)
     nbins, m, nframes = weights.values.shape
@@ -121,9 +127,10 @@ def narrowband_beampattern(
     tau = (x - x[0])[None, :] / SPEED_OF_SOUND * np.sin(np.deg2rad(angles_deg))[:, None]
     h = np.exp(-2j * np.pi * config.bin_frequencies_hz()[:, None, None] * tau)  # (F, T, M)
     w = weights.values.conj()
-    b = np.empty((nbins, angles_deg.size, nframes))
+    b = np.empty((angles_deg.size, nframes))
     wide = np.zeros((angles_deg.size, nframes))
     for k in range(nbins):
-        np.abs(h[k] @ w[k], out=b[k])
-        wide += b[k] ** 2
-    return BeampatternGrid(angles_deg, b, wide)
+        np.abs(h[k] @ w[k], out=b)
+        wide += b ** 2
+        sink(b)
+    return BeampatternGrid(angles_deg, wide)

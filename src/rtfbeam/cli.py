@@ -197,31 +197,55 @@ def cmd_beamform(args) -> int:
     return EXIT_OK
 
 
+def _preallocate(fh, size: int) -> None:
+    """Reserve `size` bytes for the file `fh` up front, as `ndarray.tofile`
+    does, where the platform can; a file grown by many small writes is
+    slower to replace. Best-effort: a filesystem that refuses is ignored."""
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is not None:
+        try:
+            fallocate(fh.fileno(), 0, size)
+        except OSError:
+            pass
+
+
 def cmd_beampattern(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
-    grid = pipeline.beampattern(
-        bundle, args.method, args.beta, args.loading, args.mvdr_loading,
-        args.noise_frames, args.angle_step,
-    )
-    # scored before any write: a pattern with no scorable frame (exit 1)
-    # leaves an earlier run's three files as they were
-    errs, mean_err, excluded = metrics.doa_error(grid, bundle.truth)
-    # one string per angle, values as Python float reprs: the bytes a
-    # csv.writer of the numpy scalars writes, at a third of its cost
-    with _atomic_open(bundle_dir / "beampattern_wideband.csv", "w") as fh:
-        fh.write("frame,bin,theta_deg,value\n")
-        for theta, powers in zip(grid.angles_deg.tolist(), grid.wideband):
-            middle = f",wideband,{theta!r},"
-            fh.write("".join(f"{l}{middle}{value!r}\n"
-                             for l, value in enumerate(powers.tolist())))
-    with _atomic_open(bundle_dir / "beampattern_narrowband.npy") as fh:
-        np.save(fh, grid.narrowband.astype(np.float32))
-    _write_csv(
-        bundle_dir / "doa_error.csv",
-        ["frame", "doa_error_deg"],
-        ((l, "" if np.isnan(e) else e) for l, e in enumerate(errs)),
-    )
+    nbins = bundle.config.num_bins
+    # the narrowband .npy streams one float32 bin at a time under a header
+    # written with the first bin, so the (F, T, L) grid is never held. All
+    # else runs inside its atomic writer: a pattern with no scorable frame
+    # (exit 1) unlinks the temp file and leaves an earlier run's three files
+    # as they were
+    with _atomic_open(bundle_dir / "beampattern_narrowband.npy") as npy:
+
+        def write_bin(b):
+            if npy.tell() == 0:
+                shape = (nbins, *b.shape)
+                np.lib.format.write_array_header_1_0(
+                    npy, {"descr": "<f4", "fortran_order": False, "shape": shape})
+                _preallocate(npy, npy.tell() + 4 * math.prod(shape))
+            npy.write(b.astype("<f4"))
+
+        grid = pipeline.beampattern(
+            bundle, args.method, write_bin, args.beta, args.loading, args.mvdr_loading,
+            args.noise_frames, args.angle_step,
+        )
+        errs, mean_err, excluded = metrics.doa_error(grid, bundle.truth)
+        # one string per angle, values as Python float reprs: the bytes a
+        # csv.writer of the numpy scalars writes, at a third of its cost
+        with _atomic_open(bundle_dir / "beampattern_wideband.csv", "w") as fh:
+            fh.write("frame,bin,theta_deg,value\n")
+            for theta, powers in zip(grid.angles_deg.tolist(), grid.wideband):
+                middle = f",wideband,{theta!r},"
+                fh.write("".join(f"{l}{middle}{value!r}\n"
+                                 for l, value in enumerate(powers.tolist())))
+        _write_csv(
+            bundle_dir / "doa_error.csv",
+            ["frame", "doa_error_deg"],
+            ((l, "" if np.isnan(e) else e) for l, e in enumerate(errs)),
+        )
     print(f"mean DOA error {mean_err:.2f} deg ({excluded} frames excluded)")
     return EXIT_OK
 

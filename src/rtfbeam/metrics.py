@@ -39,10 +39,13 @@ def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
     """Scale-invariant SDR in dB, clamped to +/- 120 dB.
 
     Projects the estimate onto the reference, then takes the energy ratio
-    of the projection to the residual.
+    of the projection to the residual. Both are scored as contiguous
+    copies: BLAS sums a strided dot product (a row of a loaded bundle's
+    transposed WAV data) in another order, so the score depends only on
+    the values, not on the layout.
     """
-    est = np.asarray(est, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
+    est = np.ascontiguousarray(est, dtype=np.float64)
+    ref = np.ascontiguousarray(ref, dtype=np.float64)
     if est.shape != ref.shape:
         raise MetricsError("est and ref must have equal length")
     ref_energy = float(np.dot(ref, ref))

@@ -9,6 +9,7 @@ and `beampattern` both go through them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,9 +214,7 @@ def evaluate_bundle(
     for side, traj in trajs.items():
         enhanced = beamform_side(mix_spec, stats, traj, method, mvdr_loading)
         report.enhanced[side] = enhanced
-        # a loaded bundle's rows are strided, and BLAS sums a strided dot
-        # product in another order: score against a contiguous copy
-        clean = np.ascontiguousarray(bundle.clean[traj.ref_channel])
+        clean = bundle.clean[traj.ref_channel]
         mixture = bundle.mixture[traj.ref_channel]
         setattr(report, f"si_sdr_{side}", metrics.si_sdr(enhanced[:n], clean))
         setattr(report, f"si_sdr_input_{side}", metrics.si_sdr(mixture, clean))
@@ -227,6 +226,7 @@ def evaluate_bundle(
 def beampattern(
     bundle: SimBundle,
     method: str,
+    sink: Callable[[np.ndarray], None],
     beta: float = rtf.DEFAULT_BETA,
     loading: float = covariance.DEFAULT_LOADING,
     mvdr_loading: float = beamformer.MVDR_LOADING,
@@ -234,19 +234,18 @@ def beampattern(
     angle_step_deg: float = 1.0,
 ) -> beamformer.BeampatternGrid:
     """Beampattern of the left-ear weights on a -90..90 deg broadside grid,
-    one column per STFT frame. Frame-invariant ('cw-batch', 'none') weights
-    give one column, broadcast (read-only) over the frames."""
-    # the spectrogram and the trajectory are dropped before the grid is
+    one column per STFT frame. Each bin's |B|, (T, L), goes to `sink` in bin
+    order (`beamformer.narrowband_beampattern`); the wideband power is
+    returned. Frame-invariant ('cw-batch', 'none') weights give one column,
+    broadcast (read-only) over the frames, in each bin and in the wideband."""
+    # the spectrogram and the trajectory are dropped before the pattern is
     # computed, so their ~16 MB is not held under it at the peak
     stats, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
     weights = side_weights(trajs.pop("left"), stats, method, mvdr_loading)
     angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
+    shape = (angles.size, bundle.config.num_frames(bundle.mixture.shape[1]))
     grid = beamformer.narrowband_beampattern(
-        weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles
+        weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles,
+        lambda b: sink(np.broadcast_to(b, shape)),
     )
-    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
-    return beamformer.BeampatternGrid(
-        grid.angles_deg,
-        np.broadcast_to(grid.narrowband, grid.narrowband.shape[:2] + (nframes,)),
-        np.broadcast_to(grid.wideband, (angles.size, nframes)),
-    )
+    return beamformer.BeampatternGrid(grid.angles_deg, np.broadcast_to(grid.wideband, shape))

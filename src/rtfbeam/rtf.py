@@ -202,8 +202,10 @@ def track_rtf_past(
 
 
 def _norm2(values: np.ndarray) -> np.ndarray:
-    """Squared norm over the channel axis of complex (F, M, L) values."""
-    return np.sum(values.real ** 2 + values.imag ** 2, axis=1)
+    """Squared norm over the channel axis of complex (F, M, L) values,
+    summed from the real and imaginary views with no (F, M, L) temporary."""
+    real, imag = values.real, values.imag
+    return np.einsum("kml,kml->kl", real, real) + np.einsum("kml,kml->kl", imag, imag)
 
 
 def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:

@@ -50,6 +50,18 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
+def collect_bins():
+    """A beampattern sink that keeps a copy of each bin it is handed (the
+    buffer is reused for the next bin), and the list it appends them to:
+    `np.stack` of the list is the (F, T, L) |B| grid."""
+    bins = []
+    return bins, lambda b: bins.append(np.array(b))
+
+
+def discard_bins(b):
+    """A beampattern sink for callers that only need the wideband power."""
+
+
 LAYOUTS = ("contiguous", "frame slice", "transposed")
 
 

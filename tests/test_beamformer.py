@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import LAYOUTS, assert_matches_reference, layouts, random_complex, random_spd
+from conftest import (
+    LAYOUTS,
+    assert_matches_reference,
+    collect_bins,
+    discard_bins,
+    layouts,
+    random_complex,
+    random_spd,
+)
 from rtfbeam import beamformer, covariance, metrics, pipeline, rtf, stft
 
 
@@ -223,10 +231,17 @@ def test_apply_one_frame_weights_need_matching_channels_and_bins(shape):
 # ------------------------------------------------------------- steering
 
 
+def _beampattern(w, x, cfg, angles):
+    """The streamed |B| bins stacked to (F, T, L'), and the returned grid."""
+    bins, sink = collect_bins()
+    grid = beamformer.narrowband_beampattern(w, x, cfg, angles, sink)
+    return np.stack(bins), grid
+
+
 def _pattern(w, x, cfg, angles):
     """|B| of weights constant over one frame, shape (F, T)."""
     weights = beamformer.BeamformerWeights(np.asarray(w)[:, :, None])
-    return beamformer.narrowband_beampattern(weights, x, cfg, angles).narrowband[:, :, 0]
+    return _beampattern(weights, x, cfg, angles)[0][:, :, 0]
 
 
 def test_steering_broadside_and_dc_are_ones():
@@ -264,10 +279,10 @@ def test_delay_and_sum_beampattern_peaks_at_steered_angle():
     h = np.exp(-2j * np.pi * cfg.bin_frequencies_hz()[:, None] * tau[None, :])
     w = beamformer.BeamformerWeights(np.repeat(h[:, :, None] / 8, 2, axis=2))
     angles = np.arange(-90.0, 91.0, 1.0)
-    grid = beamformer.narrowband_beampattern(w, x, cfg, angles)
+    narrowband, grid = _beampattern(w, x, cfg, angles)
     # matched filter: |B| = 1 exactly at the steered angle, every bin/frame
     ti = int(np.where(angles == 30.0)[0][0])
-    np.testing.assert_allclose(grid.narrowband[:, ti, :], 1.0, atol=1e-12)
+    np.testing.assert_allclose(narrowband[:, ti, :], 1.0, atol=1e-12)
     assert np.all(np.argmax(grid.wideband, axis=0) == ti)
 
 
@@ -275,10 +290,10 @@ def test_single_mic_weights_are_omnidirectional():
     cfg = stft.StftConfig()
     w = np.zeros((cfg.num_bins, 4, 2), dtype=complex)
     w[:, 0] = 1.0
-    grid = beamformer.narrowband_beampattern(
+    narrowband, _ = _beampattern(
         beamformer.BeamformerWeights(w), np.arange(4) * 0.05, cfg, np.arange(-90.0, 91.0, 1.0)
     )
-    np.testing.assert_allclose(grid.narrowband, 1.0, atol=1e-12)
+    np.testing.assert_allclose(narrowband, 1.0, atol=1e-12)
 
 
 def test_narrowband_matches_loop_oracle():
@@ -287,9 +302,7 @@ def test_narrowband_matches_loop_oracle():
     x = np.arange(3) * 0.05
     w = random_complex(rng, cfg.num_bins, 3, 2)
     angles = np.array([-40.0, 0.0, 65.0])
-    grid = beamformer.narrowband_beampattern(
-        beamformer.BeamformerWeights(w), x, cfg, angles
-    )
+    narrowband, _ = _beampattern(beamformer.BeamformerWeights(w), x, cfg, angles)
     freqs = cfg.bin_frequencies_hz()
     for k in range(cfg.num_bins):
         for ti, theta in enumerate(angles):
@@ -297,7 +310,7 @@ def test_narrowband_matches_loop_oracle():
             h = np.exp(-2j * np.pi * freqs[k] * tau)
             for l in range(2):
                 oracle = abs(np.vdot(w[k, :, l], h))
-                assert abs(grid.narrowband[k, ti, l] - oracle) < 1e-12
+                assert abs(narrowband[k, ti, l] - oracle) < 1e-12
 
 
 def test_wideband_recompute_and_examples():
@@ -307,19 +320,17 @@ def test_wideband_recompute_and_examples():
     x = np.arange(3) * 0.05
     angles = np.array([-10.0, 0.0, 10.0])
     w = random_complex(rng, cfg.num_bins, 3, 2)
-    grid = beamformer.narrowband_beampattern(
-        beamformer.BeamformerWeights(w), x, cfg, angles
-    )
+    narrowband, grid = _beampattern(beamformer.BeamformerWeights(w), x, cfg, angles)
     oracle = np.zeros((3, 2))
     for k in range(cfg.num_bins):
-        oracle += grid.narrowband[k] ** 2
+        oracle += narrowband[k] ** 2
     np.testing.assert_allclose(grid.wideband, oracle, rtol=1e-12)
 
     # single nonzero bin -> P = |B|^2 at that bin
     w1 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
     w1[2, 0] = 0.5
     out1 = beamformer.narrowband_beampattern(
-        beamformer.BeamformerWeights(w1), x, cfg, angles
+        beamformer.BeamformerWeights(w1), x, cfg, angles, discard_bins
     )
     np.testing.assert_allclose(out1.wideband, 0.25)
 
@@ -327,7 +338,7 @@ def test_wideband_recompute_and_examples():
     w2 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
     w2[:, 0] = 1.0
     out2 = beamformer.narrowband_beampattern(
-        beamformer.BeamformerWeights(w2), x, cfg, angles
+        beamformer.BeamformerWeights(w2), x, cfg, angles, discard_bins
     )
     np.testing.assert_allclose(out2.wideband, cfg.num_bins)
 
@@ -337,7 +348,8 @@ def test_mvdr_beampattern_tracks_static_doa(static_bundle):
     stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
     w = beamformer.mvdr_weights(static_bundle.truth.rtf["left"], stats.phi_nn_evd)
     grid = beamformer.narrowband_beampattern(
-        w, static_bundle.scenario.mic_axis_offsets(), static_bundle.config, np.arange(-90.0, 91.0, 1.0)
+        w, static_bundle.scenario.mic_axis_offsets(), static_bundle.config,
+        np.arange(-90.0, 91.0, 1.0), discard_bins,
     )
     _, mean_err, _ = metrics.doa_error(grid, static_bundle.truth)
     assert mean_err <= 10.0
@@ -352,6 +364,7 @@ def test_weights_validation():
             np.arange(3) * 0.05,
             _small_cfg(),
             np.arange(-90.0, 91.0, 1.0),
+            discard_bins,
         )
     # 2 bins against the config's 3
     with pytest.raises(beamformer.BeamformerError):
@@ -360,6 +373,7 @@ def test_weights_validation():
             np.arange(3) * 0.05,
             _small_cfg(),
             np.arange(-90.0, 91.0, 1.0),
+            discard_bins,
         )
 
 

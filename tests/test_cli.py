@@ -3,11 +3,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import collect_bins, count_calls, discard_bins
 from rtfbeam import cli, covariance, metrics, pipeline, rtf, simulator, stft
 
 
@@ -204,8 +206,9 @@ def test_a_dead_right_mic_refuses_beamform_but_not_the_left_beampattern(
     mixture = static_bundle.mixture.copy()
     mixture[-1] = 0.0
     bundle = dataclasses.replace(static_bundle, mixture=mixture)
-    grid = pipeline.beampattern(bundle, method, angle_step_deg=5.0)
-    assert np.all(np.isfinite(grid.narrowband)) and np.all(np.isfinite(grid.wideband))
+    bins, sink = collect_bins()
+    grid = pipeline.beampattern(bundle, method, sink, angle_step_deg=5.0)
+    assert np.all(np.isfinite(bins)) and np.all(np.isfinite(grid.wideband))
     out = tmp_path / "bundle"
     cli.write_bundle(out, bundle)
     args = ["--bundle", str(out), "--method", method]
@@ -267,7 +270,8 @@ def test_beampattern_wideband_csv_is_what_a_csv_writer_writes(bundle_dir):
     # each value must read back as the float in the grid
     rc = cli.main(["beampattern", "--bundle", str(bundle_dir), "--angle-step", "5"])
     assert rc == cli.EXIT_OK
-    grid = pipeline.beampattern(cli.load_bundle(bundle_dir), "past", angle_step_deg=5.0)
+    grid = pipeline.beampattern(
+        cli.load_bundle(bundle_dir), "past", discard_bins, angle_step_deg=5.0)
     ref = io.StringIO(newline="")
     writer = csv.writer(ref, lineterminator="\n")
     writer.writerow(["frame", "bin", "theta_deg", "value"])
@@ -278,6 +282,63 @@ def test_beampattern_wideband_csv_is_what_a_csv_writer_writes(bundle_dir):
     assert written == ref.getvalue().encode()
     values = [float(r["value"]) for r in _read_csv(bundle_dir / "beampattern_wideband.csv")]
     np.testing.assert_array_equal(values, grid.wideband.ravel())
+
+
+@pytest.mark.parametrize("fallocate", ["present", "absent", "raising"])
+@pytest.mark.parametrize("method", ["past", "cw-batch"])
+def test_beampattern_npy_is_np_save_of_the_collected_bins(
+    bundle_dir, monkeypatch, method, fallocate
+):
+    # the .npy is streamed one float32 bin at a time into a preallocated
+    # temp file; its bytes must be those of np.save of the whole float32
+    # grid, with per-frame ('past') and broadcast ('cw-batch') bins, and
+    # whether or not the platform can preallocate
+    sizes = []
+    if fallocate == "present":
+        real = os.posix_fallocate
+
+        def spy(fd, offset, size):
+            sizes.append(size)
+            real(fd, offset, size)
+
+        monkeypatch.setattr(os, "posix_fallocate", spy)
+    elif fallocate == "absent":
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    else:
+        def refuse(fd, offset, size):
+            raise OSError(95, "Operation not supported")
+
+        monkeypatch.setattr(os, "posix_fallocate", refuse)
+    args = ["beampattern", "--bundle", str(bundle_dir), "--method", method]
+    assert cli.main([*args, "--angle-step", "5"]) == cli.EXIT_OK
+    bins, sink = collect_bins()
+    pipeline.beampattern(cli.load_bundle(bundle_dir), method, sink, angle_step_deg=5.0)
+    ref = io.BytesIO()
+    np.save(ref, np.stack(bins).astype(np.float32))
+    written = (bundle_dir / "beampattern_narrowband.npy").read_bytes()
+    assert written == ref.getvalue()
+    assert sizes == ([len(written)] if fallocate == "present" else [])
+    assert list(bundle_dir.glob("*.tmp*")) == []
+
+
+def test_beampattern_memory_does_not_grow_with_the_narrowband_grid(bundle_dir):
+    # numpy reports its buffers to tracemalloc. From 37 angles to 181, the
+    # streamed pattern's peak grows by its per-bin buffers and steering
+    # vectors, a few MB; holding the grid would add at least its float32
+    # size, F * (181 - 37) * L * 4 bytes (37 MB)
+    peaks = {}
+    for step in ("1", "5"):
+        tracemalloc.start()
+        try:
+            args = ["beampattern", "--bundle", str(bundle_dir), "--angle-step", step]
+            assert cli.main(args) == cli.EXIT_OK
+            peaks[step] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bundle = cli.load_bundle(bundle_dir)
+    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
+    grid_growth = bundle.config.num_bins * (181 - 37) * nframes * 4
+    assert peaks["1"] - peaks["5"] < grid_growth
 
 
 def test_beampattern_failing_score_keeps_earlier_outputs(tmp_path, static_bundle, capsys):

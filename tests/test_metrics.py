@@ -24,6 +24,18 @@ def test_si_sdr_zero_inputs():
     assert metrics.si_sdr(np.zeros(4), np.ones(4)) == -120.0
 
 
+def test_si_sdr_is_layout_independent():
+    # columns of a C-ordered (N, M) array are strided, like the rows of a
+    # loaded bundle's transposed WAV data; BLAS sums a strided dot product
+    # in another order, so the score must not see the layout
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((48000, 8))
+    est, ref = data[:, 2], data[:, 7] + 0.5 * data[:, 2]
+    assert not est.flags.c_contiguous
+    contiguous = metrics.si_sdr(np.ascontiguousarray(est), np.ascontiguousarray(ref))
+    assert metrics.si_sdr(est, ref) == contiguous
+
+
 def test_si_sdr_length_mismatch():
     with pytest.raises(metrics.MetricsError):
         metrics.si_sdr(np.ones(4), np.ones(5))
@@ -75,11 +87,7 @@ def _truth_for_doa(doas, active=None):
 
 
 def _grid(angles, wideband):
-    return beamformer.BeampatternGrid(
-        np.asarray(angles, dtype=float),
-        np.zeros((1, len(angles), wideband.shape[1])),
-        wideband,
-    )
+    return beamformer.BeampatternGrid(np.asarray(angles, dtype=float), wideband)
 
 
 def test_doa_error_peak_at_truth():

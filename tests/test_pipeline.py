@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_complex
+from conftest import collect_bins, count_calls, random_complex
 from rtfbeam import beamformer, covariance, pipeline, rtf, stft
 
 
@@ -111,8 +111,10 @@ def test_a_nan_in_the_mixture_stops_before_any_estimator(moving_bundle, monkeypa
 def test_a_frame_invariant_pattern_is_one_column_for_every_frame(moving_bundle, method):
     # one-frame weights give one grid column, broadcast to the L frames;
     # a product over L copies of the weights differs in the last bits
-    grid = pipeline.beampattern(moving_bundle, method, angle_step_deg=5.0)
+    bins, sink = collect_bins()
+    grid = pipeline.beampattern(moving_bundle, method, sink, angle_step_deg=5.0)
+    narrowband = np.stack(bins)
     nframes = moving_bundle.config.num_frames(moving_bundle.mixture.shape[1])
-    assert grid.narrowband.shape[2] == grid.wideband.shape[1] == nframes
-    assert np.all(grid.narrowband == grid.narrowband[:, :, :1])
+    assert narrowband.shape[2] == grid.wideband.shape[1] == nframes
+    assert np.all(narrowband == narrowband[:, :, :1])
     assert np.all(grid.wideband == grid.wideband[:, :1])
