@@ -77,9 +77,16 @@ def _write_wav(path: Path, rate: int, signal: np.ndarray) -> None:
         stft.write_wav(fh, rate, signal)
 
 
-def _write_trajectory(path: Path, traj, config) -> None:
+def _write_trajectory(path: Path, traj, config, num_frames: int) -> None:
+    """Write `traj` with all `num_frames` frames: a one-frame trajectory (a
+    CW estimate, a static scene's truth) is broadcast, so every .rtfb file
+    of a bundle holds L frames."""
+    nbins, m, _ = traj.values.shape
+    full = rtf.RtfTrajectory(np.broadcast_to(traj.values, (nbins, m, num_frames)),
+                             traj.ref_channel,
+                             np.broadcast_to(traj.valid, (nbins, num_frames)))
     with _atomic_open(path) as fh:
-        rtf.save_trajectory(fh, traj, config)
+        rtf.save_trajectory(fh, full, config)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -101,7 +108,8 @@ def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
         # for readers of the bundle; load_bundle takes these rows from clean.wav
         ref = bundle.clean[traj.ref_channel]
         _write_wav(out_dir / f"clean_ref_{side}.wav", rate, ref)
-        _write_trajectory(out_dir / f"rtf_true_{side}.rtfb", traj, bundle.config)
+        _write_trajectory(out_dir / f"rtf_true_{side}.rtfb", traj, bundle.config,
+                          bundle.truth.doa_per_frame.size)
     meta = {
         "snr_db": bundle.snr_db,
         "noise_frames": bundle.noise_frames,
@@ -162,12 +170,10 @@ def cmd_estimate_rtf(args) -> int:
     mix_spec, _, trajs = pipeline.estimate(
         bundle, args.method, args.beta, args.loading, args.noise_frames
     )
-    shape = mix_spec.data.shape  # a one-frame trajectory is written L times
     mse_rows = []
     for side, traj in trajs.items():
-        full = rtf.RtfTrajectory(np.broadcast_to(traj.values, shape), traj.ref_channel,
-                                 np.broadcast_to(traj.valid, (shape[0], shape[2])))
-        _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", full, bundle.config)
+        _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config,
+                          mix_spec.num_frames)
         mse = rtf.rtf_mse(traj, bundle.truth.rtf[side])
         mse_rows.append((side, args.method, mse))
         print(f"{side}: MSE {mse:.2f} dB")

@@ -12,10 +12,11 @@ MVDR weights hold their own (``beamformer.mvdr_weights``).
 
 Trajectories are bin-major, (F, M, L'), like the spectrogram. One whose RTF
 does not change over frames (CW, and the trivial 'none' trajectory) keeps a
-frame axis of length L' = 1 instead of L copies of one frame. Every
-consumer broadcasts that axis as numpy does: the MVDR
-weights are then solved once per bin, and `rtf_mse` scores the one frame
-against every frame of the truth.
+frame axis of length L' = 1 instead of L copies of one frame, and so does
+the analytic truth of a static scene. Every consumer broadcasts that axis
+as numpy does: the MVDR weights are then solved once per bin, and
+`rtf_mse` broadcasts either side, a one-frame estimate against every frame
+of the truth or a one-frame truth under every frame of the estimate.
 
 The reference channel enters only at that normalization, apart from the
 PAST start vector e_ref, and it is the trajectory's only side label.
@@ -211,19 +212,21 @@ def _norm2(values: np.ndarray) -> np.ndarray:
 def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
     """Normalized MSE in dB: mean over valid (k,l) of ||a_hat - a||^2/||a||^2.
 
-    An estimate with one frame is scored against every frame of the truth.
+    A side with one frame is broadcast over the other's frames: a one-frame
+    estimate is scored against every frame of the truth, and every frame of
+    the estimate against a one-frame truth.
     """
     est, true = estimate.values.shape, truth.values.shape
-    if est[:2] != true[:2] or est[2] not in (1, true[2]):
+    if est[:2] != true[:2] or (est[2] != true[2] and 1 not in (est[2], true[2])):
         raise RtfError("estimate/truth shape mismatch")
     if estimate.ref_channel != truth.ref_channel:
         raise RtfError("estimate/truth reference channels differ")
-    norm2 = _norm2(truth.values)  # (F, L)
+    norm2 = _norm2(truth.values)  # (F, L')
     mask = estimate.valid & truth.valid & (norm2 > 0)
     if not np.any(mask):
         raise RtfError("no valid cells for MSE computation")
     err2 = _norm2(estimate.values - truth.values)
-    mse = np.mean(err2[mask] / norm2[mask])
+    mse = np.mean(err2[mask] / np.broadcast_to(norm2, mask.shape)[mask])
     if mse <= 10.0 ** (MSE_FLOOR_DB / 10.0):
         return MSE_FLOOR_DB
     return float(10.0 * np.log10(mse))

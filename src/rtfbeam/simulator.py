@@ -11,7 +11,10 @@ summed per mic, then one irfft per mic. A moving source goes through a
 STFT hop; the kernel loops over the taps on a zero-padded copy of the
 signal and needs three transcendentals per sample. The analytic RTFs and
 DOA of the same geometry are returned as ground truth for verifying the
-estimators.
+estimators. A static source's RTF is the same in every frame, so its truth
+keeps one frame, (F, M, 1), the L' = 1 rule of `rtf.RtfTrajectory`; a
+moving source's keeps all L. The babble's 4 Hz modulations share one sin
+and one cos of the time axis: each signal's phase enters by angle addition.
 """
 
 from __future__ import annotations
@@ -199,8 +202,11 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _delay_filters(delays: np.ndarray, gains: np.ndarray, nfft: int) -> np.ndarray:
-    """gain * exp(-j 2 pi k delay / nfft) over the rfft bins k, (D, nfft//2 + 1).
+def _delay_filters(
+    delays: np.ndarray, gains: np.ndarray, nfft: int, out: np.ndarray
+) -> np.ndarray:
+    """gain * exp(-j 2 pi k delay / nfft) over the rfft bins k, (D, nfft//2 + 1),
+    written into `out`, a complex (D, B ceil((nfft//2 + 1) / B)) buffer.
 
     Bin k = a B + b splits each ramp into a coarse and a fine factor, so an
     entry costs one complex multiply rather than one complex exponential.
@@ -209,8 +215,9 @@ def _delay_filters(delays: np.ndarray, gains: np.ndarray, nfft: int) -> np.ndarr
     step = -2j * np.pi / nfft * delays[:, None]
     fine = np.exp(step * np.arange(_RAMP_BLOCK)) * gains[:, None]
     coarse = np.exp(step * np.arange(0, nbins, _RAMP_BLOCK))
-    ramps = coarse[:, :, None] * fine[:, None, :]
-    return ramps.reshape(delays.shape[0], -1)[:, :nbins]
+    np.multiply(coarse[:, :, None], fine[:, None, :],
+                out=out.reshape(delays.shape[0], -1, _RAMP_BLOCK))
+    return out[:, :nbins]
 
 
 def _render_sources(
@@ -223,15 +230,21 @@ def _render_sources(
     that no delayed sample wraps; its spectrum times exp(-j 2 pi f tau_sm)
     / d_sm is summed into the mic spectra, and one inverse FFT over the mics
     returns the field, each path an exact band-limited fractional delay.
+    The sources' ramps take turns in one buffer: a fresh 4 MB array per
+    source costs page faults.
     """
     n = signals.shape[1]
+    num_mics = mic_positions.shape[0]
     dists = np.linalg.norm(positions[:, None, :] - mic_positions[None, :, :], axis=2)
     delays = dists / SPEED_OF_SOUND * fs  # (S, M) samples
     longest = int(np.ceil(delays.max(initial=0.0)))
     nfft = _fast_len(n + longest + 4 * SINC_HALF_TAPS)
-    field = np.zeros((mic_positions.shape[0], nfft // 2 + 1), dtype=np.complex128)
+    nbins = nfft // 2 + 1
+    field = np.zeros((num_mics, nbins), dtype=np.complex128)
+    padded_bins = -(-nbins // _RAMP_BLOCK) * _RAMP_BLOCK
+    ramps = np.empty((num_mics, padded_bins), dtype=np.complex128)
     for signal, delay, dist in zip(signals, delays, dists):
-        paths = _delay_filters(delay, 1.0 / dist, nfft)
+        paths = _delay_filters(delay, 1.0 / dist, nfft, ramps)
         paths *= np.fft.rfft(signal, n=nfft)
         field += paths
     return np.fft.irfft(field, n=nfft, axis=1)[:, :n]
@@ -310,7 +323,8 @@ def render_moving_source(
     """Free-field render of the (possibly moving) target source.
 
     Returns the (M, N) multichannel clean signal and ground truth sampled
-    at STFT frame centers: DOA and the analytic RTF trajectory of each side.
+    at STFT frame centers: DOA and the analytic RTF trajectory of each side,
+    one frame for a static source and L for a moving one.
     """
     source = np.asarray(source, dtype=np.float64)
     n = scenario.num_samples
@@ -348,7 +362,9 @@ def render_moving_source(
     num_frames = config.num_frames(n)
     frame_times = (np.arange(num_frames) * config.hop + config.window_len / 2) / fs
     doa = scenario.source_doa_deg(frame_times)
-    rtfs = {side: _analytic_rtf(scenario, frame_times, config, ref)
+    # a pinned source has one RTF: its truth is the first frame's, (F, M, 1)
+    rtf_times = frame_times[:1] if scenario.source_delta_deg == 0.0 else frame_times
+    rtfs = {side: _analytic_rtf(scenario, rtf_times, config, ref)
             for side, ref in reference_mics(scenario.num_mics).items()}
 
     frame_energy = np.array(
@@ -399,22 +415,32 @@ def synthesize_babbler_signals(
 ) -> np.ndarray:
     """Speech-shaped noise: pink spectrum, 4 Hz amplitude modulation.
 
-    Returns (count, N), unit RMS per signal, deterministic per seed.
+    Returns (count, N), unit RMS per signal, deterministic per seed. Signal
+    i draws its white noise, then its modulation phase phi, from one
+    generator in turn, so signal 0 is the same for every count. The
+    modulation 1 + sin(w t + phi) / 2 expands by angle addition over one
+    sin(w t) and cos(w t) shared by all signals.
     """
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
+    wt = 2 * np.pi * 4.0 * (np.arange(n) / sample_rate)
+    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
     out = np.empty((count, n))
+    mod, scratch = np.empty(n), np.empty(n)
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
     shaping = np.where(freqs > 50.0, np.sqrt(50.0 / np.maximum(freqs, 50.0)), 1.0)
     shaping[0] = 0.0
-    for i in range(count):
+    for sig in out:
         white = rng.standard_normal(n)
         pink = np.fft.irfft(np.fft.rfft(white) * shaping, n=n)
         phase = rng.uniform(0, 2 * np.pi)
-        mod = 1.0 + 0.5 * np.sin(2 * np.pi * 4.0 * t + phase)
-        sig = pink * mod
-        out[i] = sig / np.sqrt(np.mean(sig**2))
+        np.multiply(sin_wt, np.cos(phase), out=mod)
+        np.multiply(cos_wt, np.sin(phase), out=scratch)
+        mod += scratch
+        mod *= 0.5
+        mod += 1.0
+        np.multiply(pink, mod, out=sig)
+        sig /= np.sqrt(np.mean(sig**2))
     return out
 
 

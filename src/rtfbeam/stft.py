@@ -139,21 +139,20 @@ def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
 
 
 def read_wav(path, expected_rate: int | None = None) -> tuple[int, np.ndarray]:
-    """Read a WAV file as float64 (channels, samples) in [-1, 1] scaling."""
+    """Read a WAV file as C-contiguous float64 (channels, samples) in
+    [-1, 1] scaling: each channel's samples are adjacent in memory, as
+    `analyze` reads them."""
     rate, data = wavfile.read(path)
     if expected_rate is not None and rate != expected_rate:
         raise StftError(f"sample rate {rate} != expected {expected_rate}")
+    # the file interleaves the channels, (samples, channels): one copy
+    # converts and transposes
+    out = np.ascontiguousarray(np.atleast_2d(data.T), dtype=np.float64)
     if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
+        out /= 32768.0
     elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    else:
-        data = data.astype(np.float64)
-    if data.ndim == 1:
-        data = data[np.newaxis, :]
-    else:
-        data = data.T
-    return rate, data
+        out /= 2147483648.0
+    return rate, out
 
 
 def write_wav(path, rate: int, signal: np.ndarray) -> None:

@@ -344,13 +344,9 @@ def test_wideband_recompute_and_examples():
 
 
 def test_mvdr_beampattern_tracks_static_doa(static_bundle):
-    spec = stft.analyze(static_bundle.mixture, static_bundle.config)
-    stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
-    w = beamformer.mvdr_weights(static_bundle.truth.rtf["left"], stats.phi_nn_evd)
-    grid = beamformer.narrowband_beampattern(
-        w, static_bundle.scenario.mic_axis_offsets(), static_bundle.config,
-        np.arange(-90.0, 91.0, 1.0), discard_bins,
-    )
+    # the static truth has one frame: pipeline.beampattern broadcasts the
+    # one-frame oracle weights' pattern over the L frames that doa_error scores
+    grid = pipeline.beampattern(static_bundle, "oracle", discard_bins)
     _, mean_err, _ = metrics.doa_error(grid, static_bundle.truth)
     assert mean_err <= 10.0
 

@@ -41,11 +41,17 @@ def test_write_load_bundle_round_trip(bundle_dir, static_bundle):
         loaded.truth.active_frames, static_bundle.truth.active_frames
     )
     m = static_bundle.clean.shape[0]
+    nframes = static_bundle.truth.doa_per_frame.size
     for side, ref in zip(rtf.SIDES, (0, m - 1)):
-        # .rtfb payloads are complex64; the mask and the reference mic are exact
+        # .rtfb payloads are complex64; the mask and the reference mic are
+        # exact. The static truth's one frame is written to all L frames
         written, read = static_bundle.truth.rtf[side], loaded.truth.rtf[side]
-        np.testing.assert_array_equal(read.values, written.values.astype(np.complex64))
-        np.testing.assert_array_equal(read.valid, written.valid)
+        nbins = written.values.shape[0]
+        np.testing.assert_array_equal(
+            read.values,
+            np.broadcast_to(written.values, (nbins, m, nframes)).astype(np.complex64))
+        np.testing.assert_array_equal(read.valid,
+                                      np.broadcast_to(written.valid, (nbins, nframes)))
         assert read.ref_channel == written.ref_channel == ref
         # the scores take a side's clean reference from clean.wav: it must be
         # the row that clean_ref_{side}.wav holds
@@ -78,6 +84,21 @@ def test_simulate_count_makes_multiple_bundles(tmp_path):
     for d in dirs:
         assert (tmp_path / d / "scenario.json").exists()
         assert (tmp_path / d / "mixture.wav").exists()
+
+
+def test_simulate_static_writes_every_frame_of_the_truth(tmp_path):
+    # a static scene's truth keeps one frame in memory; its .rtfb files hold
+    # all L frames of ground_truth.json, each a copy of the first
+    rc = cli.main(["simulate", "--seed", "5", "--snr", "10", "--static",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    out = next(tmp_path.iterdir())
+    meta = json.loads((out / "ground_truth.json").read_text())
+    nframes = len(meta["doa_per_frame_deg"])
+    for side in rtf.SIDES:
+        traj, _ = rtf.load_trajectory(out / f"rtf_true_{side}.rtfb")
+        assert traj.values.shape[2] == traj.valid.shape[1] == nframes
+        assert np.all(traj.values == traj.values[:, :, :1])
 
 
 # ---------------------------------------------------------- subcommands

@@ -419,8 +419,11 @@ def test_mse_excludes_invalid_cells():
 
 def test_mse_errors():
     a = np.ones((2, 2, 2), dtype=complex)
-    with pytest.raises(rtf.RtfError):
+    # frame counts broadcast from one frame only, on either side
+    with pytest.raises(rtf.RtfError, match="shape mismatch"):
         rtf.rtf_mse(_traj(a), _traj(np.ones((2, 2, 3), dtype=complex)))
+    with pytest.raises(rtf.RtfError, match="shape mismatch"):
+        rtf.rtf_mse(_traj(np.ones((2, 2, 3), dtype=complex)), _traj(a))
     with pytest.raises(rtf.RtfError):
         rtf.rtf_mse(_traj(a, ref=0), _traj(a, ref=1))
     with pytest.raises(rtf.RtfError):
@@ -446,6 +449,20 @@ def test_mse_of_a_one_frame_estimate_matches_its_broadcast():
                  valid=np.broadcast_to(valid, (nbins, nframes)))
     one = rtf.rtf_mse(_traj(est, valid=valid), _traj(truth, valid=truth_valid))
     assert abs(one - rtf.rtf_mse(full, _traj(truth, valid=truth_valid))) <= 1e-12
+
+
+def test_mse_against_a_one_frame_truth_matches_its_broadcast():
+    # a static scene's truth has one frame; a PAST estimate has L
+    rng = np.random.default_rng(18)
+    m, nbins, nframes = 3, 4, 5
+    est = random_complex(rng, nbins, m, nframes)
+    est_valid = rng.random((nbins, nframes)) < 0.8
+    truth = random_complex(rng, nbins, m, 1)
+    valid = np.array([[True], [True], [False], [True]])
+    full = _traj(np.broadcast_to(truth, (nbins, m, nframes)),
+                 valid=np.broadcast_to(valid, (nbins, nframes)))
+    one = rtf.rtf_mse(_traj(est, valid=est_valid), _traj(truth, valid=valid))
+    assert abs(one - rtf.rtf_mse(_traj(est, valid=est_valid), full)) <= 1e-12
 
 
 def test_mse_monotone_with_snr(static_bundle):

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,26 @@ def test_ground_truth_rtf_matches_geometry_oracle(moving_bundle):
             np.testing.assert_allclose(truth.rtf["left"].values[k, :, l], a, atol=1e-9)
 
 
+def test_static_truth_is_one_frame_of_the_per_frame_truth(static_bundle, moving_bundle):
+    # a pinned source's RTF is the same in every frame: the truth keeps one
+    # frame, and it equals each frame of the per-frame analytic RTF exactly
+    scenario, cfg = static_bundle.scenario, static_bundle.config
+    nframes = static_bundle.truth.doa_per_frame.size
+    frame_times = (np.arange(nframes) * cfg.hop + cfg.window_len / 2) / scenario.sample_rate
+    for side, ref in (("left", 0), ("right", scenario.num_mics - 1)):
+        truth = static_bundle.truth.rtf[side]
+        assert truth.values.shape == (cfg.num_bins, scenario.num_mics, 1)
+        assert truth.valid.shape == (cfg.num_bins, 1)
+        per_frame = simulator._analytic_rtf(scenario, frame_times, cfg, ref)
+        np.testing.assert_array_equal(
+            np.broadcast_to(truth.values, per_frame.values.shape), per_frame.values)
+        np.testing.assert_array_equal(
+            np.broadcast_to(truth.valid, per_frame.valid.shape), per_frame.valid)
+    moving = moving_bundle.truth
+    for traj in moving.rtf.values():
+        assert traj.values.shape[2] == traj.valid.shape[1] == moving.doa_per_frame.size
+
+
 def test_channel_power_follows_inverse_distance():
     scenario = _static_scenario(start_deg=50.0)
     source = simulator.synthesize_target_signal(2, scenario)
@@ -232,6 +256,17 @@ def test_fast_len_matches_scipy_next_fast_len():
         assert simulator._fast_len(n) == spfft.next_fast_len(n, real=True), n
 
 
+def test_importing_rtfbeam_does_not_import_scipy_fft():
+    # _fast_len stands in for scipy.fft.next_fast_len because the import
+    # adds 150-180 ms to every CLI run; this process has imported it already
+    code = ("import sys, rtfbeam, rtfbeam.cli; "
+            "sys.exit('scipy.fft' in sys.modules)")
+    src = str(Path(simulator.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 # --------------------------------------------------------------- babble
 
 
@@ -311,6 +346,26 @@ def test_babbler_signals_deterministic_and_unit_rms():
     b = simulator.synthesize_babbler_signals(7, 2, 1.0)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(np.sqrt(np.mean(a**2, axis=1)), 1.0, rtol=1e-12)
+
+
+def test_babbler_signals_draw_per_signal_and_match_the_direct_modulation():
+    # each signal draws its white noise, then its phase, in turn: signal 0
+    # does not depend on the count, so a batched draw would fail here
+    seed = [4, 2]
+    many = simulator.synthesize_babbler_signals(seed, 20)
+    np.testing.assert_array_equal(many[0], simulator.synthesize_babbler_signals(seed, 1)[0])
+    # the shared sin/cos modulation against 1 + sin(w t + phi) / 2 per signal
+    rng = np.random.default_rng(seed)
+    n = many.shape[1]
+    t = np.arange(n) / simulator.DEFAULT_SAMPLE_RATE
+    freqs = np.fft.rfftfreq(n, t[1])
+    shaping = np.where(freqs > 50.0, np.sqrt(50.0 / np.maximum(freqs, 50.0)), 1.0)
+    shaping[0] = 0.0
+    for sig in many:
+        pink = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * shaping, n=n)
+        direct = pink * (1.0 + 0.5 * np.sin(2 * np.pi * 4.0 * t + rng.uniform(0, 2 * np.pi)))
+        np.testing.assert_allclose(sig, direct / np.sqrt(np.mean(direct**2)),
+                                   rtol=0, atol=1e-12)
 
 
 def test_babbler_spectrum_slope_is_pink():

@@ -143,6 +143,7 @@ def test_wav_round_trip(tmp_path, dtype, tol):
     rate, y = stft.read_wav(path, expected_rate=16000)
     assert rate == 16000
     assert y.shape == x.shape
+    assert y.dtype == np.float64 and y.flags.c_contiguous  # one channel per row
     np.testing.assert_allclose(y, x, atol=tol)
 
 
