@@ -188,8 +188,8 @@ def sample_scenario(seed: int, static: bool = False) -> Scenario:
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n: a length numpy's FFT transforms fast."""
     # not scipy.fft.next_fast_len(n, real=True), which gives the same
-    # lengths: no rtfbeam module imports scipy.fft, and importing it adds
-    # 150-180 ms (python -X importtime) to the ~400-600 ms import of rtfbeam
+    # lengths: rtfbeam imports no scipy at all, and scipy.fft alone would
+    # add 150-180 ms (python -X importtime) to the ~200 ms import of rtfbeam
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:

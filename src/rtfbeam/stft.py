@@ -6,14 +6,25 @@ Synthesis uses the dual window w_a / sum_shifts(w_a^2), which gives perfect
 reconstruction on the fully-overlapped interior for any NOLA window. The
 spectrogram is bin-major, (F, M, L), the layout of every per-bin product
 downstream; `analyze` has the rfft write its output into that layout.
+
+WAV files are read and written here with `struct` and numpy, not scipy.io,
+whose import would more than double the import time of rtfbeam.
+`write_wav` writes little-endian RIFF float32: a `fmt ` chunk (tag 3,
+cbSize 0), a `fact` chunk and a `data` chunk, the bytes that
+scipy.io.wavfile.write writes. `read_wav` reads little-endian RIFF with
+PCM16, PCM32, float32 or float64 samples, also under WAVE_FORMAT_EXTENSIBLE,
+and skips any other chunk; anything else (8- or 24-bit PCM, A-law, RIFX,
+RF64, a missing `fmt ` or `data` chunk, a truncated file) raises an
+StftError that names the file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
 
 
 class StftError(ValueError):
@@ -138,20 +149,60 @@ def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
     return out
 
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# the sub-format GUID of WAVE_FORMAT_EXTENSIBLE is the format tag followed
+# by these 12 bytes
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_TYPES = {(_PCM, 16): "<i2", (_PCM, 32): "<i4",
+                 (_IEEE_FLOAT, 32): "<f4", (_IEEE_FLOAT, 64): "<f8"}
+
+
 def read_wav(path, expected_rate: int | None = None) -> tuple[int, np.ndarray]:
     """Read a WAV file as C-contiguous float64 (channels, samples) in
     [-1, 1] scaling: each channel's samples are adjacent in memory, as
     `analyze` reads them."""
-    rate, data = wavfile.read(path)
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+            raise StftError(f"{path}: no RIFF/WAVE header")
+        fmt = None
+        while True:
+            chunk = fh.read(8)
+            if len(chunk) < 8:
+                raise StftError(f"{path}: no {'fmt ' if fmt is None else 'data'} chunk")
+            size = struct.unpack("<I", chunk[4:])[0]
+            if chunk[:4] == b"data":
+                break
+            if chunk[:4] == b"fmt ":
+                fmt = fh.read(size)
+                if size < 16 or len(fmt) < size:
+                    raise StftError(f"{path}: short fmt chunk")
+            else:
+                fh.seek(size, 1)
+            fh.seek(size & 1, 1)  # chunks are padded to an even length
+        if fmt is None:
+            raise StftError(f"{path}: no fmt chunk before the data chunk")
+        tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
+        if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _GUID_TAIL:
+            tag = struct.unpack("<I", fmt[24:28])[0]
+        dtype = _SAMPLE_TYPES.get((tag, bits))
+        if dtype is None or channels == 0 or block_align != channels * bits // 8:
+            raise StftError(f"{path}: unsupported sample format (tag {tag:#x}, "
+                            f"{bits}-bit, {channels} channels)")
+        data = fh.read(size)
+    if len(data) < size:
+        raise StftError(f"{path}: short data chunk ({len(data)} of {size} bytes)")
+    if size % block_align:
+        raise StftError(f"{path}: data chunk of {size} bytes holds a partial "
+                        f"{block_align}-byte frame")
     if expected_rate is not None and rate != expected_rate:
-        raise StftError(f"sample rate {rate} != expected {expected_rate}")
+        raise StftError(f"{path}: sample rate {rate} != expected {expected_rate}")
     # the file interleaves the channels, (samples, channels): one copy
     # converts and transposes
-    out = np.ascontiguousarray(np.atleast_2d(data.T), dtype=np.float64)
-    if data.dtype == np.int16:
-        out /= 32768.0
-    elif data.dtype == np.int32:
-        out /= 2147483648.0
+    samples = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
+    out = np.ascontiguousarray(samples.T, dtype=np.float64)
+    if tag == _PCM:
+        out /= float(1 << (bits - 1))
     return rate, out
 
 
@@ -159,5 +210,15 @@ def write_wav(path, rate: int, signal: np.ndarray) -> None:
     """Write (channels, samples) or (samples,) to a float32 WAV file (a path
     or a binary file object)."""
     x = np.atleast_2d(np.asarray(signal, dtype=np.float64))
-    out = x.T if x.shape[0] > 1 else x[0]
-    wavfile.write(path, rate, out.astype(np.float32))
+    channels, frames = x.shape
+    samples = np.ascontiguousarray(x.T, dtype="<f4")  # interleaved
+    header = b"".join([
+        b"RIFF", struct.pack("<I", 50 + samples.nbytes), b"WAVE",
+        b"fmt ", struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, channels, rate,
+                             4 * channels * rate, 4 * channels, 32, 0),
+        b"fact", struct.pack("<II", 4, frames),
+        b"data", struct.pack("<I", samples.nbytes),
+    ])
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(samples)

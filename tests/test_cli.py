@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from conftest import collect_bins, count_calls, discard_bins
 from rtfbeam import cli, covariance, metrics, pipeline, rtf, simulator, stft
@@ -204,6 +205,26 @@ def test_beamform_on_a_cut_trajectory_file_names_it(tmp_path, static_bundle, cap
     rc = cli.main(["beamform", "--bundle", str(out), "--results", str(tmp_path / "r.csv")])
     assert rc == cli.EXIT_RUNTIME
     assert capsys.readouterr().err.startswith(f"error: {path}: 1000 bytes")
+
+
+@pytest.mark.parametrize("name,defect", [
+    ("mixture.wav", "unsupported sample format (tag 0x1, 8-bit"),
+    ("clean.wav", "short data chunk"),
+])
+def test_beamform_on_an_unreadable_wav_names_it(tmp_path, static_bundle, capsys, name, defect):
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    path = out / name
+    if name == "mixture.wav":  # 8-bit PCM, which read_wav does not read
+        pcm8 = np.clip(static_bundle.mixture.T * 128.0 + 128.0, 0, 255).astype(np.uint8)
+        wavfile.write(path, 16000, pcm8)
+    else:
+        path.write_bytes(path.read_bytes()[:-5])
+    capsys.readouterr()
+    rc = cli.main(["beamform", "--bundle", str(out), "--results", str(tmp_path / "r.csv")])
+    assert rc == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error: {path}: {defect}")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_beamform_on_a_dead_reference_mic_names_it(tmp_path, static_bundle, capsys):

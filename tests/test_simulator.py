@@ -257,14 +257,18 @@ def test_fast_len_matches_scipy_next_fast_len():
 
 
 def test_importing_rtfbeam_does_not_import_scipy_fft():
-    # _fast_len stands in for scipy.fft.next_fast_len because the import
-    # adds 150-180 ms to every CLI run; this process has imported it already
+    # _fast_len stands in for scipy.fft.next_fast_len, and stft's own WAV
+    # code for scipy.io.wavfile, because those imports add 150-300 ms to
+    # every CLI run; this process has imported scipy already
     code = ("import sys, rtfbeam, rtfbeam.cli; "
-            "sys.exit('scipy.fft' in sys.modules)")
+            "print(*(m for m in sys.modules if m.startswith('scipy')))")
     src = str(Path(simulator.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    imported = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+    assert "scipy.fft" not in imported
+    assert imported == []
 
 
 # --------------------------------------------------------------- babble

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -150,5 +152,108 @@ def test_wav_round_trip(tmp_path, dtype, tol):
 def test_read_wav_rate_mismatch(tmp_path):
     path = tmp_path / "x.wav"
     stft.write_wav(path, 8000, np.zeros(100))
-    with pytest.raises(stft.StftError):
+    with pytest.raises(stft.StftError) as err:
         stft.read_wav(path, expected_rate=16000)
+    assert str(err.value) == f"{path}: sample rate 8000 != expected 16000"
+
+
+# -------------------------------------------------------------- WAV format
+# scipy.io.wavfile is the oracle for the bytes written and the samples read
+
+
+@pytest.mark.parametrize("shape", [(1600,), (1, 1600), (2, 1600), (8, 1600)])
+def test_write_wav_bytes_are_scipys(tmp_path, shape):
+    x = np.random.default_rng(4).standard_normal(shape)
+    stft.write_wav(tmp_path / "ours.wav", 16000, x)
+    rows = np.atleast_2d(x)
+    wavfile.write(tmp_path / "scipy.wav", 16000,
+                  (rows.T if rows.shape[0] > 1 else rows[0]).astype(np.float32))
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+_EXTENSIBLE_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _fmt(tag, channels, bits, extra=b""):
+    align = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, 16000, 16000 * align, align, bits) + extra
+
+
+def _riff(*chunks):
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def _samples(dtype, shape=(400, 2)):
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, shape)
+    if np.dtype(dtype).kind == "i":
+        return (x * np.iinfo(dtype).max).astype(dtype)
+    return x.astype(dtype)
+
+
+def _extensible_float32():
+    data = _samples("<f4")
+    ext = struct.pack("<HHII", 22, 32, 0b11, 3) + _EXTENSIBLE_TAIL
+    return _riff((b"fmt ", _fmt(0xFFFE, 2, 32, ext)), (b"data", data.tobytes()))
+
+
+def _odd_list_before_data():
+    data = _samples("<i2")
+    return _riff((b"fmt ", _fmt(1, 2, 16)), (b"LIST", b"INFOodd"), (b"data", data.tobytes()))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda p: wavfile.write(p, 16000, _samples("<i2")), id="pcm16"),
+    pytest.param(lambda p: wavfile.write(p, 16000, _samples("<i4")), id="pcm32"),
+    pytest.param(lambda p: wavfile.write(p, 16000, _samples("<f4")), id="float32"),
+    pytest.param(lambda p: wavfile.write(p, 16000, _samples("<f8", (400,))), id="float64-mono"),
+    pytest.param(lambda p: p.write_bytes(_extensible_float32()), id="extensible-float32"),
+    pytest.param(lambda p: p.write_bytes(_odd_list_before_data()), id="odd-list-chunk"),
+])
+def test_read_wav_matches_scipy(tmp_path, make):
+    path = tmp_path / "x.wav"
+    make(path)
+    rate, data = wavfile.read(path)
+    expected = np.atleast_2d(data.T).astype(np.float64)
+    if data.dtype.kind == "i":
+        expected /= 2.0 ** (8 * data.dtype.itemsize - 1)
+    got_rate, got = stft.read_wav(path)
+    assert got_rate == rate == 16000
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, expected)
+
+
+def _cut(nbytes):
+    def make(path):
+        stft.write_wav(path, 16000, np.zeros((2, 100)))
+        path.write_bytes(path.read_bytes()[:nbytes])
+    return make
+
+
+@pytest.mark.parametrize("make,defect", [
+    pytest.param(lambda p: wavfile.write(p, 16000, _samples("u1")),
+                 "unsupported sample format (tag 0x1, 8-bit", id="pcm8"),
+    pytest.param(lambda p: p.write_bytes(_riff((b"fmt ", _fmt(1, 2, 24)), (b"data", bytes(60)))),
+                 "unsupported sample format (tag 0x1, 24-bit", id="pcm24"),
+    pytest.param(lambda p: p.write_bytes(_riff((b"fmt ", _fmt(6, 1, 8)), (b"data", bytes(10)))),
+                 "unsupported sample format (tag 0x6, 8-bit", id="a-law"),
+    pytest.param(lambda p: p.write_bytes(b"ID3\x03 not a wav file"), "no RIFF/WAVE header",
+                 id="no-header"),
+    pytest.param(_cut(6), "no RIFF/WAVE header", id="cut-in-header"),
+    pytest.param(lambda p: p.write_bytes(_riff((b"data", bytes(8)))),
+                 "no fmt chunk before the data chunk", id="no-fmt"),
+    pytest.param(_cut(30), "short fmt chunk", id="cut-in-fmt"),
+    pytest.param(lambda p: p.write_bytes(_riff((b"fmt ", _fmt(3, 1, 32)))), "no data chunk",
+                 id="no-data"),
+    pytest.param(_cut(40), "no data chunk", id="cut-before-data"),
+    pytest.param(_cut(400), "short data chunk (342 of 800 bytes)", id="short-data"),
+    pytest.param(lambda p: p.write_bytes(_riff((b"fmt ", _fmt(1, 2, 16)), (b"data", bytes(6)))),
+                 "data chunk of 6 bytes holds a partial 4-byte frame", id="partial-frame"),
+])
+def test_read_wav_names_the_path_and_the_defect(tmp_path, make, defect):
+    path = tmp_path / "bad.wav"
+    make(path)
+    with pytest.raises(stft.StftError) as err:
+        stft.read_wav(path)
+    assert str(err.value).startswith(f"{path}: {defect}")
