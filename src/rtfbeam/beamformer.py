@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import EigenDecomposition, loaded_power
 from .rtf import RtfTrajectory
-from .stft import ComplexSpectrogram, StftConfig
+from .stft import ComplexSpectrogram, StftConfig, phase_ramp
 
 SPEED_OF_SOUND = 343.0
 # heavier loading than the covariance-whitening default: the MVDR inverse is
@@ -124,8 +124,9 @@ def narrowband_beampattern(
     if nbins != config.num_bins:
         raise BeamformerError(f"weights have {nbins} bins, config {config.num_bins}")
 
-    tau = (x - x[0])[None, :] / SPEED_OF_SOUND * np.sin(np.deg2rad(angles_deg))[:, None]
-    h = np.exp(-2j * np.pi * config.bin_frequencies_hz()[:, None, None] * tau)  # (F, T, M)
+    tau = (x - x[0])[None, :] * np.sin(np.deg2rad(angles_deg))[:, None]  # (T, M) m
+    h = phase_ramp(tau / SPEED_OF_SOUND * config.sample_rate_hz, config.window_len)
+    h = np.ascontiguousarray(h.transpose(2, 0, 1))  # (F, T, M)
     w = weights.values.conj()
     b = np.empty((angles_deg.size, nframes))
     wide = np.zeros((angles_deg.size, nframes))

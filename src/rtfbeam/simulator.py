@@ -5,7 +5,7 @@ on a circular arc around the array center; 20 babblers near the walls.
 Rendering is free-field (gain 1/r, pure propagation delay) and linear in
 the sources. Static sources (a pinned target, or all babblers at once) are
 rendered in the frequency domain: one rfft per source at a common 5-smooth
-length, each spectrum times the exact fractional-delay phase ramp and 1/r
+length, each spectrum times its fractional-delay `stft.phase_ramp` and 1/r
 summed per mic, then one irfft per mic. A moving source goes through a
 32-tap raised-cosine windowed-sinc interpolator, its trajectory sampled per
 STFT hop; the kernel loops over the taps on a zero-padded copy of the
@@ -26,7 +26,7 @@ import numpy as np
 
 from .beamformer import SPEED_OF_SOUND
 from .rtf import RtfTrajectory, reference_mics
-from .stft import StftConfig
+from .stft import StftConfig, phase_ramp
 
 NUM_MICS = 8
 MIC_SPACING_M = 0.05
@@ -40,7 +40,6 @@ NUM_BABBLERS = 20
 # disambiguate front/back, so arcs crossing endfire would fold the DOA
 MAX_ABS_DOA_DEG = 80.0
 SINC_HALF_TAPS = 16  # 32-tap interpolator
-_RAMP_BLOCK = 256  # fine-ramp length of the static delay filters
 SNR_CAP_DB = 120.0
 
 
@@ -202,24 +201,6 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _delay_filters(
-    delays: np.ndarray, gains: np.ndarray, nfft: int, out: np.ndarray
-) -> np.ndarray:
-    """gain * exp(-j 2 pi k delay / nfft) over the rfft bins k, (D, nfft//2 + 1),
-    written into `out`, a complex (D, B ceil((nfft//2 + 1) / B)) buffer.
-
-    Bin k = a B + b splits each ramp into a coarse and a fine factor, so an
-    entry costs one complex multiply rather than one complex exponential.
-    """
-    nbins = nfft // 2 + 1
-    step = -2j * np.pi / nfft * delays[:, None]
-    fine = np.exp(step * np.arange(_RAMP_BLOCK)) * gains[:, None]
-    coarse = np.exp(step * np.arange(0, nbins, _RAMP_BLOCK))
-    np.multiply(coarse[:, :, None], fine[:, None, :],
-                out=out.reshape(delays.shape[0], -1, _RAMP_BLOCK))
-    return out[:, :nbins]
-
-
 def _render_sources(
     signals: np.ndarray, positions: np.ndarray, mic_positions: np.ndarray, fs: int
 ) -> np.ndarray:
@@ -227,11 +208,11 @@ def _render_sources(
 
     Source s reaches mic m with gain 1/d_sm after tau_sm = d_sm / c. Each
     source is transformed once at a common 5-smooth FFT length, long enough
-    that no delayed sample wraps; its spectrum times exp(-j 2 pi f tau_sm)
-    / d_sm is summed into the mic spectra, and one inverse FFT over the mics
-    returns the field, each path an exact band-limited fractional delay.
-    The sources' ramps take turns in one buffer: a fresh 4 MB array per
-    source costs page faults.
+    that no delayed sample wraps; its spectrum times the `stft.phase_ramp`
+    exp(-j 2 pi f tau_sm) / d_sm is summed into the mic spectra, and one
+    inverse FFT over the mics returns the field, each path an exact
+    band-limited fractional delay. The sources' ramps take turns in one
+    buffer: a fresh 4 MB array per source costs page faults.
     """
     n = signals.shape[1]
     num_mics = mic_positions.shape[0]
@@ -241,10 +222,9 @@ def _render_sources(
     nfft = _fast_len(n + longest + 4 * SINC_HALF_TAPS)
     nbins = nfft // 2 + 1
     field = np.zeros((num_mics, nbins), dtype=np.complex128)
-    padded_bins = -(-nbins // _RAMP_BLOCK) * _RAMP_BLOCK
-    ramps = np.empty((num_mics, padded_bins), dtype=np.complex128)
+    ramps = np.empty((num_mics, nbins), dtype=np.complex128)
     for signal, delay, dist in zip(signals, delays, dists):
-        paths = _delay_filters(delay, 1.0 / dist, nfft, ramps)
+        paths = phase_ramp(delay, nfft, 1.0 / dist, ramps)
         paths *= np.fft.rfft(signal, n=nfft)
         field += paths
     return np.fft.irfft(field, n=nfft, axis=1)[:, :n]
@@ -308,13 +288,11 @@ def _analytic_rtf(
     mics = scenario.mic_positions()
     pos = scenario.source_position(frame_times)  # (L, 3)
     dists = np.linalg.norm(mics[:, None, :] - pos[None, :, :], axis=2)  # (M, L)
-    tau = dists / SPEED_OF_SOUND
-    freqs = config.bin_frequencies_hz()  # (F,)
-    dtau = tau - tau[ref_channel]
-    gains = dists[ref_channel] / dists
-    # a_m(k, l) = exp(-j 2 pi f_k (tau_m - tau_ref)) * d_ref / d_m, (F, M, L)
-    values = gains * np.exp(-2j * np.pi * freqs[:, None, None] * dtau)
-    return RtfTrajectory(values, ref_channel)
+    tau = dists / SPEED_OF_SOUND * config.sample_rate_hz  # samples
+    # a_m(k, l) = exp(-j 2 pi f_k (tau_m - tau_ref)) * d_ref / d_m
+    ramps = phase_ramp(tau - tau[ref_channel], config.window_len,
+                       dists[ref_channel] / dists)  # (M, L, F)
+    return RtfTrajectory(np.ascontiguousarray(ramps.transpose(2, 0, 1)), ref_channel)
 
 
 def render_moving_source(
@@ -367,12 +345,7 @@ def render_moving_source(
     rtfs = {side: _analytic_rtf(scenario, rtf_times, config, ref)
             for side, ref in reference_mics(scenario.num_mics).items()}
 
-    frame_energy = np.array(
-        [
-            np.sum(clean[0, l * config.hop : l * config.hop + config.window_len] ** 2)
-            for l in range(num_frames)
-        ]
-    )
+    frame_energy = np.sum(config.frames(clean[0]) ** 2, axis=-1)
     active = frame_energy > 1e-4 * max(np.max(frame_energy), 1e-300)
     truth = GroundTruth(doa_per_frame=doa, rtf=rtfs, active_frames=active)
     return clean, truth

@@ -7,6 +7,13 @@ reconstruction on the fully-overlapped interior for any NOLA window. The
 spectrogram is bin-major, (F, M, L), the layout of every per-bin product
 downstream; `analyze` has the rfft write its output into that layout.
 
+`phase_ramp`, gains * exp(-j 2 pi k d / nfft) over the rfft bins k for
+delays d in samples, is the one free-field phase model: the render, the
+analytic RTF truth and the steering vectors call it. Bin k = a B + b splits
+a ramp into coarse and fine factors, a complex multiply per entry, with B
+the smallest power of two >= sqrt(nbins). The bins trail, (..., nbins):
+the render writes contiguous rows into its one reused buffer.
+
 WAV files are read and written here with `struct` and numpy, not scipy.io,
 whose import would more than double the import time of rtfbeam.
 `write_wav` writes little-endian RIFF float32: a `fmt ` chunk (tag 3,
@@ -81,6 +88,12 @@ class StftConfig:
             raise StftError("signal shorter than one analysis window")
         return 1 + (num_samples - self.window_len) // self.hop
 
+    def frames(self, x: np.ndarray) -> np.ndarray:
+        """Read-only (..., L, window_len) view of x's frames along its last axis."""
+        self.num_frames(x.shape[-1])  # refuses a signal shorter than a window
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.window_len, axis=-1)
+        return windows[..., :: self.hop, :]
+
 
 @dataclass
 class ComplexSpectrogram:
@@ -115,17 +128,30 @@ def analyze(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
         raise StftError("signal must be 1-D or 2-D (channels, samples)")
     if not np.all(np.isfinite(x)):
         raise StftError("signal contains non-finite samples")
-    n = x.shape[1]
-    num_frames = config.num_frames(n)
-    win = config.analysis_window()
-    wlen, hop = config.window_len, config.hop
-
-    frames = np.lib.stride_tricks.sliding_window_view(x, wlen, axis=1)
-    frames = frames[:, :: hop, :][:, :num_frames, :]  # (M, L, W)
-    spec = np.empty((config.num_bins, x.shape[0], num_frames), dtype=np.complex128)
+    frames = config.frames(x)  # (M, L, W)
+    spec = np.empty((config.num_bins, *frames.shape[:2]), dtype=np.complex128)
     # the rfft writes each frame's spectrum straight into its (F, M, L) place
-    np.fft.rfft(frames * win, axis=-1, out=spec.transpose(1, 2, 0))
+    np.fft.rfft(frames * config.analysis_window(), axis=-1, out=spec.transpose(1, 2, 0))
     return ComplexSpectrogram(spec, config)
+
+
+def phase_ramp(delays, nfft: int, gains=1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """gains * exp(-j 2 pi k d / nfft), (*delays.shape, nfft//2 + 1), into `out`
+    if given. Elementwise in the delays: a delay alone gives the same ramp as
+    within any batch. The delays are in samples, k runs over the rfft bins."""
+    delays = np.asarray(delays, dtype=np.float64)
+    nbins = nfft // 2 + 1
+    block = 1 << ((nbins - 1).bit_length() + 1) // 2  # smallest 2^e >= sqrt(nbins)
+    whole = nbins // block
+    out = np.empty(delays.shape + (nbins,), dtype=np.complex128) if out is None else out
+    step = -2j * np.pi / nfft * delays[..., None]
+    fine = np.exp(step * np.arange(block)) * np.asarray(gains)[..., None]
+    coarse = np.exp(step * np.arange(0, nbins, block))
+    np.multiply(coarse[..., :whole, None], fine[..., None, :],
+                out=out[..., : whole * block].reshape(delays.shape + (whole, block)))
+    # the last, partial block
+    np.multiply(coarse[..., whole:], fine[..., : nbins % block], out=out[..., whole * block :])
+    return out
 
 
 def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
