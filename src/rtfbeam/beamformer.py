@@ -3,7 +3,9 @@
 The MVDR beamformer here is a classical distortionless design steered by
 the RTF trajectory: w = Phi_nn^{-1} a / (a^H Phi_nn^{-1} a). Beampatterns
 are evaluated against far-field plane-wave steering vectors on a broadside
-angle grid. Weights are bin-major, (F, M, L'), like the RTF trajectory.
+angle grid. The weights w(l,k) are a plain complex (F, M, L') ndarray,
+bin-major like the RTF trajectory, with L' = L or 1 for weights that hold
+in every frame; they are applied as s = w^H y.
 """
 
 from __future__ import annotations
@@ -30,19 +32,6 @@ class BeamformerError(ValueError):
 
 
 @dataclass
-class BeamformerWeights:
-    """Complex weights w(l,k), shape (F, M, L') with L' in {1, L}; applied
-    as s = w^H y."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 3:
-            raise BeamformerError("weights must have shape (F, M, L)")
-
-
-@dataclass
 class BeampatternGrid:
     angles_deg: np.ndarray  # (T,)
     wideband: np.ndarray  # P(theta, l) = sum_k |B(k, theta, l)|^2, shape (T, L)
@@ -52,7 +41,7 @@ def mvdr_weights(
     rtf: RtfTrajectory,
     phi_nn_evd: EigenDecomposition,
     loading: float = MVDR_LOADING,
-) -> BeamformerWeights:
+) -> np.ndarray:
     """Distortionless MVDR weights per (k, l): w = Phi^{-1}a / (a^H Phi^{-1}a).
 
     Phi^{-1} is the loaded inverse from the EVD of the noise covariance.
@@ -66,7 +55,7 @@ def mvdr_weights(
     nbins, m, nframes = rtf.values.shape
     if phi_nn_evd.eigenvalues.shape != (nbins, m):
         raise BeamformerError("noise covariance shape does not match RTF")
-    inv = loaded_power(phi_nn_evd, -1.0, loading).matrices
+    inv = loaded_power(phi_nn_evd, -1.0, loading)
 
     a = rtf.values  # (F, M, L')
     num = inv @ a  # Phi^{-1} a
@@ -87,23 +76,25 @@ def mvdr_weights(
     num[k, :, l] = num[k, :, last[k, l]]
     k, l = np.nonzero(last < 0)
     num[k, :, l] = np.eye(m)[rtf.ref_channel]
-    return BeamformerWeights(num)
+    return num
 
 
-def apply(weights: BeamformerWeights, spec: ComplexSpectrogram) -> ComplexSpectrogram:
+def apply(weights: np.ndarray, spec: ComplexSpectrogram) -> ComplexSpectrogram:
     """Filter-and-sum: s_hat(l,k) = w^H(l,k) y(l,k); weights with one frame
     apply to every frame."""
-    nbins, m, nframes = weights.values.shape
+    if weights.ndim != 3:
+        raise BeamformerError(f"weights must have shape (F, M, L), got {weights.shape}")
+    nbins, m, nframes = weights.shape
     if (nbins, m) != spec.data.shape[:2] or nframes not in (1, spec.num_frames):
         raise BeamformerError(
-            f"weights shape {weights.values.shape} != spectrogram {spec.data.shape}"
+            f"weights shape {weights.shape} != spectrogram {spec.data.shape}"
         )
-    out = np.einsum("kml,kml->kl", weights.values.conj(), spec.data)
+    out = np.einsum("kml,kml->kl", weights.conj(), spec.data)
     return ComplexSpectrogram(out[:, None, :], spec.config)
 
 
 def narrowband_beampattern(
-    weights: BeamformerWeights,
+    weights: np.ndarray,
     positions_m: np.ndarray,
     config: StftConfig,
     angles_deg: np.ndarray,
@@ -118,7 +109,9 @@ def narrowband_beampattern(
     """
     angles_deg = np.asarray(angles_deg, dtype=np.float64)
     x = np.asarray(positions_m, dtype=np.float64)
-    nbins, m, nframes = weights.values.shape
+    if weights.ndim != 3:
+        raise BeamformerError(f"weights must have shape (F, M, L), got {weights.shape}")
+    nbins, m, nframes = weights.shape
     if x.shape != (m,):
         raise BeamformerError("geometry length must equal channel count")
     if nbins != config.num_bins:
@@ -127,7 +120,7 @@ def narrowband_beampattern(
     tau = (x - x[0])[None, :] * np.sin(np.deg2rad(angles_deg))[:, None]  # (T, M) m
     h = phase_ramp(tau / SPEED_OF_SOUND * config.sample_rate_hz, config.window_len)
     h = np.ascontiguousarray(h.transpose(2, 0, 1))  # (F, T, M)
-    w = weights.values.conj()
+    w = weights.conj()
     b = np.empty((angles_deg.size, nframes))
     wide = np.zeros((angles_deg.size, nframes))
     for k in range(nbins):

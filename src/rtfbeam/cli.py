@@ -131,6 +131,24 @@ def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
     )
 
 
+def _load_truth(path: Path, side: str, config: stft.StftConfig,
+                mixture: np.ndarray) -> rtf.RtfTrajectory:
+    """The truth trajectory of `side`; a file written for another side, or
+    for another array, length or STFT than the mixture and ground_truth.json,
+    raises RtfError naming `path`."""
+    traj, meta = rtf.load_trajectory(path)
+    num_mics, num_samples = mixture.shape
+    shape = (config.num_bins, num_mics, config.num_frames(num_samples))
+    fits = {"ref_channel": (traj.ref_channel, rtf.reference_mics(num_mics)[side]),
+            "(F, M, L)": (traj.values.shape, shape),
+            **{key: (value, getattr(config, key)) for key, value in meta.items()}}
+    misfits = [f"{key} {got}, expected {want}"
+               for key, (got, want) in fits.items() if got != want]
+    if misfits:
+        raise rtf.RtfError(f"{path}: {'; '.join(misfits)} for the {side} side")
+    return traj
+
+
 def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
     if not (bundle_dir / "scenario.json").exists():
         raise ConfigError(f"not a scenario bundle: {bundle_dir}")
@@ -144,7 +162,7 @@ def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
     _, noise = stft.read_wav(bundle_dir / "noise.wav", rate)
     truth = simulator.GroundTruth(
         doa_per_frame=np.asarray(meta["doa_per_frame_deg"]),
-        rtf={side: rtf.load_trajectory(bundle_dir / f"rtf_true_{side}.rtfb")[0]
+        rtf={side: _load_truth(bundle_dir / f"rtf_true_{side}.rtfb", side, config, mixture)
              for side in rtf.SIDES},
         active_frames=np.asarray(meta["active_frames"], dtype=bool),
     )
@@ -320,8 +338,10 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     done = completed_keys(out)
     seeds = list(range(args.seed, args.seed + args.count))
-    snrs = args.snrs
-    methods = args.methods.split(",")
+    # a repeated SNR or method names the same cell: keep its first place
+    # only, so its row is written once
+    snrs = list(dict.fromkeys(args.snrs))
+    methods = list(dict.fromkeys(args.methods.split(",")))
     for method in methods:
         if method not in pipeline.METHODS:
             raise ConfigError(f"unknown method {method!r}")

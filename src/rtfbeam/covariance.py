@@ -1,7 +1,10 @@
 """Per-bin Hermitian covariance estimation, EVD, matrix functions, whitening.
 
-Every bin's eigendecomposition comes from one batched LAPACK call
-(``np.linalg.eigh``) over the (F, M, M) field, re-sorted descending. Each
+A per-bin matrix is a plain complex (F, M, M) ndarray, one M x M matrix per
+frequency bin k at ``phi[k]``: every function here takes and returns that
+array. Every bin's eigendecomposition comes from one batched LAPACK call
+(``np.linalg.eigh``) over the (F, M, M) array, re-sorted descending;
+``hermitian_evd`` checks the shape and the Hermitian defect first. Each
 matrix function the pipeline needs is ``loaded_power`` of that one EVD:
 V (Lambda + loading*mean|lambda|*I)^p V^H, with p = -1/2 for the whitener
 Phi_nn^{-1/2}, +1/2 for its de-whitening inverse and -1 for the MVDR
@@ -29,29 +32,6 @@ class CovarianceError(ValueError):
 
 
 @dataclass
-class HermitianMatrixField:
-    """One M x M Hermitian matrix per frequency bin, shape (F, M, M)."""
-
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=np.complex128)
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise CovarianceError("field must have shape (F, M, M)")
-
-    def hermitian_defect(self) -> float:
-        return float(
-            np.max(np.abs(self.matrices - self.matrices.conj().transpose(0, 2, 1)))
-        )
-
-    def check_hermitian(self) -> None:
-        scale = max(1.0, float(np.max(np.abs(self.matrices))))
-        defect = self.hermitian_defect()
-        if defect > max(HERMITIAN_TOL * scale, 1e-9):
-            raise CovarianceError(f"matrices not Hermitian (defect {defect:.3e})")
-
-
-@dataclass
 class EigenDecomposition:
     """Per-bin eigenpairs: eigenvalues (F, M) real descending,
     eigenvectors (F, M, M) with orthonormal columns."""
@@ -69,17 +49,14 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().transpose(0, 2, 1))
 
 
-def _frame_outer_average(spec: ComplexSpectrogram, frames: slice) -> HermitianMatrixField:
+def _frame_outer_average(spec: ComplexSpectrogram, frames: slice) -> np.ndarray:
     y = spec.data[:, :, frames]  # (F, M, Lsel)
     if y.shape[2] == 0:
         raise CovarianceError("empty frame range")
-    phi = (y @ y.conj().transpose(0, 2, 1)) / y.shape[2]
-    return HermitianMatrixField(_hermitize(phi))
+    return _hermitize((y @ y.conj().transpose(0, 2, 1)) / y.shape[2])
 
 
-def estimate_noise_covariance(
-    spec: ComplexSpectrogram, noise_frames: int
-) -> HermitianMatrixField:
+def estimate_noise_covariance(spec: ComplexSpectrogram, noise_frames: int) -> np.ndarray:
     """Average outer products over the leading noise-only frames [0, L_n)."""
     if not (1 <= noise_frames <= spec.num_frames):
         raise CovarianceError(
@@ -88,9 +65,7 @@ def estimate_noise_covariance(
     return _frame_outer_average(spec, slice(0, noise_frames))
 
 
-def estimate_mixture_covariance(
-    spec: ComplexSpectrogram, noise_frames: int
-) -> HermitianMatrixField:
+def estimate_mixture_covariance(spec: ComplexSpectrogram, noise_frames: int) -> np.ndarray:
     """Average outer products over the speech-plus-noise frames [L_n, L)."""
     if not (0 <= noise_frames < spec.num_frames):
         raise CovarianceError(
@@ -100,19 +75,25 @@ def estimate_mixture_covariance(
     return _frame_outer_average(spec, slice(noise_frames, spec.num_frames))
 
 
-def hermitian_evd(field: HermitianMatrixField) -> EigenDecomposition:
-    """Batched LAPACK EVD of every matrix in the field.
+def hermitian_evd(phi: np.ndarray) -> EigenDecomposition:
+    """Batched LAPACK EVD of every matrix of the (F, M, M) array `phi`.
 
-    Eigenvalues sorted descending; eigenvector columns orthonormal.
+    Eigenvalues sorted descending; eigenvector columns orthonormal. A
+    matrix whose Hermitian defect exceeds HERMITIAN_TOL of its largest
+    entry (at least 1e-9) raises CovarianceError.
     """
-    field.check_hermitian()
-    eigvals, v = np.linalg.eigh(_hermitize(field.matrices))  # ascending
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
+        raise CovarianceError(f"matrices must have shape (F, M, M), got {phi.shape}")
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    defect = float(np.max(np.abs(phi - phi.conj().transpose(0, 2, 1))))
+    if defect > max(HERMITIAN_TOL * scale, 1e-9):
+        raise CovarianceError(f"matrices not Hermitian (defect {defect:.3e})")
+    eigvals, v = np.linalg.eigh(_hermitize(phi))  # ascending
     return EigenDecomposition(eigvals[:, ::-1].copy(), v[:, :, ::-1].copy())
 
 
-def loaded_power(
-    evd: EigenDecomposition, power: float, loading: float
-) -> HermitianMatrixField:
+def loaded_power(evd: EigenDecomposition, power: float, loading: float) -> np.ndarray:
     """V (Lambda + loading*mean|lambda|*I)^power V^H per bin.
 
     The one matrix function of the package: the whitener (power -1/2), its
@@ -127,31 +108,29 @@ def loaded_power(
             ">= 0, raise it or use more noise frames"
         )
     v = evd.eigenvectors
-    out = (v * lam[:, None, :] ** power) @ v.conj().transpose(0, 2, 1)
-    return HermitianMatrixField(_hermitize(out))
+    return _hermitize((v * lam[:, None, :] ** power) @ v.conj().transpose(0, 2, 1))
 
 
 def sqrt_pair(
     evd: EigenDecomposition, loading: float = DEFAULT_LOADING
-) -> tuple[HermitianMatrixField, HermitianMatrixField]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(Phi^{1/2}, Phi^{-1/2}) from one EVD with identical loading."""
     return loaded_power(evd, 0.5, loading), loaded_power(evd, -0.5, loading)
 
 
-def whiten(spec: ComplexSpectrogram, w: HermitianMatrixField) -> ComplexSpectrogram:
+def whiten(spec: ComplexSpectrogram, w: np.ndarray) -> ComplexSpectrogram:
     """Apply the per-bin whitening matrix: y_w(l,k) = W(k) y(l,k); the
     result's data is a contiguous (F, M, L) array."""
-    if w.matrices.shape[:2] != spec.data.shape[:2]:  # both lead with (F, M)
+    if w.shape[:2] != spec.data.shape[:2]:  # both lead with (F, M)
         raise CovarianceError(
-            f"whitener shape {w.matrices.shape} does not match spectrogram {spec.data.shape}"
+            f"whitener shape {w.shape} does not match spectrogram {spec.data.shape}"
         )
-    return ComplexSpectrogram(w.matrices @ spec.data, spec.config)
+    return ComplexSpectrogram(w @ spec.data, spec.config)
 
 
 def whitened_mixture_covariance(
-    phi_yy: HermitianMatrixField, phi_nn_invsqrt: HermitianMatrixField
-) -> HermitianMatrixField:
+    phi_yy: np.ndarray, phi_nn_invsqrt: np.ndarray
+) -> np.ndarray:
     """Phi_ww = Phi_nn^{-1/2} Phi_yy Phi_nn^{-H/2}."""
-    w = phi_nn_invsqrt.matrices
-    out = w @ phi_yy.matrices @ w.conj().transpose(0, 2, 1)
-    return HermitianMatrixField(_hermitize(out))
+    w = phi_nn_invsqrt
+    return _hermitize(w @ phi_yy @ w.conj().transpose(0, 2, 1))

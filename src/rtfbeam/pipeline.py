@@ -5,6 +5,12 @@ functions; they are also the entry points the verification suite drives.
 `estimate` is the one path from a bundle to RTF trajectories and
 `side_weights` the one rule from a trajectory to weights: `evaluate_bundle`
 and `beampattern` both go through them.
+
+The noise statistics of a bundle are the one `covariance.EigenDecomposition`
+of Phi_nn that `noise_stats` returns; `estimate` passes it on to the
+estimators and the weights. Only 'cw-batch' and 'past' build the whitener
+pair from it, inside `estimate_trajectory`. Per-bin matrices and weights
+are plain ndarrays, in the layouts of `covariance` and `beamformer`.
 """
 
 from __future__ import annotations
@@ -64,26 +70,16 @@ def remix(bundle: SimBundle, snr_db: float) -> SimBundle:
     )
 
 
-@dataclass
-class NoiseStats:
-    """The one EVD of Phi_nn per bundle, and the whitener pair built from it."""
-
-    phi_nn_evd: covariance.EigenDecomposition
-    phi_nn_sqrt: covariance.HermitianMatrixField
-    phi_nn_invsqrt: covariance.HermitianMatrixField
-
-
 def noise_stats(
     mix_spec: stft.ComplexSpectrogram,
     noise_frames: int,
-    loading: float = covariance.DEFAULT_LOADING,
     sides: tuple[str, ...] = rtf.SIDES,
-) -> NoiseStats:
-    """Phi_nn of the first `noise_frames` frames, decomposed once. A dead
+) -> covariance.EigenDecomposition:
+    """The EVD of Phi_nn of the first `noise_frames` frames. A dead
     reference mic of one of `sides`, which MVDR would take for a noise-free
     one, raises CovarianceError naming the mic and its side."""
     phi_nn = covariance.estimate_noise_covariance(mix_spec, noise_frames)
-    power = phi_nn.matrices.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # per mic
+    power = phi_nn.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # per mic
     median = np.median(power)
     refs = rtf.reference_mics(power.size)
     for side in sides:
@@ -92,17 +88,16 @@ def noise_stats(
             raise covariance.CovarianceError(
                 f"reference mic {ref} ({side} side) is dead: its noise-only power is "
                 f"{power[ref]:.3g}, the median mic's {median:.3g}")
-    evd = covariance.hermitian_evd(phi_nn)
-    sqrt_nn, invsqrt_nn = covariance.sqrt_pair(evd, loading)
-    return NoiseStats(evd, sqrt_nn, invsqrt_nn)
+    return covariance.hermitian_evd(phi_nn)
 
 
 def estimate_trajectory(
     mix_spec: stft.ComplexSpectrogram,
-    stats: NoiseStats,
+    phi_nn_evd: covariance.EigenDecomposition,
     noise_frames: int,
     method: str,
     beta: float = rtf.DEFAULT_BETA,
+    loading: float = covariance.DEFAULT_LOADING,
     truth: simulator.GroundTruth | None = None,
     sides: tuple[str, ...] = rtf.SIDES,
 ) -> dict[str, rtf.RtfTrajectory]:
@@ -110,9 +105,11 @@ def estimate_trajectory(
     truth; 'none' is the trivial e_ref trajectory of reference passthrough).
 
     Each side is referenced to its mic in `rtf.reference_mics`. The work
-    shared by the sides (the whitening for 'past'; the mixture covariance
-    and its whitened EVD for 'cw-batch') is done once. The frame-invariant
-    'cw-batch' and 'none' trajectories have one frame (`rtf.RtfTrajectory`).
+    shared by the sides is done once: the whitener pair, built from
+    `phi_nn_evd` with `loading` for 'cw-batch' and 'past' only; the
+    whitening for 'past'; the mixture covariance and its whitened EVD for
+    'cw-batch'. The frame-invariant 'cw-batch' and 'none' trajectories have
+    one frame (`rtf.RtfTrajectory`).
     """
     nbins, m, _ = mix_spec.data.shape
     refs = {side: rtf.reference_mics(m)[side] for side in sides}
@@ -127,18 +124,19 @@ def estimate_trajectory(
         if truth is None:
             raise ValueError("oracle method requires ground truth")
         return {side: truth.rtf[side] for side in refs}
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
+    sqrt_nn, invsqrt_nn = covariance.sqrt_pair(phi_nn_evd, loading)
     if method == "cw-batch":
         phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
-        phi_ww = covariance.whitened_mixture_covariance(phi_yy, stats.phi_nn_invsqrt)
+        phi_ww = covariance.whitened_mixture_covariance(phi_yy, invsqrt_nn)
         principal = covariance.hermitian_evd(phi_ww).principal_vectors
-        return {side: rtf.cw_trajectory(principal, stats.phi_nn_sqrt, ref)
+        return {side: rtf.cw_trajectory(principal, sqrt_nn, ref)
                 for side, ref in refs.items()}
-    if method == "past":
-        whitened = covariance.whiten(mix_spec, stats.phi_nn_invsqrt)
-        return {side: rtf.track_rtf_past(whitened, stats.phi_nn_sqrt, ref, beta,
-                                         start_frame=noise_frames)
-                for side, ref in refs.items()}
-    raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
+    whitened = covariance.whiten(mix_spec, invsqrt_nn)
+    return {side: rtf.track_rtf_past(whitened, sqrt_nn, ref, beta,
+                                     start_frame=noise_frames)
+            for side, ref in refs.items()}
 
 
 def estimate(
@@ -148,8 +146,9 @@ def estimate(
     loading: float = covariance.DEFAULT_LOADING,
     noise_frames: int | None = None,
     sides: tuple[str, ...] = rtf.SIDES,
-) -> tuple[stft.ComplexSpectrogram, NoiseStats, dict[str, rtf.RtfTrajectory]]:
-    """Analyse the mixture, take the noise statistics of its first
+) -> tuple[stft.ComplexSpectrogram, covariance.EigenDecomposition,
+           dict[str, rtf.RtfTrajectory]]:
+    """Analyse the mixture, take the EVD of Phi_nn over its first
     `noise_frames` frames (0 or None: the bundle's lead-silence count) and
     estimate the RTF trajectory of each of `sides`; only their reference
     mics are checked for a dead one. A lead silence shorter than
@@ -163,32 +162,34 @@ def estimate(
             "give the noise-only frame count (--noise-frames)"
         )
     mix_spec = stft.analyze(bundle.mixture, bundle.config)
-    stats = noise_stats(mix_spec, ln, loading, sides)
-    trajs = estimate_trajectory(mix_spec, stats, ln, method, beta, bundle.truth, sides)
-    return mix_spec, stats, trajs
+    evd = noise_stats(mix_spec, ln, sides)
+    trajs = estimate_trajectory(mix_spec, evd, ln, method, beta, loading, bundle.truth,
+                                sides)
+    return mix_spec, evd, trajs
 
 
 def side_weights(
     traj: rtf.RtfTrajectory,
-    stats: NoiseStats,
+    phi_nn_evd: covariance.EigenDecomposition,
     method: str,
     loading: float = beamformer.MVDR_LOADING,
-) -> beamformer.BeamformerWeights:
-    """MVDR weights; method 'none' passes the reference channel through."""
+) -> np.ndarray:
+    """MVDR weights, (F, M, L'); method 'none' passes the reference channel
+    through."""
     if method == "none":  # the trivial 'none' trajectory is the passthrough
-        return beamformer.BeamformerWeights(traj.values)
-    return beamformer.mvdr_weights(traj, stats.phi_nn_evd, loading)
+        return traj.values
+    return beamformer.mvdr_weights(traj, phi_nn_evd, loading)
 
 
 def beamform_side(
     mix_spec: stft.ComplexSpectrogram,
-    stats: NoiseStats,
+    phi_nn_evd: covariance.EigenDecomposition,
     traj: rtf.RtfTrajectory,
     method: str,
     loading: float = beamformer.MVDR_LOADING,
 ) -> np.ndarray:
     """Beamform one side: its weights applied to the mixture, synthesized."""
-    weights = side_weights(traj, stats, method, loading)
+    weights = side_weights(traj, phi_nn_evd, method, loading)
     return stft.synthesize(beamformer.apply(weights, mix_spec))
 
 
@@ -204,7 +205,7 @@ def evaluate_bundle(
 
     The report keeps both sides' enhanced signals in `enhanced`.
     """
-    mix_spec, stats, trajs = estimate(bundle, method, beta, loading, noise_frames)
+    mix_spec, evd, trajs = estimate(bundle, method, beta, loading, noise_frames)
     report = metrics.EvalReport(
         scenario_id=f"seed{bundle.scenario.seed}",
         snr_db=bundle.snr_db,
@@ -212,7 +213,7 @@ def evaluate_bundle(
     )
     n = bundle.clean.shape[1]
     for side, traj in trajs.items():
-        enhanced = beamform_side(mix_spec, stats, traj, method, mvdr_loading)
+        enhanced = beamform_side(mix_spec, evd, traj, method, mvdr_loading)
         report.enhanced[side] = enhanced
         clean = bundle.clean[traj.ref_channel]
         mixture = bundle.mixture[traj.ref_channel]
@@ -240,8 +241,8 @@ def beampattern(
     broadcast (read-only) over the frames, in each bin and in the wideband."""
     # the spectrogram and the trajectory are dropped before the pattern is
     # computed, so their ~16 MB is not held under it at the peak
-    stats, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
-    weights = side_weights(trajs.pop("left"), stats, method, mvdr_loading)
+    evd, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
+    weights = side_weights(trajs.pop("left"), evd, method, mvdr_loading)
     angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
     shape = (angles.size, bundle.config.num_frames(bundle.mixture.shape[1]))
     grid = beamformer.narrowband_beampattern(

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import HermitianMatrixField
 from .stft import ComplexSpectrogram, StftConfig
 
 DENOM_TOL = 1e-12
@@ -150,7 +149,7 @@ def _check_ref_channel(ref_channel: int, m: int) -> None:
 
 def cw_trajectory(
     principal: np.ndarray,
-    phi_nn_sqrt: HermitianMatrixField,
+    phi_nn_sqrt: np.ndarray,
     ref_channel: int,
 ) -> RtfTrajectory:
     """Batch covariance-whitening RTF: one frame, valid for every frame.
@@ -160,13 +159,13 @@ def cw_trajectory(
     psi), finished by `_trajectory`.
     """
     _check_ref_channel(ref_channel, principal.shape[1])
-    b = phi_nn_sqrt.matrices @ principal[:, :, None]  # (F, M, 1)
+    b = phi_nn_sqrt @ principal[:, :, None]  # (F, M, 1)
     return _trajectory(b, ref_channel, 0, 1)
 
 
 def track_rtf_past(
     spec_whitened: ComplexSpectrogram,
-    phi_nn_sqrt: HermitianMatrixField,
+    phi_nn_sqrt: np.ndarray,
     ref_channel: int,
     beta: float = DEFAULT_BETA,
     start_frame: int = 0,
@@ -198,7 +197,7 @@ def track_rtf_past(
         tracked[:, :, l - start] = psi
 
     # de-whiten every frame at once: b[k, :, l] = Phi_nn^{1/2}(k) psi[l, k]
-    b = phi_nn_sqrt.matrices @ tracked
+    b = phi_nn_sqrt @ tracked
     return _trajectory(b, ref_channel, start, nframes)
 
 

@@ -69,9 +69,6 @@ class StftConfig:
     def num_bins(self) -> int:
         return self.window_len // 2 + 1
 
-    def bin_frequencies_hz(self) -> np.ndarray:
-        return np.arange(self.num_bins) * self.sample_rate_hz / self.window_len
-
     def analysis_window(self) -> np.ndarray:
         return _make_window(self.window, self.window_len)
 

@@ -38,9 +38,7 @@ def test_acceptance_1_past_vs_evd_equivalence(capsys):
             psi, delta = rtf.past_step(psi, delta, y[None, :], 1.0)
         frames = np.array(frames)
         sample_cov = frames.T @ frames.conj() / len(frames)
-        evd = covariance.hermitian_evd(
-            covariance.HermitianMatrixField(sample_cov[None, :, :])
-        )
+        evd = covariance.hermitian_evd(sample_cov[None, :, :])
         v1 = evd.principal_vectors[0]
         cosine = abs(np.vdot(psi[0], v1)) / (
             np.linalg.norm(psi[0]) * np.linalg.norm(v1)
@@ -59,8 +57,8 @@ def test_acceptance_2_whitening_identity(capsys):
     for i in range(100):
         m = (2, 4, 8)[i % 3]
         phi = random_spd(rng, m)
-        evd = covariance.hermitian_evd(covariance.HermitianMatrixField(phi[None, :, :]))
-        r = covariance.loaded_power(evd, -0.5, 0.0).matrices[0]
+        evd = covariance.hermitian_evd(phi[None, :, :])
+        r = covariance.loaded_power(evd, -0.5, 0.0)[0]
         worst = max(worst, float(np.linalg.norm(r @ phi @ r.conj().T - np.eye(m))))
     ok = worst < 1e-8
     _report(capsys, "2 (whitening identity)", ok, f"max defect {worst:.2e}")
@@ -69,12 +67,12 @@ def test_acceptance_2_whitening_identity(capsys):
 def test_acceptance_3_distortionless_constraint(capsys, moving_bundle):
     """|w^H a_hat - 1| < 1e-8 for every valid cell of a full scenario."""
     spec = stft.analyze(moving_bundle.mixture, moving_bundle.config)
-    stats = pipeline.noise_stats(spec, moving_bundle.noise_frames)
+    evd = pipeline.noise_stats(spec, moving_bundle.noise_frames)
     worst = 0.0
-    trajs = pipeline.estimate_trajectory(spec, stats, moving_bundle.noise_frames, "past")
+    trajs = pipeline.estimate_trajectory(spec, evd, moving_bundle.noise_frames, "past")
     for traj in trajs.values():
-        w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
-        dots = np.einsum("kml,kml->kl", w.values.conj(), traj.values)
+        w = beamformer.mvdr_weights(traj, evd)
+        dots = np.einsum("kml,kml->kl", w.conj(), traj.values)
         worst = max(worst, float(np.max(np.abs(dots[traj.valid] - 1.0))))
     ok = worst < 1e-8
     _report(capsys, "3 (distortionless)", ok, f"max |w^H a - 1| {worst:.2e}")
@@ -91,9 +89,9 @@ def test_acceptance_4_mse_snr_trend(capsys):
         for i, snr in enumerate(snrs):
             bundle = pipeline.remix(base, snr)
             spec = stft.analyze(bundle.mixture, bundle.config)
-            stats = pipeline.noise_stats(spec, bundle.noise_frames)
+            evd = pipeline.noise_stats(spec, bundle.noise_frames)
             traj = pipeline.estimate_trajectory(
-                spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
+                spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
             )["left"]
             sums[i] += rtf.rtf_mse(traj, bundle.truth.rtf["left"])
     means = sums / num_seeds

@@ -14,7 +14,7 @@ from rtfbeam import beamformer, covariance, metrics, pipeline, rtf, stft
 
 
 def _noise_evd(*matrices):
-    return covariance.hermitian_evd(covariance.HermitianMatrixField(np.stack(matrices)))
+    return covariance.hermitian_evd(np.stack(matrices))
 
 
 def _traj(values, ref=0, valid=None):
@@ -32,8 +32,8 @@ def test_mvdr_identity_covariance_closed_form():
     a = np.array([1.0, 0.5], dtype=complex)
     traj = _traj(np.tile(a[None, :, None], (1, 1, 1)))
     w = beamformer.mvdr_weights(traj, _noise_evd(np.eye(2, dtype=complex)), 0.0)
-    np.testing.assert_allclose(w.values[0, :, 0], [0.8, 0.4], atol=1e-12)
-    assert abs(np.vdot(w.values[0, :, 0], a) - 1.0) < 1e-12
+    np.testing.assert_allclose(w[0, :, 0], [0.8, 0.4], atol=1e-12)
+    assert abs(np.vdot(w[0, :, 0], a) - 1.0) < 1e-12
 
 
 def test_mvdr_reference_passthrough():
@@ -42,7 +42,7 @@ def test_mvdr_reference_passthrough():
     w = beamformer.mvdr_weights(
         _traj(a, ref=1), _noise_evd(np.diag([2.0, 3.0, 4.0]).astype(complex)), 0.0
     )
-    np.testing.assert_allclose(w.values[0, :, 0], [0.0, 1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(w[0, :, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_mvdr_covariance_scale_invariance():
@@ -53,7 +53,7 @@ def test_mvdr_covariance_scale_invariance():
     traj = _traj(a[None, :, None])
     w1 = beamformer.mvdr_weights(traj, _noise_evd(phi), 0.0)
     w2 = beamformer.mvdr_weights(traj, _noise_evd(7.0 * phi), 0.0)
-    np.testing.assert_allclose(w1.values, w2.values, atol=1e-10)
+    np.testing.assert_allclose(w1, w2, atol=1e-10)
 
 
 def test_mvdr_optimality_brute_force():
@@ -63,7 +63,7 @@ def test_mvdr_optimality_brute_force():
     phi = random_spd(rng, 2)
     a = random_complex(rng, 2)
     a /= a[0]
-    w = beamformer.mvdr_weights(_traj(a[None, :, None]), _noise_evd(phi), 0.0).values[0, :, 0]
+    w = beamformer.mvdr_weights(_traj(a[None, :, None]), _noise_evd(phi), 0.0)[0, :, 0]
     p_opt = np.real(np.vdot(w, phi @ w))
     null = np.array([-np.conj(a[1]), np.conj(a[0])])  # null^H a = 0
     for _ in range(200):
@@ -79,8 +79,8 @@ def test_mvdr_invalid_cell_carries_previous_weights():
     a[:, 0] = 1.0
     valid = np.array([[True, False, True]])
     w = beamformer.mvdr_weights(_traj(a, valid=valid), _noise_evd(np.eye(2, dtype=complex)), 0.0)
-    np.testing.assert_array_equal(w.values[0, :, 1], w.values[0, :, 0])
-    assert not np.array_equal(w.values[0, :, 2], w.values[0, :, 1])
+    np.testing.assert_array_equal(w[0, :, 1], w[0, :, 0])
+    assert not np.array_equal(w[0, :, 2], w[0, :, 1])
 
 
 def test_mvdr_dead_bin_warns_and_passes_through():
@@ -91,7 +91,7 @@ def test_mvdr_dead_bin_warns_and_passes_through():
         w = beamformer.mvdr_weights(
             _traj(a, valid=valid), _noise_evd(*[np.eye(2, dtype=complex)] * 3), 0.0
         )
-    np.testing.assert_array_equal(w.values[1], [[1.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(w[1], [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_mvdr_hold_matches_a_frame_loop():
@@ -104,8 +104,8 @@ def test_mvdr_hold_matches_a_frame_loop():
     valid = rng.random((nbins, nframes)) < 0.5
     valid[2] = False  # an interior dead bin
     with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
-        w = beamformer.mvdr_weights(_traj(a, ref=1, valid=valid), evd).values
-    fresh = beamformer.mvdr_weights(_traj(a, ref=1), evd).values
+        w = beamformer.mvdr_weights(_traj(a, ref=1, valid=valid), evd)
+    fresh = beamformer.mvdr_weights(_traj(a, ref=1), evd)
     for k in range(nbins):
         held = np.eye(m)[1]
         for l in range(nframes):
@@ -129,8 +129,8 @@ def test_mvdr_one_frame_trajectory_matches_its_broadcast():
         w1 = beamformer.mvdr_weights(one, evd)
     with pytest.warns(UserWarning, match="1 bins have no valid RTF"):
         wl = beamformer.mvdr_weights(full, evd)
-    assert w1.values.shape == (nbins, m, 1)
-    assert_matches_reference(np.broadcast_to(w1.values, wl.values.shape), wl.values)
+    assert w1.shape == (nbins, m, 1)
+    assert_matches_reference(np.broadcast_to(w1, wl.shape), wl)
     spec = stft.ComplexSpectrogram(random_complex(rng, nbins, m, nframes),
                                    stft.StftConfig(window_len=8, hop=4))
     assert_matches_reference(beamformer.apply(w1, spec).data,
@@ -152,20 +152,20 @@ def test_mvdr_numerator_matches_einsum_reference(layout):
     a = random_complex(rng, nbins, m, nframes)
     a[:, 0] = 1.0
     w = beamformer.mvdr_weights(_traj(layouts(a)[layout]), evd)
-    inv = covariance.loaded_power(evd, -1.0, beamformer.MVDR_LOADING).matrices
+    inv = covariance.loaded_power(evd, -1.0, beamformer.MVDR_LOADING)
     num = np.einsum("kij,kjl->kil", inv, a)
     den = np.einsum("kil,kil->kl", a.conj(), num).real
-    assert_matches_reference(w.values, num / den[:, None])
+    assert_matches_reference(w, num / den[:, None])
 
 
 def test_distortionless_full_scenario(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
-    stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
+    evd = pipeline.noise_stats(spec, static_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, static_bundle.noise_frames, "cw-batch", sides=("left",)
+        spec, evd, static_bundle.noise_frames, "cw-batch", sides=("left",)
     )["left"]
-    w = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
-    dots = np.einsum("kml,kml->kl", w.values.conj(), traj.values)
+    w = beamformer.mvdr_weights(traj, evd)
+    dots = np.einsum("kml,kml->kl", w.conj(), traj.values)
     assert np.max(np.abs(dots[traj.valid] - 1.0)) < 1e-8
 
 
@@ -178,7 +178,7 @@ def test_apply_selects_channel():
     y = stft.ComplexSpectrogram(random_complex(rng, 3, 2, 4), cfg)
     w = np.zeros((3, 2, 4), dtype=complex)
     w[:, 0] = 1.0
-    out = beamformer.apply(beamformer.BeamformerWeights(w), y)
+    out = beamformer.apply(w, y)
     np.testing.assert_allclose(out.data[:, 0], y.data[:, 0])
 
 
@@ -201,9 +201,7 @@ def test_apply_matches_loop_oracle():
     cfg = _small_cfg()
     y = random_complex(rng, 3, 4, 6)
     w = random_complex(rng, 3, 4, 6)
-    out = beamformer.apply(
-        beamformer.BeamformerWeights(w), stft.ComplexSpectrogram(y, cfg)
-    )
+    out = beamformer.apply(w, stft.ComplexSpectrogram(y, cfg))
     for k in range(3):
         for l in range(6):
             oracle = np.vdot(w[k, :, l], y[k, :, l])
@@ -214,9 +212,7 @@ def test_apply_shape_mismatch():
     cfg = _small_cfg()
     y = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
     with pytest.raises(beamformer.BeamformerError):
-        beamformer.apply(
-            beamformer.BeamformerWeights(np.zeros((3, 2, 5), dtype=complex)), y
-        )
+        beamformer.apply(np.zeros((3, 2, 5), dtype=complex), y)
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 1), (2, 2, 1)])
@@ -225,7 +221,7 @@ def test_apply_one_frame_weights_need_matching_channels_and_bins(shape):
     cfg = _small_cfg()
     y = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
     with pytest.raises(beamformer.BeamformerError):
-        beamformer.apply(beamformer.BeamformerWeights(np.zeros(shape, dtype=complex)), y)
+        beamformer.apply(np.zeros(shape, dtype=complex), y)
 
 
 # ------------------------------------------------------------- steering
@@ -240,8 +236,7 @@ def _beampattern(w, x, cfg, angles):
 
 def _pattern(w, x, cfg, angles):
     """|B| of weights constant over one frame, shape (F, T)."""
-    weights = beamformer.BeamformerWeights(np.asarray(w)[:, :, None])
-    return _beampattern(weights, x, cfg, angles)[0][:, :, 0]
+    return _beampattern(np.asarray(w)[:, :, None], x, cfg, angles)[0][:, :, 0]
 
 
 def test_steering_broadside_and_dc_are_ones():
@@ -276,8 +271,9 @@ def test_delay_and_sum_beampattern_peaks_at_steered_angle():
     x = np.arange(8) * 0.05
     # delay-and-sum weights h(30 deg)/M per bin, constant over two frames
     tau = x / beamformer.SPEED_OF_SOUND * np.sin(np.deg2rad(30.0))
-    h = np.exp(-2j * np.pi * cfg.bin_frequencies_hz()[:, None] * tau[None, :])
-    w = beamformer.BeamformerWeights(np.repeat(h[:, :, None] / 8, 2, axis=2))
+    freqs = np.fft.rfftfreq(cfg.window_len, 1 / cfg.sample_rate_hz)
+    h = np.exp(-2j * np.pi * freqs[:, None] * tau[None, :])
+    w = np.repeat(h[:, :, None] / 8, 2, axis=2)
     angles = np.arange(-90.0, 91.0, 1.0)
     narrowband, grid = _beampattern(w, x, cfg, angles)
     # matched filter: |B| = 1 exactly at the steered angle, every bin/frame
@@ -291,7 +287,7 @@ def test_single_mic_weights_are_omnidirectional():
     w = np.zeros((cfg.num_bins, 4, 2), dtype=complex)
     w[:, 0] = 1.0
     narrowband, _ = _beampattern(
-        beamformer.BeamformerWeights(w), np.arange(4) * 0.05, cfg, np.arange(-90.0, 91.0, 1.0)
+        w, np.arange(4) * 0.05, cfg, np.arange(-90.0, 91.0, 1.0)
     )
     np.testing.assert_allclose(narrowband, 1.0, atol=1e-12)
 
@@ -302,8 +298,8 @@ def test_narrowband_matches_loop_oracle():
     x = np.arange(3) * 0.05
     w = random_complex(rng, cfg.num_bins, 3, 2)
     angles = np.array([-40.0, 0.0, 65.0])
-    narrowband, _ = _beampattern(beamformer.BeamformerWeights(w), x, cfg, angles)
-    freqs = cfg.bin_frequencies_hz()
+    narrowband, _ = _beampattern(w, x, cfg, angles)
+    freqs = np.fft.rfftfreq(cfg.window_len, 1 / cfg.sample_rate_hz)
     for k in range(cfg.num_bins):
         for ti, theta in enumerate(angles):
             tau = x / beamformer.SPEED_OF_SOUND * np.sin(np.deg2rad(theta))
@@ -320,7 +316,7 @@ def test_wideband_recompute_and_examples():
     x = np.arange(3) * 0.05
     angles = np.array([-10.0, 0.0, 10.0])
     w = random_complex(rng, cfg.num_bins, 3, 2)
-    narrowband, grid = _beampattern(beamformer.BeamformerWeights(w), x, cfg, angles)
+    narrowband, grid = _beampattern(w, x, cfg, angles)
     oracle = np.zeros((3, 2))
     for k in range(cfg.num_bins):
         oracle += narrowband[k] ** 2
@@ -329,17 +325,13 @@ def test_wideband_recompute_and_examples():
     # single nonzero bin -> P = |B|^2 at that bin
     w1 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
     w1[2, 0] = 0.5
-    out1 = beamformer.narrowband_beampattern(
-        beamformer.BeamformerWeights(w1), x, cfg, angles, discard_bins
-    )
+    out1 = beamformer.narrowband_beampattern(w1, x, cfg, angles, discard_bins)
     np.testing.assert_allclose(out1.wideband, 0.25)
 
     # unit gain in every one of the F bins -> P = F
     w2 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
     w2[:, 0] = 1.0
-    out2 = beamformer.narrowband_beampattern(
-        beamformer.BeamformerWeights(w2), x, cfg, angles, discard_bins
-    )
+    out2 = beamformer.narrowband_beampattern(w2, x, cfg, angles, discard_bins)
     np.testing.assert_allclose(out2.wideband, cfg.num_bins)
 
 
@@ -352,11 +344,18 @@ def test_mvdr_beampattern_tracks_static_doa(static_bundle):
 
 
 def test_weights_validation():
+    flat = np.zeros((2, 3), dtype=complex)  # no frame axis
+    y = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), _small_cfg())
     with pytest.raises(beamformer.BeamformerError):
-        beamformer.BeamformerWeights(np.zeros((2, 3), dtype=complex))
+        beamformer.apply(flat, y)
     with pytest.raises(beamformer.BeamformerError):
         beamformer.narrowband_beampattern(
-            beamformer.BeamformerWeights(np.zeros((3, 2, 4), dtype=complex)),
+            flat, np.arange(3) * 0.05, _small_cfg(), np.arange(-90.0, 91.0, 1.0),
+            discard_bins,
+        )
+    with pytest.raises(beamformer.BeamformerError):
+        beamformer.narrowband_beampattern(
+            np.zeros((3, 2, 4), dtype=complex),
             np.arange(3) * 0.05,
             _small_cfg(),
             np.arange(-90.0, 91.0, 1.0),
@@ -365,7 +364,7 @@ def test_weights_validation():
     # 2 bins against the config's 3
     with pytest.raises(beamformer.BeamformerError):
         beamformer.narrowband_beampattern(
-            beamformer.BeamformerWeights(np.zeros((2, 3, 4), dtype=complex)),
+            np.zeros((2, 3, 4), dtype=complex),
             np.arange(3) * 0.05,
             _small_cfg(),
             np.arange(-90.0, 91.0, 1.0),
@@ -376,5 +375,5 @@ def test_weights_validation():
 def test_inverse_with_loading_defining_identity():
     rng = np.random.default_rng(8)
     phi = random_spd(rng, 4)
-    inv = covariance.loaded_power(_noise_evd(phi), -1.0, 0.0).matrices
+    inv = covariance.loaded_power(_noise_evd(phi), -1.0, 0.0)
     np.testing.assert_allclose(inv[0] @ phi, np.eye(4), atol=1e-9)

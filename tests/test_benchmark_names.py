@@ -55,9 +55,7 @@ def test_dead_bin_warning_matches_the_benchmark_pattern():
     valid = np.ones((nbins, nframes), dtype=bool)
     valid[1] = False  # one bin with no valid RTF
     traj = rtf.RtfTrajectory(np.ones((nbins, m, nframes), dtype=complex), 0, valid=valid)
-    evd = covariance.hermitian_evd(
-        covariance.HermitianMatrixField(np.repeat(np.eye(m)[None], nbins, axis=0))
-    )
+    evd = covariance.hermitian_evd(np.repeat(np.eye(m)[None], nbins, axis=0))
     with pytest.warns(UserWarning) as record:
         beamformer.mvdr_weights(traj, evd)
     matches = [pattern.search(str(w.message)) for w in record]

@@ -207,6 +207,45 @@ def test_beamform_on_a_cut_trajectory_file_names_it(tmp_path, static_bundle, cap
     assert capsys.readouterr().err.startswith(f"error: {path}: 1000 bytes")
 
 
+def _swap_truth_sides(out, static_bundle):
+    left, right = out / "rtf_true_left.rtfb", out / "rtf_true_right.rtfb"
+    left_bytes = left.read_bytes()
+    left.write_bytes(right.read_bytes())
+    right.write_bytes(left_bytes)
+
+
+def _truth_of_another_stft(out, static_bundle):
+    # the left truth written as if analysed with a hop of 128
+    traj = static_bundle.truth.rtf["left"]
+    config = dataclasses.replace(static_bundle.config, hop=128)
+    with open(out / "rtf_true_left.rtfb", "wb") as fh:
+        rtf.save_trajectory(fh, traj, config)
+
+
+def _truth_one_frame_short(out, static_bundle):
+    nbins, m, _ = static_bundle.truth.rtf["left"].values.shape
+    nframes = static_bundle.truth.doa_per_frame.size - 1
+    traj = rtf.RtfTrajectory(np.ones((nbins, m, nframes), dtype=complex), 0)
+    with open(out / "rtf_true_left.rtfb", "wb") as fh:
+        rtf.save_trajectory(fh, traj, static_bundle.config)
+
+
+@pytest.mark.parametrize("defect", [_swap_truth_sides, _truth_of_another_stft,
+                                    _truth_one_frame_short])
+@pytest.mark.parametrize("method", ["oracle", "past"])
+def test_a_truth_file_that_does_not_fit_the_bundle_is_refused_by_name(
+    tmp_path, static_bundle, capsys, defect, method
+):
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    defect(out, static_bundle)
+    rc = cli.main(["beamform", "--bundle", str(out), "--method", method,
+                   "--results", str(tmp_path / "r.csv")])
+    assert rc == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error: {out / 'rtf_true_left.rtfb'}: ")
+    assert not (out / "enhanced_left.wav").exists()
+
+
 @pytest.mark.parametrize("name,defect", [
     ("mixture.wav", "unsupported sample format (tag 0x1, 8-bit"),
     ("clean.wav", "short data chunk"),
@@ -488,6 +527,24 @@ def test_evaluate_resume_cuts_a_torn_last_row(tmp_path, monkeypatch, torn_row):
     assert all(len(row) == len(cli.RESULT_FIELDS) for row in csv.reader(lines))
     keys = [tuple(r[k] for k in cli.KEY_FIELDS) for r in _read_csv(out)]
     assert len(keys) == len(set(keys)) == 2
+
+
+def test_evaluate_writes_a_repeated_snr_or_method_once(tmp_path, monkeypatch):
+    evaluated = []
+
+    def fake_evaluate(bundle, method, beta, loading, mvdr_loading):
+        evaluated.append((bundle[1], method))
+        return metrics.EvalReport(f"seed{bundle[0]}", bundle[1], method)
+
+    monkeypatch.setattr(pipeline, "simulate", lambda seed, snr, static: (seed, snr))
+    monkeypatch.setattr(pipeline, "evaluate_bundle", fake_evaluate)
+    out = tmp_path / "results.csv"
+    rc = cli.main(["evaluate", "--seed", "5", "--count", "1", "--static", "--snrs",
+                   "10,10", "--methods", "none,none", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    assert evaluated == [(10.0, "none")]
+    (row,) = _read_csv(out)
+    assert (row["snr_db"], row["method"], row["status"]) == ("10.0", "none", "ok")
 
 
 def test_evaluate_refuses_results_with_other_columns(tmp_path):

@@ -22,6 +22,19 @@ def test_evaluate_bundle_decomposes_noise_covariance_once(
 
 
 @pytest.mark.parametrize(
+    "method, pair_calls",
+    # only the whitening estimators read the whitener pair
+    [("none", 0), ("oracle", 0), ("cw-batch", 1), ("past", 1)],
+)
+def test_evaluate_bundle_builds_the_whitener_pair_only_to_whiten(
+    static_bundle, monkeypatch, method, pair_calls
+):
+    calls = count_calls(monkeypatch, covariance.sqrt_pair)
+    pipeline.evaluate_bundle(static_bundle, method)
+    assert calls[0] == pair_calls
+
+
+@pytest.mark.parametrize(
     "method, fn",
     [("cw-batch", covariance.estimate_mixture_covariance), ("past", covariance.whiten)],
 )
@@ -40,7 +53,7 @@ def test_invalid_cells_hold_e_ref_and_never_reach_the_weights(moving_bundle, met
     # the one rule for an estimated trajectory: every invalid cell holds
     # e_ref, and the MVDR weights, which hold their own, ignore its values
     rng = np.random.default_rng(27)
-    _, stats, trajs = pipeline.estimate(moving_bundle, method)
+    _, evd, trajs = pipeline.estimate(moving_bundle, method)
     for traj in trajs.values():
         m = traj.values.shape[1]
         k, l = np.nonzero(~traj.valid)
@@ -50,9 +63,9 @@ def test_invalid_cells_hold_e_ref_and_never_reach_the_weights(moving_bundle, met
         noisy.values[k, :, l] = random_complex(rng, k.size, m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
-            weights = beamformer.mvdr_weights(traj, stats.phi_nn_evd)
-            noisy_weights = beamformer.mvdr_weights(noisy, stats.phi_nn_evd)
-        np.testing.assert_array_equal(noisy_weights.values, weights.values)
+            weights = beamformer.mvdr_weights(traj, evd)
+            noisy_weights = beamformer.mvdr_weights(noisy, evd)
+        np.testing.assert_array_equal(noisy_weights, weights)
 
 
 # ------------------------------------------------------- fault injection

@@ -12,13 +12,11 @@ from rtfbeam import covariance, pipeline, rtf, stft
 
 
 def _field(*matrices):
-    return covariance.HermitianMatrixField(np.stack(matrices))
+    return np.stack(matrices)
 
 
 def _eye_field(nbins, m):
-    return covariance.HermitianMatrixField(
-        np.broadcast_to(np.eye(m, dtype=complex), (nbins, m, m)).copy()
-    )
+    return np.broadcast_to(np.eye(m, dtype=complex), (nbins, m, m)).copy()
 
 
 # ------------------------------------------------------------------ PAST
@@ -100,8 +98,8 @@ def _rank_one_phi(a, noise=0.01):
 def _cw(phi_nn_sqrt, phi_ww, ref):
     """CW RTF of bin 0 and its validity; the field is padded with a copy of
     its last bin, as cw_trajectory flags the last (Nyquist) bin invalid."""
-    phi_ww = _field(*phi_ww.matrices, phi_ww.matrices[-1])
-    phi_nn_sqrt = _field(*phi_nn_sqrt.matrices, phi_nn_sqrt.matrices[-1])
+    phi_ww = _field(*phi_ww, phi_ww[-1])
+    phi_nn_sqrt = _field(*phi_nn_sqrt, phi_nn_sqrt[-1])
     principal = covariance.hermitian_evd(phi_ww).principal_vectors
     traj = rtf.cw_trajectory(principal, phi_nn_sqrt, ref)
     return traj.values[:-1, :, 0], traj.valid[:-1, 0]
@@ -119,8 +117,8 @@ def test_cw_scalar_whitening_invariance():
     # Phi_nn = 4I: the scalar whitener cancels in the Eq.-normalized ratio
     a = np.array([1.0, 0.5], dtype=complex)
     phi_yy = _rank_one_phi(a)
-    sqrt4 = covariance.HermitianMatrixField(2.0 * _eye_field(1, 2).matrices)
-    invsqrt4 = covariance.HermitianMatrixField(0.5 * _eye_field(1, 2).matrices)
+    sqrt4 = 2.0 * _eye_field(1, 2)
+    invsqrt4 = 0.5 * _eye_field(1, 2)
     phi_ww = covariance.whitened_mixture_covariance(_field(phi_yy), invsqrt4)
     est, valid = _cw(sqrt4, phi_ww, 0)
     assert valid[0]
@@ -181,7 +179,7 @@ def test_cw_dewhitening_matches_einsum_reference(layout):
     principal = random_complex(rng, nbins, m)
     traj = rtf.cw_trajectory(
         layouts(principal)[layout],
-        covariance.HermitianMatrixField(layouts(sqrt_nn)[layout]), m - 1,
+        layouts(sqrt_nn)[layout], m - 1,
     )
     b = np.einsum("kij,kj->ki", sqrt_nn, principal)
     ok = traj.valid[:-1, 0]  # the Nyquist bin is flagged by design
@@ -200,9 +198,9 @@ def test_cw_static_scenario_mse(static_bundle):
     # batch CW on a static anechoic scene at 10 dB SNR
     bundle = pipeline.remix(static_bundle, 10.0)
     spec = stft.analyze(bundle.mixture, bundle.config)
-    stats = pipeline.noise_stats(spec, bundle.noise_frames)
+    evd = pipeline.noise_stats(spec, bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
+        spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
     )["left"]
     assert rtf.rtf_mse(traj, bundle.truth.rtf["left"]) <= -20.0
 
@@ -268,9 +266,9 @@ def test_track_is_causal_and_respects_start_frame():
 
 def test_track_reference_cells_exactly_one(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
-    stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
+    evd = pipeline.noise_stats(spec, static_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, static_bundle.noise_frames, "past", sides=("left",)
+        spec, evd, static_bundle.noise_frames, "past", sides=("left",)
     )["left"]
     ref_vals = traj.values[:, 0][traj.valid]
     assert np.all(ref_vals == 1.0 + 0.0j)
@@ -278,9 +276,9 @@ def test_track_reference_cells_exactly_one(static_bundle):
 
 def test_track_static_scene_mse(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
-    stats = pipeline.noise_stats(spec, static_bundle.noise_frames)
+    evd = pipeline.noise_stats(spec, static_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, static_bundle.noise_frames, "past", sides=("left",)
+        spec, evd, static_bundle.noise_frames, "past", sides=("left",)
     )["left"]
     assert rtf.rtf_mse(traj, static_bundle.truth.rtf["left"]) <= -20.0
 
@@ -295,9 +293,9 @@ def test_track_static_scene_mse(static_bundle):
 )
 def test_track_moving_scene_mse(moving_bundle):
     spec = stft.analyze(moving_bundle.mixture, moving_bundle.config)
-    stats = pipeline.noise_stats(spec, moving_bundle.noise_frames)
+    evd = pipeline.noise_stats(spec, moving_bundle.noise_frames)
     traj = pipeline.estimate_trajectory(
-        spec, stats, moving_bundle.noise_frames, "past", sides=("left",)
+        spec, evd, moving_bundle.noise_frames, "past", sides=("left",)
     )["left"]
     assert rtf.rtf_mse(traj, moving_bundle.truth.rtf["left"]) <= -15.0
 
@@ -353,13 +351,13 @@ def test_track_matches_per_frame_reference():
     # over frames 15-24, bins 0-1 carry one source whose de-whitened
     # direction is mic 1 alone: both reference entries fall into the null
     # there, so those cells fail and take e_ref
-    v = np.linalg.solve(sqrt_nn.matrices[:2], np.eye(m)[1])  # (2, M)
+    v = np.linalg.solve(sqrt_nn[:2], np.eye(m)[1])  # (2, M)
     y[:2, :, 15:25] = 0.01 * y[:2, :, 15:25]
     y[:2, :, 15:25] += 10.0 * v[:, :, None] * random_complex(rng, 2, 10)[:, None, :]
     spec = stft.ComplexSpectrogram(y, cfg)
     for ref in (0, m - 1):
         traj = rtf.track_rtf_past(spec, sqrt_nn, ref, 0.8, start_frame=start)
-        values, valid = _track_per_frame(y, sqrt_nn.matrices, ref, 0.8, start)
+        values, valid = _track_per_frame(y, sqrt_nn, ref, 0.8, start)
         failed = ~valid[:-1, start:]
         assert failed.any() and not failed.all()
         np.testing.assert_array_equal(traj.valid, valid)
@@ -470,9 +468,9 @@ def test_mse_monotone_with_snr(static_bundle):
     for snr in (-10.0, 0.0, 10.0, 20.0, 30.0):
         bundle = pipeline.remix(static_bundle, snr)
         spec = stft.analyze(bundle.mixture, bundle.config)
-        stats = pipeline.noise_stats(spec, bundle.noise_frames)
+        evd = pipeline.noise_stats(spec, bundle.noise_frames)
         traj = pipeline.estimate_trajectory(
-            spec, stats, bundle.noise_frames, "cw-batch", sides=("left",)
+            spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
         )["left"]
         mses.append(rtf.rtf_mse(traj, bundle.truth.rtf["left"]))
     assert all(b < a for a, b in zip(mses, mses[1:]))

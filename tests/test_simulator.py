@@ -140,7 +140,7 @@ def test_ground_truth_rtf_matches_geometry_oracle(moving_bundle):
     cfg = moving_bundle.config
     truth = moving_bundle.truth
     mics = scenario.mic_positions()
-    freqs = cfg.bin_frequencies_hz()
+    freqs = np.fft.rfftfreq(cfg.window_len, 1 / cfg.sample_rate_hz)
     for l in (40, 120, 200):
         t = (l * cfg.hop + cfg.window_len / 2) / scenario.sample_rate
         dists = np.linalg.norm(scenario.source_position(t) - mics, axis=1)

@@ -26,14 +26,6 @@ def test_num_bins_and_frames():
         cfg.num_frames(511)
 
 
-def test_bin_frequencies():
-    cfg = stft.StftConfig()
-    f = cfg.bin_frequencies_hz()
-    assert f[0] == 0.0
-    assert f[-1] == 8000.0
-    assert np.allclose(np.diff(f), 16000 / 512)
-
-
 def test_frames_follow_the_hop():
     cfg = stft.StftConfig(window_len=8, hop=3)
     x = np.arange(2 * 30.0).reshape(2, 30)
