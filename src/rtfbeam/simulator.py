@@ -8,17 +8,21 @@ rendered in the frequency domain: one rfft per source at a common 5-smooth
 length, each spectrum times its fractional-delay `stft.phase_ramp` and 1/r
 summed per mic, then one irfft per mic. A moving source goes through a
 32-tap raised-cosine windowed-sinc interpolator, its trajectory sampled per
-STFT hop; the kernel loops over the taps on a zero-padded copy of the
-signal and needs three transcendentals per sample. The analytic RTFs and
-DOA of the same geometry are returned as ground truth for verifying the
-estimators. A static source's RTF is the same in every frame, so its truth
-keeps one frame, (F, M, 1), the L' = 1 rule of `rtf.RtfTrajectory`; a
-moving source's keeps all L. The babble's 4 Hz modulations share one sin
-and one cos of the time axis: each signal's phase enters by angle addition.
+STFT hop, in Farrow form: each tap is a degree-14 Chebyshev polynomial in
+the delay fraction, fitted once per process, so one matrix product filters
+the source by the 15 coefficient columns for all mics, and each mic gathers
+the filtered signals at its integer delays and sums the polynomial by
+Clenshaw's recurrence. The analytic RTFs and DOA of the same geometry are
+returned as ground truth for verifying the estimators. A static source's
+RTF is the same in every frame, so its truth keeps one frame, (F, M, 1),
+the L' = 1 rule of `rtf.RtfTrajectory`; a moving source's keeps all L.
+The babble's 4 Hz modulations share one sin and one cos of the time axis:
+each signal's phase enters by angle addition.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 
@@ -40,6 +44,7 @@ NUM_BABBLERS = 20
 # disambiguate front/back, so arcs crossing endfire would fold the DOA
 MAX_ABS_DOA_DEG = 80.0
 SINC_HALF_TAPS = 16  # 32-tap interpolator
+FARROW_DEGREE = 14  # polynomial degree of each tap in the fraction
 SNR_CAP_DB = 120.0
 
 
@@ -230,6 +235,29 @@ def _render_sources(
     return np.fft.irfft(field, n=nfft, axis=1)[:, :n]
 
 
+@functools.cache
+def _farrow_coefficients() -> np.ndarray:
+    """(P+1, 32) Chebyshev coefficients of the taps h_k(f), k = -15..16.
+
+    Row p holds c_kp of the degree-P least-squares fit
+    h_k(f) ~ sum_p c_kp T_p(2f - 1) at the 4P Chebyshev nodes
+    u_j = cos(theta_j), f_j = (u_j + 1) / 2. T_0..T_P are orthogonal over
+    those nodes, so the fit is a projection,
+    c_kp = (2 - [p == 0]) / 4P sum_j cos(p theta_j) h_k(f_j), with no solve
+    and no numpy.polynomial. Computed at the first moving render and kept,
+    read-only.
+    """
+    theta = np.pi * (np.arange(4 * FARROW_DEGREE) + 0.5) / (4 * FARROW_DEGREE)
+    frac = (np.cos(theta) + 1) / 2
+    lags = np.arange(1 - SINC_HALF_TAPS, SINC_HALF_TAPS + 1) - frac[:, None]
+    taps = np.sinc(lags) * (1 + np.cos(np.pi * lags / SINC_HALF_TAPS)) / 2
+    chebyshev = np.cos(np.outer(np.arange(FARROW_DEGREE + 1), theta))  # T_p(u_j)
+    coeffs = chebyshev @ taps / (2 * FARROW_DEGREE)
+    coeffs[0] /= 2
+    coeffs.flags.writeable = False  # every render shares this one array
+    return coeffs
+
+
 def _delay_varying(
     signal: np.ndarray, delay_samples: np.ndarray, gain: np.ndarray
 ) -> np.ndarray:
@@ -238,45 +266,71 @@ def _delay_varying(
     y[i] = gain[i] sum_k h_k(f_i) x[i - n0_i - k] for k = -15..16, with
     n0 = floor(delay), f = delay - n0 and the raised-cosine windowed sinc
     h_k(f) = sinc(k - f) (1 + cos(pi (k - f) / 16)) / 2; samples outside the
-    signal are zero. The taps need three transcendentals per sample:
-    sin(pi (k - f)) = -(-1)^k sin(pi f), and the window cosine expands by
-    angle addition, so h_k = -(-1)^k (p0 + cos(a_k) p1 + sin(a_k) p2) / (k - f)
-    with a_k = pi k / 16. The loop works in preallocated buffers: a fresh
-    N-sample temporary per operation costs more than its arithmetic.
+    signal are zero. Delays and gains are (N,) for one output, or (M, N) for
+    M outputs of the same source, one row per mic.
+
+    Farrow structure. `_farrow_coefficients` fits each tap by a Chebyshev
+    series of degree P = FARROW_DEGREE in u = 2f - 1, h_k(f) ~ sum_p c_kp
+    T_p(u), within 5e-15 of h_k at P = 14. Then
+    y[i] = gain[i] sum_p T_p(u_i) z_p[i - n0_i], where z_p = sum_k c_kp
+    x[. - k] is the source filtered by coefficient column p. The bank of the
+    P+1 filtered signals is one matrix product, computed once per call over
+    the integer delays of all rows, so the mics share it. Per row, what is
+    left is a gather of each z_p and a Clenshaw recurrence over p. A sample
+    with f == 0 copies x[i - n0_i] exactly: there h_k is 1 at k = 0 and 0
+    elsewhere, which the fit only approximates.
+
+    The rows stay a loop over preallocated N-sample buffers, reused from
+    row to row, as a fresh temporary per operation costs more than its
+    arithmetic. A single pass over (M, N) buffers gave the same output but
+    took 195 -> 347 ms on a 2-vCPU host, most likely from cache misses.
     """
+    rows = np.atleast_2d(delay_samples)
+    gains = np.broadcast_to(gain, rows.shape)
     n = signal.shape[0]
-    n0 = np.floor(delay_samples).astype(np.int64)
-    frac = delay_samples - n0
-    p0 = np.sin(np.pi * frac) / (2 * np.pi)
-    p1 = p0 * np.cos(np.pi * frac / SINC_HALF_TAPS)
-    p2 = p0 * np.sin(np.pi * frac / SINC_HALF_TAPS)
-    lo = max(int(n0.max()), 0) + SINC_HALF_TAPS
-    hi = max(-int(n0.min()), 0) + SINC_HALF_TAPS
-    padded = np.concatenate([np.zeros(lo), signal, np.zeros(hi)])
-    base = np.arange(n) - n0 + lo  # where x[i - n0_i] sits in padded
-    out = np.zeros(n)
-    tap, scratch, taken = np.empty(n), np.empty(n), np.empty(n)
+    half = SINC_HALF_TAPS
+    coeffs = _farrow_coefficients()
+    first, last = int(np.floor(rows.min())), int(np.floor(rows.max()))
+    # padded[q] = x[q - last - half], so window t, padded[t:t + 32], holds
+    # x[t - last - k] for k = 16..-15, and bank[p, t] = z_p[t - last] for
+    # every t = i - n0_i + last that a row gathers, 0 <= t < width
+    width = n + last - first
+    padded = np.zeros(width + 2 * half - 1)
+    lo, hi = max(-last - half, 0), min(width + half - 1 - last, n)
+    if lo < hi:
+        padded[lo + last + half : hi + last + half] = signal[lo:hi]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half)
+    bank = np.empty((FARROW_DEGREE + 1, width))
+    np.matmul(coeffs[:, ::-1], windows.T, out=bank)  # no copy of the windows
+
+    out = np.empty(rows.shape)
+    ramp = np.arange(last, n + last, dtype=np.float64)
+    floor, u, two_u, b1, b2, z = (np.empty(n) for _ in range(6))
     index = np.empty(n, dtype=np.int64)
-    for k in range(1 - SINC_HALF_TAPS, SINC_HALF_TAPS + 1):
-        angle = np.pi * k / SINC_HALF_TAPS
-        np.multiply(p1, np.cos(angle), out=tap)
-        tap += p0
-        np.multiply(p2, np.sin(angle), out=scratch)
-        tap += scratch
-        if k % 2:  # divide by (k - f) / -(-1)^k
-            np.subtract(k, frac, out=scratch)
-        else:
-            np.subtract(frac, k, out=scratch)
-        if k:
-            tap /= scratch
-        else:  # sinc(-f) window(-f), exactly 1 at f = 0
-            np.divide(tap, scratch, out=tap, where=frac > 0)
-            tap[frac == 0] = 1.0
-        np.subtract(base, k, out=index)
-        np.take(padded, index, out=taken)
-        tap *= taken
-        out += tap
-    return gain * out
+    for y, delay, g in zip(out, rows, gains):
+        np.floor(delay, out=floor)
+        np.subtract(delay, floor, out=u)
+        exact = u == 0
+        u *= 2.0
+        u -= 1.0
+        np.multiply(u, 2.0, out=two_u)
+        np.subtract(ramp, floor, out=index, casting="unsafe")
+        # Clenshaw: b_p = z_p + 2u b_{p+1} - b_{p+2}, y = z_0 + u b_1 - b_2
+        np.take(bank[-1], index, out=b1)
+        b2[:] = 0.0
+        for filtered in bank[-2:0:-1]:
+            np.take(filtered, index, out=z)
+            np.subtract(z, b2, out=b2)
+            np.multiply(two_u, b1, out=z)
+            b2 += z
+            b1, b2 = b2, b1
+        np.take(bank[0], index, out=y)
+        y -= b2
+        np.multiply(u, b1, out=z)
+        y += z
+        y[exact] = padded[index[exact] + half]
+        y *= g
+    return out if np.ndim(delay_samples) == 2 else out[0]
 
 
 def _analytic_rtf(
@@ -331,11 +385,10 @@ def render_moving_source(
         hop_times = np.arange(0, n + config.hop, config.hop) / fs
         hop_pos = scenario.source_position(hop_times)  # (H, 3)
         sample_t = np.arange(n) / fs
-        clean = np.empty((scenario.num_mics, n))
-        for m in range(scenario.num_mics):
-            hop_d = np.linalg.norm(hop_pos - mics[m][None, :], axis=1)
-            d = np.interp(sample_t, hop_times, hop_d)
-            clean[m] = _delay_varying(source, d / SPEED_OF_SOUND * fs, 1.0 / d)
+        hop_d = np.linalg.norm(hop_pos[None, :, :] - mics[:, None, :], axis=2)  # (M, H)
+        dist = np.stack([np.interp(sample_t, hop_times, row) for row in hop_d])
+        clean = _delay_varying(source, dist / SPEED_OF_SOUND * fs, 1.0 / dist)
+        del dist  # else its 4 MB stay alive through the truth below, the render's peak
 
     num_frames = config.num_frames(n)
     frame_times = (np.arange(num_frames) * config.hop + config.window_len / 2) / fs

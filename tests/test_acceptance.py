@@ -7,7 +7,6 @@ its asserts, so a plain pytest run shows the per-criterion outcome.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import discard_bins, random_complex, random_spd
 from rtfbeam import beamformer, cli, covariance, metrics, pipeline, rtf, stft

@@ -11,7 +11,7 @@ import pytest
 from scipy.io import wavfile
 
 from conftest import collect_bins, count_calls, discard_bins
-from rtfbeam import cli, covariance, metrics, pipeline, rtf, simulator, stft
+from rtfbeam import cli, covariance, metrics, pipeline, rtf, stft
 
 
 @pytest.fixture(scope="module")
