@@ -18,7 +18,7 @@ import numpy as np
 
 from .covariance import EigenDecomposition, loaded_power
 from .rtf import RtfTrajectory
-from .stft import ComplexSpectrogram, StftConfig, phase_ramp
+from .stft import StftConfig, phase_ramp
 
 SPEED_OF_SOUND = 343.0
 # heavier loading than the covariance-whitening default: the MVDR inverse is
@@ -79,18 +79,16 @@ def mvdr_weights(
     return num
 
 
-def apply(weights: np.ndarray, spec: ComplexSpectrogram) -> ComplexSpectrogram:
-    """Filter-and-sum: s_hat(l,k) = w^H(l,k) y(l,k); weights with one frame
-    apply to every frame."""
+def apply(weights: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Filter-and-sum of the (F, M, L) STFT: s_hat(l,k) = w^H(l,k) y(l,k),
+    an (F, L) spectrum; weights with one frame apply to every frame."""
     if weights.ndim != 3:
         raise BeamformerError(f"weights must have shape (F, M, L), got {weights.shape}")
     nbins, m, nframes = weights.shape
-    if (nbins, m) != spec.data.shape[:2] or nframes not in (1, spec.num_frames):
-        raise BeamformerError(
-            f"weights shape {weights.shape} != spectrogram {spec.data.shape}"
-        )
-    out = np.einsum("kml,kml->kl", weights.conj(), spec.data)
-    return ComplexSpectrogram(out[:, None, :], spec.config)
+    if (spec.ndim != 3 or (nbins, m) != spec.shape[:2]
+            or nframes not in (1, spec.shape[2])):
+        raise BeamformerError(f"weights shape {weights.shape} != STFT {spec.shape}")
+    return np.einsum("kml,kml->kl", weights.conj(), spec)
 
 
 def narrowband_beampattern(

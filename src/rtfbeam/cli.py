@@ -160,6 +160,10 @@ def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
     _, mixture = stft.read_wav(bundle_dir / "mixture.wav", rate)
     _, clean = stft.read_wav(bundle_dir / "clean.wav", rate)
     _, noise = stft.read_wav(bundle_dir / "noise.wav", rate)
+    for name, signal in (("clean.wav", clean), ("noise.wav", noise)):
+        if signal.shape != mixture.shape:
+            raise stft.StftError(f"{bundle_dir / name}: (M, N) {signal.shape}, "
+                                 f"expected {mixture.shape} as in mixture.wav")
     truth = simulator.GroundTruth(
         doa_per_frame=np.asarray(meta["doa_per_frame_deg"]),
         rtf={side: _load_truth(bundle_dir / f"rtf_true_{side}.rtfb", side, config, mixture)
@@ -191,7 +195,7 @@ def cmd_estimate_rtf(args) -> int:
     mse_rows = []
     for side, traj in trajs.items():
         _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config,
-                          mix_spec.num_frames)
+                          mix_spec.shape[2])
         mse = rtf.rtf_mse(traj, bundle.truth.rtf[side])
         mse_rows.append((side, args.method, mse))
         print(f"{side}: MSE {mse:.2f} dB")

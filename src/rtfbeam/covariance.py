@@ -11,8 +11,9 @@ Phi_nn^{-1/2}, +1/2 for its de-whitening inverse and -1 for the MVDR
 inverse. Phi_nn is therefore decomposed once per bundle.
 
 The per-bin products (the covariances, the whitened frames and the whitened
-mixture covariance) are batched ``np.matmul`` over the bin-major (F, M, L)
-spectrogram as it is stored, one BLAS call per product.
+mixture covariance) are batched ``np.matmul`` over the bin-major complex
+(F, M, L) STFT array as `stft.analyze` returns it, one BLAS call per
+product.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .stft import ComplexSpectrogram
 
 DEFAULT_LOADING = 1e-6
 HERMITIAN_TOL = 1e-12
@@ -49,30 +48,32 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().transpose(0, 2, 1))
 
 
-def _frame_outer_average(spec: ComplexSpectrogram, frames: slice) -> np.ndarray:
-    y = spec.data[:, :, frames]  # (F, M, Lsel)
+def _frame_outer_average(spec: np.ndarray, frames: slice) -> np.ndarray:
+    y = spec[:, :, frames]  # (F, M, Lsel)
     if y.shape[2] == 0:
         raise CovarianceError("empty frame range")
     return _hermitize((y @ y.conj().transpose(0, 2, 1)) / y.shape[2])
 
 
-def estimate_noise_covariance(spec: ComplexSpectrogram, noise_frames: int) -> np.ndarray:
-    """Average outer products over the leading noise-only frames [0, L_n)."""
-    if not (1 <= noise_frames <= spec.num_frames):
+def estimate_noise_covariance(spec: np.ndarray, noise_frames: int) -> np.ndarray:
+    """Average the (F, M, L) STFT's outer products over the leading
+    noise-only frames [0, L_n)."""
+    if not (1 <= noise_frames <= spec.shape[2]):
         raise CovarianceError(
-            f"noise_frames {noise_frames} out of range [1, {spec.num_frames}]"
+            f"noise_frames {noise_frames} out of range [1, {spec.shape[2]}]"
         )
     return _frame_outer_average(spec, slice(0, noise_frames))
 
 
-def estimate_mixture_covariance(spec: ComplexSpectrogram, noise_frames: int) -> np.ndarray:
-    """Average outer products over the speech-plus-noise frames [L_n, L)."""
-    if not (0 <= noise_frames < spec.num_frames):
+def estimate_mixture_covariance(spec: np.ndarray, noise_frames: int) -> np.ndarray:
+    """Average the (F, M, L) STFT's outer products over the speech-plus-noise
+    frames [L_n, L)."""
+    if not (0 <= noise_frames < spec.shape[2]):
         raise CovarianceError(
             f"noise_frames {noise_frames} leaves no mixture frames "
-            f"(L = {spec.num_frames})"
+            f"(L = {spec.shape[2]})"
         )
-    return _frame_outer_average(spec, slice(noise_frames, spec.num_frames))
+    return _frame_outer_average(spec, slice(noise_frames, None))
 
 
 def hermitian_evd(phi: np.ndarray) -> EigenDecomposition:
@@ -118,14 +119,14 @@ def sqrt_pair(
     return loaded_power(evd, 0.5, loading), loaded_power(evd, -0.5, loading)
 
 
-def whiten(spec: ComplexSpectrogram, w: np.ndarray) -> ComplexSpectrogram:
-    """Apply the per-bin whitening matrix: y_w(l,k) = W(k) y(l,k); the
-    result's data is a contiguous (F, M, L) array."""
-    if w.shape[:2] != spec.data.shape[:2]:  # both lead with (F, M)
+def whiten(spec: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Apply the per-bin whitening matrix to the (F, M, L) STFT:
+    y_w(l,k) = W(k) y(l,k), a contiguous (F, M, L) array."""
+    if w.shape[:2] != spec.shape[:2]:  # both lead with (F, M)
         raise CovarianceError(
-            f"whitener shape {w.shape} does not match spectrogram {spec.data.shape}"
+            f"whitener shape {w.shape} does not match STFT {spec.shape}"
         )
-    return ComplexSpectrogram(w @ spec.data, spec.config)
+    return w @ spec
 
 
 def whitened_mixture_covariance(

@@ -71,7 +71,7 @@ def remix(bundle: SimBundle, snr_db: float) -> SimBundle:
 
 
 def noise_stats(
-    mix_spec: stft.ComplexSpectrogram,
+    mix_spec: np.ndarray,
     noise_frames: int,
     sides: tuple[str, ...] = rtf.SIDES,
 ) -> covariance.EigenDecomposition:
@@ -92,7 +92,7 @@ def noise_stats(
 
 
 def estimate_trajectory(
-    mix_spec: stft.ComplexSpectrogram,
+    mix_spec: np.ndarray,
     phi_nn_evd: covariance.EigenDecomposition,
     noise_frames: int,
     method: str,
@@ -111,7 +111,7 @@ def estimate_trajectory(
     'cw-batch'. The frame-invariant 'cw-batch' and 'none' trajectories have
     one frame (`rtf.RtfTrajectory`).
     """
-    nbins, m, _ = mix_spec.data.shape
+    nbins, m, _ = mix_spec.shape
     refs = {side: rtf.reference_mics(m)[side] for side in sides}
     if method == "none":
         out = {}
@@ -146,13 +146,14 @@ def estimate(
     loading: float = covariance.DEFAULT_LOADING,
     noise_frames: int | None = None,
     sides: tuple[str, ...] = rtf.SIDES,
-) -> tuple[stft.ComplexSpectrogram, covariance.EigenDecomposition,
+) -> tuple[np.ndarray, covariance.EigenDecomposition,
            dict[str, rtf.RtfTrajectory]]:
-    """Analyse the mixture, take the EVD of Phi_nn over its first
-    `noise_frames` frames (0 or None: the bundle's lead-silence count) and
-    estimate the RTF trajectory of each of `sides`; only their reference
-    mics are checked for a dead one. A lead silence shorter than
-    one window holds no noise-only frame: then `noise_frames` must be given.
+    """Analyse the mixture into its (F, M, L) STFT, take the EVD of Phi_nn
+    over its first `noise_frames` frames (0 or None: the bundle's
+    lead-silence count) and estimate the RTF trajectory of each of `sides`;
+    only their reference mics are checked for a dead one. A lead silence
+    shorter than one window holds no noise-only frame: then `noise_frames`
+    must be given.
     """
     ln = noise_frames or bundle.noise_frames
     if ln == 0:
@@ -182,15 +183,17 @@ def side_weights(
 
 
 def beamform_side(
-    mix_spec: stft.ComplexSpectrogram,
+    mix_spec: np.ndarray,
+    config: stft.StftConfig,
     phi_nn_evd: covariance.EigenDecomposition,
     traj: rtf.RtfTrajectory,
     method: str,
     loading: float = beamformer.MVDR_LOADING,
 ) -> np.ndarray:
-    """Beamform one side: its weights applied to the mixture, synthesized."""
+    """Beamform one side: its weights applied to the mixture's (F, M, L)
+    STFT, synthesized with the `config` it was analysed with."""
     weights = side_weights(traj, phi_nn_evd, method, loading)
-    return stft.synthesize(beamformer.apply(weights, mix_spec))
+    return stft.synthesize(beamformer.apply(weights, mix_spec), config)
 
 
 def evaluate_bundle(
@@ -203,7 +206,10 @@ def evaluate_bundle(
 ) -> metrics.EvalReport:
     """Full pipeline on one bundle: estimate, beamform both sides, score.
 
-    The report keeps both sides' enhanced signals in `enhanced`.
+    The report keeps both sides' enhanced signals in `enhanced`. Overlap-add
+    covers the samples of whole frames only, so the enhanced signal and the
+    input mixture are both scored over its first len(enhanced) samples: all
+    N when N - window_len is a whole number of hops.
     """
     mix_spec, evd, trajs = estimate(bundle, method, beta, loading, noise_frames)
     report = metrics.EvalReport(
@@ -211,13 +217,14 @@ def evaluate_bundle(
         snr_db=bundle.snr_db,
         method=method,
     )
-    n = bundle.clean.shape[1]
     for side, traj in trajs.items():
-        enhanced = beamform_side(mix_spec, evd, traj, method, mvdr_loading)
+        enhanced = beamform_side(mix_spec, bundle.config, evd, traj, method,
+                                 mvdr_loading)
         report.enhanced[side] = enhanced
-        clean = bundle.clean[traj.ref_channel]
-        mixture = bundle.mixture[traj.ref_channel]
-        setattr(report, f"si_sdr_{side}", metrics.si_sdr(enhanced[:n], clean))
+        n = enhanced.size
+        clean = bundle.clean[traj.ref_channel, :n]
+        mixture = bundle.mixture[traj.ref_channel, :n]
+        setattr(report, f"si_sdr_{side}", metrics.si_sdr(enhanced, clean))
         setattr(report, f"si_sdr_input_{side}", metrics.si_sdr(mixture, clean))
     if method != "none":
         report.rtf_mse_db = rtf.rtf_mse(trajs["left"], bundle.truth.rtf["left"])
@@ -239,7 +246,7 @@ def beampattern(
     order (`beamformer.narrowband_beampattern`); the wideband power is
     returned. Frame-invariant ('cw-batch', 'none') weights give one column,
     broadcast (read-only) over the frames, in each bin and in the wideband."""
-    # the spectrogram and the trajectory are dropped before the pattern is
+    # the STFT and the trajectory are dropped before the pattern is
     # computed, so their ~16 MB is not held under it at the peak
     evd, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
     weights = side_weights(trajs.pop("left"), evd, method, mvdr_loading)

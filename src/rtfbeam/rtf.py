@@ -10,7 +10,7 @@ tracker's start frame, or in the Nyquist bin. Every invalid cell holds the
 trivial RTF e_ref; no estimator carries an earlier value forward, as the
 MVDR weights hold their own (``beamformer.mvdr_weights``).
 
-Trajectories are bin-major, (F, M, L'), like the spectrogram. One whose RTF
+Trajectories are bin-major, (F, M, L'), like the (F, M, L) STFT. One whose RTF
 does not change over frames (CW, and the trivial 'none' trajectory) keeps a
 frame axis of length L' = 1 instead of L copies of one frame, and so does
 the analytic truth of a static scene. Every consumer broadcasts that axis
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import ComplexSpectrogram, StftConfig
+from .stft import StftConfig
 
 DENOM_TOL = 1e-12
 # flag a bin when the reference entry is this far below the vector norm:
@@ -164,7 +164,7 @@ def cw_trajectory(
 
 
 def track_rtf_past(
-    spec_whitened: ComplexSpectrogram,
+    spec_whitened: np.ndarray,
     phi_nn_sqrt: np.ndarray,
     ref_channel: int,
     beta: float = DEFAULT_BETA,
@@ -180,10 +180,10 @@ def track_rtf_past(
     """
     if not (0.0 < beta <= 1.0):
         raise RtfError(f"beta must be in (0, 1], got {beta}")
-    nbins, m, nframes = spec_whitened.data.shape
+    nbins, m, nframes = spec_whitened.shape
     _check_ref_channel(ref_channel, m)
     # one contiguous (F, M) block per step of the recursion
-    frames = np.ascontiguousarray(spec_whitened.data.transpose(2, 0, 1))  # (L, F, M)
+    frames = np.ascontiguousarray(spec_whitened.transpose(2, 0, 1))  # (L, F, M)
     if not np.all(np.isfinite(frames)):
         raise RtfError("non-finite whitened input to track_rtf_past")
 

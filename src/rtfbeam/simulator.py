@@ -35,7 +35,6 @@ from .stft import StftConfig, phase_ramp
 NUM_MICS = 8
 MIC_SPACING_M = 0.05
 ARRAY_HEIGHT_M = 1.3
-ROOM_HEIGHT_M = 3.0
 DEFAULT_DURATION_S = 4.0
 DEFAULT_SAMPLE_RATE = 16000
 LEAD_SILENCE_S = 0.5
@@ -62,7 +61,6 @@ class Scenario:
     source_radius: float
     babbler_positions: np.ndarray  # (B, 3)
     seed: int
-    room_height: float = ROOM_HEIGHT_M
     num_mics: int = NUM_MICS
     mic_spacing: float = MIC_SPACING_M
     duration_s: float = DEFAULT_DURATION_S
@@ -130,7 +128,9 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        """Inverse of `to_json`; absent optional fields take their defaults."""
+        """Inverse of `to_json`; absent optional fields take their defaults,
+        and keys that are not fields (the `room_height` of older bundles) are
+        ignored."""
         d = json.loads(text)
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
@@ -364,17 +364,6 @@ def render_moving_source(
         raise SimulatorError(f"source must have {n} samples, got {source.shape}")
     fs = scenario.sample_rate
     mics = scenario.mic_positions()
-
-    # trajectory containment
-    t_grid = np.linspace(0.0, scenario.duration_s, 64)
-    pos_grid = scenario.source_position(t_grid)
-    if (
-        np.any(pos_grid[:, 0] < 0)
-        or np.any(pos_grid[:, 0] > scenario.room_width)
-        or np.any(pos_grid[:, 1] < 0)
-        or np.any(pos_grid[:, 1] > scenario.room_length)
-    ):
-        raise SimulatorError("source trajectory exits the room")
 
     if scenario.source_delta_deg == 0.0:
         clean = _render_sources(

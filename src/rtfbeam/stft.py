@@ -2,10 +2,15 @@
 
 Frames are laid out without centering or zero padding: frame l covers
 samples [l*hop, l*hop + window_len), so L = 1 + (N - window_len)//hop.
-Synthesis uses the dual window w_a / sum_shifts(w_a^2), which gives perfect
-reconstruction on the fully-overlapped interior for any NOLA window. The
-spectrogram is bin-major, (F, M, L), the layout of every per-bin product
-downstream; `analyze` has the rfft write its output into that layout.
+A spectrogram is a plain complex ndarray, bin-major (F, M, L), the layout
+of every per-bin product downstream; `analyze` has the rfft write its
+output into that layout. `synthesize` takes a single-channel (F, L)
+spectrum and the config it was analysed with. Overlap-add divides window
+position n by the sum of w_a^2 over every window position congruent to n
+modulo the hop: an interior sample is covered by exactly those positions,
+one per frame, so the round trip is exact on the fully-overlapped interior
+for any hop whose sums are nonzero (NOLA), whether or not the hop divides
+the window length.
 
 `phase_ramp`, gains * exp(-j 2 pi k d / nfft) over the rfft bins k for
 delays d in samples, is the one free-field phase model: the render, the
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,14 +77,6 @@ class StftConfig:
     def analysis_window(self) -> np.ndarray:
         return _make_window(self.window, self.window_len)
 
-    def ola_norm(self) -> np.ndarray:
-        """Sum of hop-shifted squared analysis windows over one period."""
-        w2 = self.analysis_window() ** 2
-        norm = np.zeros(self.window_len)
-        for shift in range(0, self.window_len, self.hop):
-            norm += np.roll(w2, shift)
-        return norm
-
     def num_frames(self, num_samples: int) -> int:
         if num_samples < self.window_len:
             raise StftError("signal shorter than one analysis window")
@@ -92,33 +89,7 @@ class StftConfig:
         return windows[..., :: self.hop, :]
 
 
-@dataclass
-class ComplexSpectrogram:
-    """Complex STFT tensor indexed (frequency bin k, channel m, frame l)."""
-
-    data: np.ndarray  # complex, shape (F, M, L)
-    config: StftConfig = field(default_factory=StftConfig)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 3:
-            raise StftError("spectrogram data must have shape (F, M, L)")
-        if self.data.shape[0] != self.config.num_bins:
-            raise StftError(
-                f"bin count {self.data.shape[0]} does not match config "
-                f"({self.config.num_bins})"
-            )
-
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[2]
-
-
-def analyze(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
+def analyze(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     """STFT of a (M, N) or (N,) real signal; returns (F, M, L) one-sided spectra."""
     x = np.atleast_2d(np.asarray(signal, dtype=np.float64))
     if x.ndim != 2:
@@ -129,7 +100,7 @@ def analyze(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
     spec = np.empty((config.num_bins, *frames.shape[:2]), dtype=np.complex128)
     # the rfft writes each frame's spectrum straight into its (F, M, L) place
     np.fft.rfft(frames * config.analysis_window(), axis=-1, out=spec.transpose(1, 2, 0))
-    return ComplexSpectrogram(spec, config)
+    return spec
 
 
 def phase_ramp(delays, nfft: int, gains=1.0, out: np.ndarray | None = None) -> np.ndarray:
@@ -151,20 +122,23 @@ def phase_ramp(delays, nfft: int, gains=1.0, out: np.ndarray | None = None) -> n
     return out
 
 
-def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
-    """Overlap-add inverse STFT of a single-channel spectrogram."""
-    if spec.num_channels != 1:
-        raise StftError("synthesize expects a single-channel spectrogram")
-    cfg = spec.config
-    wlen, hop = cfg.window_len, cfg.hop
-    num_frames = spec.num_frames
-    win = cfg.analysis_window()
-    norm = cfg.ola_norm()
+def synthesize(spec: np.ndarray, config: StftConfig) -> np.ndarray:
+    """Overlap-add inverse STFT of a single-channel (F, L) spectrum."""
+    if spec.ndim != 2 or spec.shape[0] != config.num_bins:
+        raise StftError(f"synthesize expects a ({config.num_bins}, L) spectrum, "
+                        f"got shape {spec.shape}")
+    wlen, hop = config.window_len, config.hop
+    num_frames = spec.shape[1]
+    win = config.analysis_window()
+    # the overlap-add envelope: sum of w^2 over the window positions of each
+    # residue modulo the hop
+    phase = np.arange(wlen) % hop
+    norm = np.bincount(phase, weights=win**2, minlength=hop)[phase]
     if np.min(norm) < 1e-12:
         raise StftError("window/hop pair violates NOLA; cannot invert")
     syn_win = win / norm
 
-    frames = np.fft.irfft(spec.data[:, 0], n=wlen, axis=0)  # (W, L)
+    frames = np.fft.irfft(spec, n=wlen, axis=0)  # (W, L)
     frames *= syn_win[:, None]
     out = np.zeros((num_frames - 1) * hop + wlen)
     for l in range(num_frames):

@@ -246,6 +246,28 @@ def test_a_truth_file_that_does_not_fit_the_bundle_is_refused_by_name(
     assert not (out / "enhanced_left.wav").exists()
 
 
+@pytest.mark.parametrize("name,cut", [
+    ("clean.wav", lambda x: x[:, :-300]),  # 300 samples short
+    ("noise.wav", lambda x: x[:4]),  # 4 of the 8 channels
+])
+def test_a_wav_that_does_not_fit_the_mixture_is_refused_by_name(
+    tmp_path, static_bundle, capsys, name, cut
+):
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    stft.write_wav(out / name, 16000, cut(getattr(static_bundle, name[:-4])))
+    files = sorted(out.iterdir())
+    for argv in (["estimate-rtf"], ["beamform", "--results", str(tmp_path / "r.csv")],
+                 ["beampattern"]):
+        capsys.readouterr()
+        rc = cli.main([argv[0], "--bundle", str(out), *argv[1:]])
+        assert rc == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"error: {out / name}: (M, N) ")
+    # no enhanced WAV, nor any other output
+    assert sorted(out.iterdir()) == files
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("name,defect", [
     ("mixture.wav", "unsupported sample format (tag 0x1, 8-bit"),
     ("clean.wav", "short data chunk"),

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LAYOUTS, assert_matches_reference, layouts, random_complex, random_spd
-from rtfbeam import covariance, stft
-
-
-def _spec(data):
-    nbins, m, nframes = data.shape
-    cfg = stft.StftConfig(window_len=2 * (nbins - 1), hop=nbins - 1)
-    return stft.ComplexSpectrogram(data, cfg)
+from rtfbeam import covariance
 
 
 def _field(*matrices):
@@ -23,7 +17,7 @@ def _field(*matrices):
 def test_noise_covariance_single_frame_rank_one():
     y = np.zeros((2, 2, 1), dtype=complex)
     y[:, 0, 0] = 1.0  # y = e_0 in both bins
-    phi = covariance.estimate_noise_covariance(_spec(y), 1)
+    phi = covariance.estimate_noise_covariance(y, 1)
     expected = np.zeros((2, 2), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(phi[0], expected, atol=1e-15)
@@ -33,14 +27,14 @@ def test_noise_covariance_two_frames_hand_sum():
     y = np.zeros((2, 2, 2), dtype=complex)
     y[:, 0, 0] = 1.0  # frame 0: [1, 0]
     y[:, 1, 1] = 1.0  # frame 1: [0, 1]
-    phi = covariance.estimate_noise_covariance(_spec(y), 2)
+    phi = covariance.estimate_noise_covariance(y, 2)
     np.testing.assert_allclose(phi[0], np.diag([0.5, 0.5]), atol=1e-15)
 
 
 def test_noise_covariance_monte_carlo_identity():
     rng = np.random.default_rng(0)
     y = random_complex(rng, 2, 3, 10000)
-    phi = covariance.estimate_noise_covariance(_spec(y), 10000)
+    phi = covariance.estimate_noise_covariance(y, 10000)
     for k in range(2):
         assert np.linalg.norm(phi[k] - np.eye(3)) < 0.1
 
@@ -48,12 +42,11 @@ def test_noise_covariance_monte_carlo_identity():
 def test_mixture_covariance_mirrors_noise_estimator():
     rng = np.random.default_rng(1)
     y = random_complex(rng, 2, 3, 40)
-    spec = _spec(y)
-    phi_mix = covariance.estimate_mixture_covariance(spec, 10)
+    phi_mix = covariance.estimate_mixture_covariance(y, 10)
     oracle = np.einsum("kil,kjl->kij", y[:, :, 10:], y[:, :, 10:].conj()) / 30
     np.testing.assert_allclose(phi_mix, oracle, atol=1e-12)
     # single trailing frame reduces to the rank-one outer product
-    phi_one = covariance.estimate_mixture_covariance(spec, 39)
+    phi_one = covariance.estimate_mixture_covariance(y, 39)
     np.testing.assert_allclose(
         phi_one[0], np.outer(y[0, :, 39], y[0, :, 39].conj()), atol=1e-12
     )
@@ -62,13 +55,13 @@ def test_mixture_covariance_mirrors_noise_estimator():
 def test_estimators_exactly_hermitian():
     rng = np.random.default_rng(2)
     y = random_complex(rng, 3, 4, 50)
-    phi = covariance.estimate_noise_covariance(_spec(y), 50)
+    phi = covariance.estimate_noise_covariance(y, 50)
     assert np.array_equal(phi, phi.conj().transpose(0, 2, 1))
 
 
 def test_estimator_frame_range_errors():
     rng = np.random.default_rng(3)
-    spec = _spec(random_complex(rng, 2, 2, 5))
+    spec = random_complex(rng, 2, 2, 5)
     with pytest.raises(covariance.CovarianceError):
         covariance.estimate_noise_covariance(spec, 0)
     with pytest.raises(covariance.CovarianceError):
@@ -207,16 +200,15 @@ def test_sqrt_pair_consistency():
 def test_whiten_identity_and_scalar():
     rng = np.random.default_rng(8)
     y = random_complex(rng, 2, 3, 6)
-    spec = _spec(y)
     eye = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)).copy()
-    np.testing.assert_allclose(covariance.whiten(spec, eye).data, y)
+    np.testing.assert_allclose(covariance.whiten(y, eye), y)
     half = 0.5 * eye
-    np.testing.assert_allclose(covariance.whiten(spec, half).data, 0.5 * y)
+    np.testing.assert_allclose(covariance.whiten(y, half), 0.5 * y)
 
 
 def test_whiten_shape_mismatch():
     rng = np.random.default_rng(9)
-    spec = _spec(random_complex(rng, 2, 3, 6))
+    spec = random_complex(rng, 2, 3, 6)
     eye = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)).copy()
     with pytest.raises(covariance.CovarianceError):
         covariance.whiten(spec, eye)
@@ -228,10 +220,9 @@ def test_whitening_stationary_noise_monte_carlo():
     rng = np.random.default_rng(10)
     mix = random_complex(rng, 3, 3)
     y = np.einsum("ij,kjl->kil", mix, random_complex(rng, 2, 3, 5000))
-    spec = _spec(y)
-    phi = covariance.estimate_noise_covariance(spec, 5000)
+    phi = covariance.estimate_noise_covariance(y, 5000)
     w = _power(phi, -0.5)
-    yw = covariance.whiten(spec, w)
+    yw = covariance.whiten(y, w)
     emp = covariance.estimate_noise_covariance(yw, 5000)
     assert np.linalg.norm(emp[0] - np.eye(3)) < 0.15
 
@@ -261,7 +252,7 @@ def test_whitened_mixture_covariance_formula():
 def test_covariance_estimators_match_einsum_reference(layout):
     rng = np.random.default_rng(20)
     y = random_complex(rng, 5, 4, 30)
-    spec = _spec(layouts(y)[layout])
+    spec = layouts(y)[layout]
     ln = 12
     for phi, frames in ((covariance.estimate_noise_covariance(spec, ln), y[:, :, :ln]),
                         (covariance.estimate_mixture_covariance(spec, ln), y[:, :, ln:])):
@@ -275,8 +266,8 @@ def test_whiten_matches_einsum_reference(layout):
     y = random_complex(rng, 5, 4, 30)
     w = np.stack([random_spd(rng, 4) for _ in range(5)])
     for w_layout in LAYOUTS:
-        out = covariance.whiten(_spec(layouts(y)[layout]), layouts(w)[w_layout])
-        assert_matches_reference(out.data, np.einsum("kij,kjl->kil", w, y))
+        out = covariance.whiten(layouts(y)[layout], layouts(w)[w_layout])
+        assert_matches_reference(out, np.einsum("kij,kjl->kil", w, y))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

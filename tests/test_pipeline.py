@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import collect_bins, count_calls, random_complex
-from rtfbeam import beamformer, covariance, pipeline, rtf, stft
+from rtfbeam import beamformer, covariance, metrics, pipeline, rtf, simulator, stft
 
 
 @pytest.mark.parametrize(
@@ -118,6 +118,31 @@ def test_a_nan_in_the_mixture_stops_before_any_estimator(moving_bundle, monkeypa
         with pytest.raises(stft.StftError, match="non-finite"):
             pipeline.evaluate_bundle(bundle, method)
     assert [c[0] for c in calls] == [0, 0, 0]
+
+
+def test_a_scene_of_no_whole_number_of_hops_is_scored_by_every_method():
+    # seed 3 moving over 4.01 s, as `simulate` renders it: N = 64,160, and
+    # overlap-add covers the first (L - 1) hop + W = 64,000 samples, over
+    # which the enhanced signal and the input mixture are both scored
+    scenario = dataclasses.replace(simulator.sample_scenario(3), duration_s=4.01)
+    config = stft.StftConfig(sample_rate_hz=scenario.sample_rate)
+    target = simulator.synthesize_target_signal([3, 1], scenario)
+    clean, truth = simulator.render_moving_source(target, scenario, config)
+    babble = simulator.synthesize_babbler_signals(
+        [3, 2], simulator.NUM_BABBLERS, scenario.duration_s, scenario.sample_rate)
+    noise = simulator.render_babble(scenario, babble)
+    bundle = pipeline.SimBundle(scenario, config, clean, noise,
+                                simulator.mix_at_snr(clean, noise, 10.0), truth, 10.0)
+    assert clean.shape[1] == 64160
+    for method in pipeline.METHODS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
+            report = pipeline.evaluate_bundle(bundle, method)
+        assert np.all(np.isfinite(_scores(report)))
+        for side, ref in rtf.reference_mics(8).items():
+            assert report.enhanced[side].shape == (64000,)
+            assert getattr(report, f"si_sdr_input_{side}") == metrics.si_sdr(
+                bundle.mixture[ref, :64000], bundle.clean[ref, :64000])
 
 
 @pytest.mark.parametrize("method", ["cw-batch", "none"])

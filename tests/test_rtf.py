@@ -34,18 +34,16 @@ def _past_step(psi, delta, y, beta, ops=None):
 def test_past_init_defaults():
     # the tracker starts from psi = e_ref, delta = 1: one frame y = [1, 1]
     # with beta = 1 gives psi = [1, 0.5] from e_0 and [0.5, 1] from e_1
-    cfg = stft.StftConfig(window_len=2, hop=2)
-    spec = stft.ComplexSpectrogram(np.ones((cfg.num_bins, 2, 1), dtype=complex), cfg)
+    spec = np.ones((2, 2, 1), dtype=complex)
     for ref, expected in ((0, [1.0, 0.5]), (1, [0.5, 1.0])):
-        traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), ref, beta=1.0)
+        traj = rtf.track_rtf_past(spec, _eye_field(2, 2), ref, beta=1.0)
         assert traj.valid[0, 0]
         np.testing.assert_allclose(traj.values[0, :, 0], expected, atol=1e-15)
 
 
 def test_past_init_rejects_bad_parameters():
     # the tracker's start parameter: beta in (0, 1]
-    cfg = stft.StftConfig(window_len=4, hop=4)
-    spec = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
+    spec = np.zeros((3, 2, 4), dtype=complex)
     for kwargs in ({"beta": 0.0}, {"beta": 1.5}):
         with pytest.raises(rtf.RtfError):
             rtf.track_rtf_past(spec, _eye_field(3, 2), 0, **kwargs)
@@ -73,12 +71,10 @@ def test_past_update_eigendirection_is_fixed_point():
 
 def test_past_update_rejects_non_finite():
     # one NaN frame must raise, not silently invalidate every later frame
-    cfg = stft.StftConfig(window_len=4, hop=4)
-    y = random_complex(np.random.default_rng(18), cfg.num_bins, 2, 6)
+    y = random_complex(np.random.default_rng(18), 3, 2, 6)
     y[0, 1, 3] = np.nan
-    spec = stft.ComplexSpectrogram(y, cfg)
     with pytest.raises(rtf.RtfError):
-        rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), 0)
+        rtf.track_rtf_past(y, _eye_field(3, 2), 0)
 
 
 def test_past_update_operation_count():
@@ -220,25 +216,22 @@ def test_track_stationary_matches_batch_cw():
     rng = np.random.default_rng(13)
     a = random_complex(rng, 3)
     a /= a[0]
-    cfg = stft.StftConfig(window_len=4, hop=4)
-    y = np.repeat(_whitened_stream(a, 800, 0.05, 0), cfg.num_bins, axis=0)
-    spec = stft.ComplexSpectrogram(y, cfg)
-    traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 3), 0, beta=1.0)
+    nbins = 3
+    y = np.repeat(_whitened_stream(a, 800, 0.05, 0), nbins, axis=0)
+    traj = rtf.track_rtf_past(y, _eye_field(nbins, 3), 0, beta=1.0)
 
-    phi_ww = covariance.estimate_mixture_covariance(spec, 0)
-    batch, _ = _cw(_eye_field(cfg.num_bins, 3), phi_ww, 0)
-    for k in range(cfg.num_bins - 1):  # Nyquist bin is flagged by design
+    phi_ww = covariance.estimate_mixture_covariance(y, 0)
+    batch, _ = _cw(_eye_field(nbins, 3), phi_ww, 0)
+    for k in range(nbins - 1):  # Nyquist bin is flagged by design
         assert traj.valid[k, -1]
         err = np.linalg.norm(traj.values[k, :, -1] - batch[k])
         assert err / np.linalg.norm(batch[k]) < 1e-3
 
 
 def test_track_reference_direction_source():
-    cfg = stft.StftConfig(window_len=4, hop=4)
     a = np.array([1.0, 0.0, 0.0], dtype=complex)
-    y = np.repeat(_whitened_stream(a, 50, 0.0, 1), cfg.num_bins, axis=0)
-    spec = stft.ComplexSpectrogram(y, cfg)
-    traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 3), 0, beta=0.9)
+    y = np.repeat(_whitened_stream(a, 50, 0.0, 1), 3, axis=0)
+    traj = rtf.track_rtf_past(y, _eye_field(3, 3), 0, beta=0.9)
     np.testing.assert_allclose(
         traj.values[0, :, -1], [1.0, 0.0, 0.0], atol=1e-12
     )
@@ -246,10 +239,8 @@ def test_track_reference_direction_source():
 
 def test_track_is_causal_and_respects_start_frame():
     rng = np.random.default_rng(14)
-    cfg = stft.StftConfig(window_len=4, hop=4)
-    y = random_complex(rng, cfg.num_bins, 2, 20)
-    spec = stft.ComplexSpectrogram(y, cfg)
-    traj = rtf.track_rtf_past(spec, _eye_field(cfg.num_bins, 2), 0, 0.9, start_frame=5)
+    y = random_complex(rng, 3, 2, 20)
+    traj = rtf.track_rtf_past(y, _eye_field(3, 2), 0, 0.9, start_frame=5)
     assert not traj.valid[:, :5].any()
     np.testing.assert_array_equal(traj.values[:, 0, :5], 1.0)
     np.testing.assert_array_equal(traj.values[:, 1, :5], 0.0)
@@ -257,10 +248,7 @@ def test_track_is_causal_and_respects_start_frame():
     # causality: perturbing frame 10 leaves frames < 10 unchanged
     y2 = y.copy()
     y2[:, :, 10:] *= -3.0
-    traj2 = rtf.track_rtf_past(
-        stft.ComplexSpectrogram(y2, cfg), _eye_field(cfg.num_bins, 2), 0, 0.9,
-        start_frame=5,
-    )
+    traj2 = rtf.track_rtf_past(y2, _eye_field(3, 2), 0, 0.9, start_frame=5)
     np.testing.assert_array_equal(traj.values[:, :, :10], traj2.values[:, :, :10])
 
 
@@ -301,10 +289,8 @@ def test_track_moving_scene_mse(moving_bundle):
 
 
 def test_track_parameter_validation():
-    cfg = stft.StftConfig(window_len=4, hop=4)
-    spec = stft.ComplexSpectrogram(np.zeros((3, 2, 4), dtype=complex), cfg)
     with pytest.raises(rtf.RtfError):
-        rtf.track_rtf_past(spec, _eye_field(3, 2), 5)
+        rtf.track_rtf_past(np.zeros((3, 2, 4), dtype=complex), _eye_field(3, 2), 5)
 
 
 def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
@@ -344,8 +330,7 @@ def _track_per_frame(yw, sqrt_nn, ref, beta, start_frame):
 
 def test_track_matches_per_frame_reference():
     rng = np.random.default_rng(19)
-    cfg = stft.StftConfig(window_len=8, hop=8)
-    m, nbins, nframes, start = 3, cfg.num_bins, 40, 6
+    m, nbins, nframes, start = 3, 5, 40, 6
     y = random_complex(rng, nbins, m, nframes)
     sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
     # over frames 15-24, bins 0-1 carry one source whose de-whitened
@@ -354,9 +339,8 @@ def test_track_matches_per_frame_reference():
     v = np.linalg.solve(sqrt_nn[:2], np.eye(m)[1])  # (2, M)
     y[:2, :, 15:25] = 0.01 * y[:2, :, 15:25]
     y[:2, :, 15:25] += 10.0 * v[:, :, None] * random_complex(rng, 2, 10)[:, None, :]
-    spec = stft.ComplexSpectrogram(y, cfg)
     for ref in (0, m - 1):
-        traj = rtf.track_rtf_past(spec, sqrt_nn, ref, 0.8, start_frame=start)
+        traj = rtf.track_rtf_past(y, sqrt_nn, ref, 0.8, start_frame=start)
         values, valid = _track_per_frame(y, sqrt_nn, ref, 0.8, start)
         failed = ~valid[:-1, start:]
         assert failed.any() and not failed.all()
@@ -370,15 +354,14 @@ def test_track_reads_whitened_view_as_its_contiguous_copy():
     # whiten returns a contiguous (F, M, L) array; the same values as the
     # strided (F, M, L) view of a channel-major array track identically
     rng = np.random.default_rng(25)
-    cfg = stft.StftConfig(window_len=8, hop=8)
-    m, nbins = 3, cfg.num_bins
-    spec = stft.ComplexSpectrogram(random_complex(rng, nbins, m, 30), cfg)
+    m, nbins = 3, 5
+    spec = random_complex(rng, nbins, m, 30)
     invsqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
     sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
     copy = covariance.whiten(spec, invsqrt_nn)
-    assert copy.data.flags["C_CONTIGUOUS"]
-    whitened = stft.ComplexSpectrogram(layouts(copy.data)["transposed"], cfg)
-    assert not whitened.data.flags["C_CONTIGUOUS"]
+    assert copy.flags["C_CONTIGUOUS"]
+    whitened = layouts(copy)["transposed"]
+    assert not whitened.flags["C_CONTIGUOUS"]
     for ref in (0, m - 1):
         view_traj = rtf.track_rtf_past(whitened, sqrt_nn, ref, 0.8, start_frame=4)
         copy_traj = rtf.track_rtf_past(copy, sqrt_nn, ref, 0.8, start_frame=4)

@@ -57,18 +57,22 @@ def test_scenario_json_round_trip():
     assert json.loads(s.to_json())["seed"] == 9
     # a scenario.json without the optional fields loads with their defaults
     d = json.loads(s.to_json())
-    optional = ["room_height", "num_mics", "mic_spacing", "duration_s",
-                "sample_rate", "lead_silence_s"]
+    optional = ["num_mics", "mic_spacing", "duration_s", "sample_rate",
+                "lead_silence_s"]
     for key in optional:
         del d[key]
     u = simulator.Scenario.from_json(json.dumps(d))
     assert [getattr(u, key) for key in optional] == [
-        simulator.ROOM_HEIGHT_M, simulator.NUM_MICS, simulator.MIC_SPACING_M,
-        simulator.DEFAULT_DURATION_S, simulator.DEFAULT_SAMPLE_RATE,
-        simulator.LEAD_SILENCE_S,
+        simulator.NUM_MICS, simulator.MIC_SPACING_M, simulator.DEFAULT_DURATION_S,
+        simulator.DEFAULT_SAMPLE_RATE, simulator.LEAD_SILENCE_S,
     ]
     np.testing.assert_array_equal(u.babbler_positions, s.babbler_positions)
     assert u.source_start_deg == s.source_start_deg and u.seed == 9
+    # the room_height key of older scenario.json files is not a field: ignored
+    d = json.loads(s.to_json())
+    assert "room_height" not in d
+    d["room_height"] = 3.0
+    assert simulator.Scenario.from_json(json.dumps(d)).to_json() == s.to_json()
 
 
 def test_scenario_validation():
