@@ -1,9 +1,11 @@
 """RTF-guided MVDR weights, filter-and-sum application, and beampatterns.
 
 The MVDR beamformer here is a classical distortionless design steered by
-the RTF trajectory: w = Phi_nn^{-1} a / (a^H Phi_nn^{-1} a). Beampatterns
-are evaluated against far-field plane-wave steering vectors on a broadside
-angle grid. The weights w(l,k) are a plain complex (F, M, L') ndarray,
+the RTF trajectory: w = Phi_nn^{-1} a / (a^H Phi_nn^{-1} a), with Phi_nn^{-1}
+taken from the `covariance.hermitian_evd` result of Phi_nn. Beampatterns
+are evaluated against far-field plane-wave steering vectors on the caller's
+broadside angle grid; the wideband pattern is a plain (T, L') ndarray over
+those T angles. The weights w(l,k) are a plain complex (F, M, L') ndarray,
 bin-major like the RTF trajectory, with L' = L or 1 for weights that hold
 in every frame; they are applied as s = w^H y.
 """
@@ -12,11 +14,10 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import EigenDecomposition, loaded_power
+from .covariance import loaded_power
 from .rtf import RtfTrajectory
 from .stft import StftConfig, phase_ramp
 
@@ -31,23 +32,17 @@ class BeamformerError(ValueError):
     pass
 
 
-@dataclass
-class BeampatternGrid:
-    angles_deg: np.ndarray  # (T,)
-    wideband: np.ndarray  # P(theta, l) = sum_k |B(k, theta, l)|^2, shape (T, L)
-
-
 def mvdr_weights(
     rtf: RtfTrajectory,
-    phi_nn_evd: EigenDecomposition,
+    phi_nn_evd: tuple[np.ndarray, np.ndarray],
     loading: float = MVDR_LOADING,
 ) -> np.ndarray:
     """Distortionless MVDR weights per (k, l): w = Phi^{-1}a / (a^H Phi^{-1}a).
 
-    Phi^{-1} is the loaded inverse from the EVD of the noise covariance.
-    Invalid RTF cells, which hold e_ref (`rtf._trajectory`), reuse the
-    previous frame's weights; a bin with no valid cell at all falls back to
-    reference-channel passthrough. This is the package's only zero-order
+    Phi^{-1} is the loaded inverse from `phi_nn_evd`, the `hermitian_evd`
+    result of the noise covariance. Invalid RTF cells, which hold e_ref
+    (`rtf._trajectory`), reuse the previous frame's weights; a bin with no
+    valid cell at all falls back to reference-channel passthrough. This is the package's only zero-order
     hold, and the weights do not depend on the values of invalid cells.
     A one-frame trajectory gives one-frame weights: one solve per bin. The
     Nyquist bin, invalid by design, is not counted in the dead-bin warning.
@@ -97,13 +92,14 @@ def narrowband_beampattern(
     config: StftConfig,
     angles_deg: np.ndarray,
     sink: Callable[[np.ndarray], None],
-) -> BeampatternGrid:
-    """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the angle grid, one bin
-    at a time, and the wideband P(theta, l) = sum_k |B|^2.
+) -> np.ndarray:
+    """|B(k, theta, l)| = |w^H(k,l) h(k, theta)| over the T angles of
+    `angles_deg`, one bin at a time, and the wideband P(theta, l) =
+    sum_k |B|^2, the (T, L') array returned.
 
     Each bin's float64 |B|, shape (T, L'), is handed to `sink` in bin order,
     in one buffer that the next bin overwrites: the (F, T, L') grid is never
-    held. The returned grid holds the angles and the wideband power.
+    held.
     """
     angles_deg = np.asarray(angles_deg, dtype=np.float64)
     x = np.asarray(positions_m, dtype=np.float64)
@@ -125,4 +121,4 @@ def narrowband_beampattern(
         np.abs(h[k] @ w[k], out=b)
         wide += b ** 2
         sink(b)
-    return BeampatternGrid(angles_deg, wide)
+    return wide

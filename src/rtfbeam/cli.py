@@ -164,6 +164,12 @@ def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
         if signal.shape != mixture.shape:
             raise stft.StftError(f"{bundle_dir / name}: (M, N) {signal.shape}, "
                                  f"expected {mixture.shape} as in mixture.wav")
+    nframes = config.num_frames(mixture.shape[1])
+    for key in ("doa_per_frame_deg", "active_frames"):
+        if len(meta[key]) != nframes:
+            raise simulator.SimulatorError(
+                f"{bundle_dir / 'ground_truth.json'}: {key} has {len(meta[key])} "
+                f"entries, expected L = {nframes}, the frames of mixture.wav")
     truth = simulator.GroundTruth(
         doa_per_frame=np.asarray(meta["doa_per_frame_deg"]),
         rtf={side: _load_truth(bundle_dir / f"rtf_true_{side}.rtfb", side, config, mixture)
@@ -192,14 +198,15 @@ def cmd_estimate_rtf(args) -> int:
     mix_spec, _, trajs = pipeline.estimate(
         bundle, args.method, args.beta, args.loading, args.noise_frames
     )
-    mse_rows = []
+    # score every side first: a side that cannot be scored writes no file
+    mse = {side: rtf.rtf_mse(traj, bundle.truth.rtf[side])
+           for side, traj in trajs.items()}
     for side, traj in trajs.items():
         _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config,
                           mix_spec.shape[2])
-        mse = rtf.rtf_mse(traj, bundle.truth.rtf[side])
-        mse_rows.append((side, args.method, mse))
-        print(f"{side}: MSE {mse:.2f} dB")
-    _write_csv(bundle_dir / "rtf_mse.csv", ["side", "method", "mse_db"], mse_rows)
+        print(f"{side}: MSE {mse[side]:.2f} dB")
+    _write_csv(bundle_dir / "rtf_mse.csv", ["side", "method", "mse_db"],
+               ((side, args.method, value) for side, value in mse.items()))
     return EXIT_OK
 
 
@@ -256,16 +263,16 @@ def cmd_beampattern(args) -> int:
                 _preallocate(npy, npy.tell() + 4 * math.prod(shape))
             npy.write(b.astype("<f4"))
 
-        grid = pipeline.beampattern(
+        angles, wideband = pipeline.beampattern(
             bundle, args.method, write_bin, args.beta, args.loading, args.mvdr_loading,
             args.noise_frames, args.angle_step,
         )
-        errs, mean_err, excluded = metrics.doa_error(grid, bundle.truth)
+        errs, mean_err, excluded = metrics.doa_error(angles, wideband, bundle.truth)
         # one string per angle, values as Python float reprs: the bytes a
         # csv.writer of the numpy scalars writes, at a third of its cost
         with _atomic_open(bundle_dir / "beampattern_wideband.csv", "w") as fh:
             fh.write("frame,bin,theta_deg,value\n")
-            for theta, powers in zip(grid.angles_deg.tolist(), grid.wideband):
+            for theta, powers in zip(angles.tolist(), wideband):
                 middle = f",wideband,{theta!r},"
                 fh.write("".join(f"{l}{middle}{value!r}\n"
                                  for l, value in enumerate(powers.tolist())))

@@ -3,12 +3,13 @@
 A per-bin matrix is a plain complex (F, M, M) ndarray, one M x M matrix per
 frequency bin k at ``phi[k]``: every function here takes and returns that
 array. Every bin's eigendecomposition comes from one batched LAPACK call
-(``np.linalg.eigh``) over the (F, M, M) array, re-sorted descending;
-``hermitian_evd`` checks the shape and the Hermitian defect first. Each
-matrix function the pipeline needs is ``loaded_power`` of that one EVD:
-V (Lambda + loading*mean|lambda|*I)^p V^H, with p = -1/2 for the whitener
-Phi_nn^{-1/2}, +1/2 for its de-whitening inverse and -1 for the MVDR
-inverse. Phi_nn is therefore decomposed once per bundle.
+(``np.linalg.eigh``) over the (F, M, M) array. ``hermitian_evd`` checks
+the shape and the Hermitian defect first, and returns numpy's own result,
+its columns reversed as views into descending order. Each matrix function
+the pipeline needs is ``loaded_power`` of that one EVD: V (Lambda +
+loading*mean|lambda|*I)^p V^H, with p = -1/2 for the whitener Phi_nn^{-1/2},
++1/2 for its de-whitening inverse and -1 for the MVDR inverse. Phi_nn is
+therefore decomposed once per bundle.
 
 The per-bin products (the covariances, the whitened frames and the whitened
 mixture covariance) are batched ``np.matmul`` over the bin-major complex
@@ -18,8 +19,6 @@ product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_LOADING = 1e-6
@@ -28,20 +27,6 @@ HERMITIAN_TOL = 1e-12
 
 class CovarianceError(ValueError):
     pass
-
-
-@dataclass
-class EigenDecomposition:
-    """Per-bin eigenpairs: eigenvalues (F, M) real descending,
-    eigenvectors (F, M, M) with orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def principal_vectors(self) -> np.ndarray:
-        """Principal eigenvector per bin, shape (F, M)."""
-        return self.eigenvectors[:, :, 0]
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -76,11 +61,14 @@ def estimate_mixture_covariance(spec: np.ndarray, noise_frames: int) -> np.ndarr
     return _frame_outer_average(spec, slice(noise_frames, None))
 
 
-def hermitian_evd(phi: np.ndarray) -> EigenDecomposition:
+def hermitian_evd(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched LAPACK EVD of every matrix of the (F, M, M) array `phi`.
 
-    Eigenvalues sorted descending; eigenvector columns orthonormal. A
-    matrix whose Hermitian defect exceeds HERMITIAN_TOL of its largest
+    Returns numpy's `eigh` result, the named pair `eigenvalues` (F, M),
+    real, and `eigenvectors` (F, M, M), orthonormal columns, both sorted
+    descending: the principal vector of bin k is `eigenvectors[k, :, 0]`.
+
+    A matrix whose Hermitian defect exceeds HERMITIAN_TOL of its largest
     entry (at least 1e-9) raises CovarianceError.
     """
     phi = np.asarray(phi, dtype=np.complex128)
@@ -90,12 +78,18 @@ def hermitian_evd(phi: np.ndarray) -> EigenDecomposition:
     defect = float(np.max(np.abs(phi - phi.conj().transpose(0, 2, 1))))
     if defect > max(HERMITIAN_TOL * scale, 1e-9):
         raise CovarianceError(f"matrices not Hermitian (defect {defect:.3e})")
-    eigvals, v = np.linalg.eigh(_hermitize(phi))  # ascending
-    return EigenDecomposition(eigvals[:, ::-1].copy(), v[:, :, ::-1].copy())
+    res = np.linalg.eigh(_hermitize(phi))  # ascending
+    # reversed as views, no copy: loaded_power sums over the eigenpairs in
+    # this order, which fixes the last bits of every matrix function
+    return res._replace(eigenvalues=res.eigenvalues[:, ::-1],
+                        eigenvectors=res.eigenvectors[:, :, ::-1])
 
 
-def loaded_power(evd: EigenDecomposition, power: float, loading: float) -> np.ndarray:
-    """V (Lambda + loading*mean|lambda|*I)^power V^H per bin.
+def loaded_power(
+    evd: tuple[np.ndarray, np.ndarray], power: float, loading: float
+) -> np.ndarray:
+    """V (Lambda + loading*mean|lambda|*I)^power V^H per bin, from the
+    `hermitian_evd` result `evd`.
 
     The one matrix function of the package: the whitener (power -1/2), its
     de-whitening inverse (+1/2) and the MVDR inverse (-1) differ only in
@@ -113,9 +107,10 @@ def loaded_power(evd: EigenDecomposition, power: float, loading: float) -> np.nd
 
 
 def sqrt_pair(
-    evd: EigenDecomposition, loading: float = DEFAULT_LOADING
+    evd: tuple[np.ndarray, np.ndarray], loading: float = DEFAULT_LOADING
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi^{1/2}, Phi^{-1/2}) from one EVD with identical loading."""
+    """(Phi^{1/2}, Phi^{-1/2}) from the one `hermitian_evd` result `evd`,
+    with identical loading."""
     return loaded_power(evd, 0.5, loading), loaded_power(evd, -0.5, loading)
 
 

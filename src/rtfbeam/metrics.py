@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .beamformer import BeampatternGrid
 from .simulator import GroundTruth
 
 SI_SDR_CLAMP_DB = 120.0
@@ -64,20 +63,20 @@ def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
 
 
 def doa_error(
-    beampower: BeampatternGrid, truth: GroundTruth
+    angles_deg: np.ndarray, wideband: np.ndarray, truth: GroundTruth
 ) -> tuple[np.ndarray, float, int]:
-    """Per-frame |argmax_theta P(theta,l) - doa_true(l)| over active frames.
+    """Per-frame |argmax_theta P(theta,l) - doa_true(l)| over active frames,
+    for the (T, L) wideband power P over the (T,) grid `angles_deg`.
 
     Returns (per-frame errors with NaN for excluded frames, mean over
     included frames, number of excluded flat/inactive frames).
     """
-    p = beampower.wideband  # (T, L)
-    if truth.doa_per_frame.shape[0] != p.shape[1]:
+    if truth.doa_per_frame.shape[0] != wideband.shape[1]:
         raise MetricsError("frame counts of beampower and ground truth differ")
-    flat = p.max(axis=0) / np.maximum(p.min(axis=0), 1e-300) < FLAT_PATTERN_RATIO
+    flat = wideband.max(axis=0) / np.maximum(wideband.min(axis=0), 1e-300) < FLAT_PATTERN_RATIO
     included = truth.active_frames & ~flat
     if not np.any(included):
         raise MetricsError("no frames available for DOA error")
-    diff = np.abs(beampower.angles_deg[np.argmax(p, axis=0)] - truth.doa_per_frame) % 360.0
+    diff = np.abs(angles_deg[np.argmax(wideband, axis=0)] - truth.doa_per_frame) % 360.0
     errors = np.where(included, np.minimum(diff, 360.0 - diff), np.nan)
     return errors, float(np.mean(errors[included])), int(np.sum(~included))

@@ -6,11 +6,11 @@ functions; they are also the entry points the verification suite drives.
 `side_weights` the one rule from a trajectory to weights: `evaluate_bundle`
 and `beampattern` both go through them.
 
-The noise statistics of a bundle are the one `covariance.EigenDecomposition`
-of Phi_nn that `noise_stats` returns; `estimate` passes it on to the
+The noise statistics of a bundle are the one `covariance.hermitian_evd`
+result of Phi_nn that `noise_stats` returns; `estimate` passes it on to the
 estimators and the weights. Only 'cw-batch' and 'past' build the whitener
-pair from it, inside `estimate_trajectory`. Per-bin matrices and weights
-are plain ndarrays, in the layouts of `covariance` and `beamformer`.
+pair from it, inside `estimate_trajectory`. Per-bin matrices, weights and
+beampatterns are plain ndarrays, in the layouts of `covariance` and `beamformer`.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ def noise_stats(
     mix_spec: np.ndarray,
     noise_frames: int,
     sides: tuple[str, ...] = rtf.SIDES,
-) -> covariance.EigenDecomposition:
-    """The EVD of Phi_nn of the first `noise_frames` frames. A dead
-    reference mic of one of `sides`, which MVDR would take for a noise-free
-    one, raises CovarianceError naming the mic and its side."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The `covariance.hermitian_evd` result of Phi_nn over the first
+    `noise_frames` frames. A dead reference mic of one of `sides` (MVDR would
+    take it for a noise-free one) raises CovarianceError naming it and its side."""
     phi_nn = covariance.estimate_noise_covariance(mix_spec, noise_frames)
     power = phi_nn.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # per mic
     median = np.median(power)
@@ -93,7 +93,7 @@ def noise_stats(
 
 def estimate_trajectory(
     mix_spec: np.ndarray,
-    phi_nn_evd: covariance.EigenDecomposition,
+    phi_nn_evd: tuple[np.ndarray, np.ndarray],
     noise_frames: int,
     method: str,
     beta: float = rtf.DEFAULT_BETA,
@@ -106,10 +106,11 @@ def estimate_trajectory(
 
     Each side is referenced to its mic in `rtf.reference_mics`. The work
     shared by the sides is done once: the whitener pair, built from
-    `phi_nn_evd` with `loading` for 'cw-batch' and 'past' only; the
-    whitening for 'past'; the mixture covariance and its whitened EVD for
-    'cw-batch'. The frame-invariant 'cw-batch' and 'none' trajectories have
-    one frame (`rtf.RtfTrajectory`).
+    `phi_nn_evd`, the `covariance.hermitian_evd` result of Phi_nn, with
+    `loading` for 'cw-batch' and 'past' only; the whitening for 'past'; the
+    mixture covariance and its whitened EVD for 'cw-batch'. The
+    frame-invariant 'cw-batch' and 'none' trajectories have one frame
+    (`rtf.RtfTrajectory`).
     """
     nbins, m, _ = mix_spec.shape
     refs = {side: rtf.reference_mics(m)[side] for side in sides}
@@ -130,7 +131,7 @@ def estimate_trajectory(
     if method == "cw-batch":
         phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
         phi_ww = covariance.whitened_mixture_covariance(phi_yy, invsqrt_nn)
-        principal = covariance.hermitian_evd(phi_ww).principal_vectors
+        principal = covariance.hermitian_evd(phi_ww).eigenvectors[:, :, 0]
         return {side: rtf.cw_trajectory(principal, sqrt_nn, ref)
                 for side, ref in refs.items()}
     whitened = covariance.whiten(mix_spec, invsqrt_nn)
@@ -146,14 +147,14 @@ def estimate(
     loading: float = covariance.DEFAULT_LOADING,
     noise_frames: int | None = None,
     sides: tuple[str, ...] = rtf.SIDES,
-) -> tuple[np.ndarray, covariance.EigenDecomposition,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray],
            dict[str, rtf.RtfTrajectory]]:
-    """Analyse the mixture into its (F, M, L) STFT, take the EVD of Phi_nn
-    over its first `noise_frames` frames (0 or None: the bundle's
-    lead-silence count) and estimate the RTF trajectory of each of `sides`;
-    only their reference mics are checked for a dead one. A lead silence
-    shorter than one window holds no noise-only frame: then `noise_frames`
-    must be given.
+    """Analyse the mixture into its (F, M, L) STFT, take the
+    `covariance.hermitian_evd` result of Phi_nn over its first
+    `noise_frames` frames (0 or None: the bundle's lead-silence count) and
+    estimate the RTF trajectory of each of `sides`; only their reference
+    mics are checked for a dead one. A lead silence shorter than one window
+    holds no noise-only frame: then `noise_frames` must be given.
     """
     ln = noise_frames or bundle.noise_frames
     if ln == 0:
@@ -171,12 +172,12 @@ def estimate(
 
 def side_weights(
     traj: rtf.RtfTrajectory,
-    phi_nn_evd: covariance.EigenDecomposition,
+    phi_nn_evd: tuple[np.ndarray, np.ndarray],
     method: str,
     loading: float = beamformer.MVDR_LOADING,
 ) -> np.ndarray:
-    """MVDR weights, (F, M, L'); method 'none' passes the reference channel
-    through."""
+    """MVDR weights, (F, M, L'), from the `covariance.hermitian_evd` result
+    of Phi_nn; method 'none' passes the reference channel through."""
     if method == "none":  # the trivial 'none' trajectory is the passthrough
         return traj.values
     return beamformer.mvdr_weights(traj, phi_nn_evd, loading)
@@ -185,13 +186,14 @@ def side_weights(
 def beamform_side(
     mix_spec: np.ndarray,
     config: stft.StftConfig,
-    phi_nn_evd: covariance.EigenDecomposition,
+    phi_nn_evd: tuple[np.ndarray, np.ndarray],
     traj: rtf.RtfTrajectory,
     method: str,
     loading: float = beamformer.MVDR_LOADING,
 ) -> np.ndarray:
-    """Beamform one side: its weights applied to the mixture's (F, M, L)
-    STFT, synthesized with the `config` it was analysed with."""
+    """Beamform one side: its `side_weights` from the `covariance.hermitian_evd`
+    result of Phi_nn, applied to the mixture's (F, M, L) STFT and synthesized
+    with the `config` it was analysed with."""
     weights = side_weights(traj, phi_nn_evd, method, loading)
     return stft.synthesize(beamformer.apply(weights, mix_spec), config)
 
@@ -240,20 +242,20 @@ def beampattern(
     mvdr_loading: float = beamformer.MVDR_LOADING,
     noise_frames: int | None = None,
     angle_step_deg: float = 1.0,
-) -> beamformer.BeampatternGrid:
-    """Beampattern of the left-ear weights on a -90..90 deg broadside grid,
-    one column per STFT frame. Each bin's |B|, (T, L), goes to `sink` in bin
-    order (`beamformer.narrowband_beampattern`); the wideband power is
-    returned. Frame-invariant ('cw-batch', 'none') weights give one column,
-    broadcast (read-only) over the frames, in each bin and in the wideband."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (T,) angles of a -90..90 deg broadside grid and the (T, L)
+    wideband beampattern of the left-ear weights, one column per STFT frame.
+    Each bin's |B|, (T, L), goes to `sink` in bin order
+    (`beamformer.narrowband_beampattern`). Frame-invariant ('cw-batch',
+    'none') weights give one column, broadcast read-only over the frames."""
     # the STFT and the trajectory are dropped before the pattern is
     # computed, so their ~16 MB is not held under it at the peak
     evd, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
     weights = side_weights(trajs.pop("left"), evd, method, mvdr_loading)
     angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
     shape = (angles.size, bundle.config.num_frames(bundle.mixture.shape[1]))
-    grid = beamformer.narrowband_beampattern(
+    wideband = beamformer.narrowband_beampattern(
         weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles,
         lambda b: sink(np.broadcast_to(b, shape)),
     )
-    return beamformer.BeampatternGrid(grid.angles_deg, np.broadcast_to(grid.wideband, shape))
+    return angles, np.broadcast_to(wideband, shape)

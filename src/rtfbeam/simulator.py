@@ -266,8 +266,8 @@ def _delay_varying(
     y[i] = gain[i] sum_k h_k(f_i) x[i - n0_i - k] for k = -15..16, with
     n0 = floor(delay), f = delay - n0 and the raised-cosine windowed sinc
     h_k(f) = sinc(k - f) (1 + cos(pi (k - f) / 16)) / 2; samples outside the
-    signal are zero. Delays and gains are (N,) for one output, or (M, N) for
-    M outputs of the same source, one row per mic.
+    signal are zero. Delays and gains are (M, N), one row per mic: M outputs
+    of the same source.
 
     Farrow structure. `_farrow_coefficients` fits each tap by a Chebyshev
     series of degree P = FARROW_DEGREE in u = 2f - 1, h_k(f) ~ sum_p c_kp
@@ -285,12 +285,10 @@ def _delay_varying(
     arithmetic. A single pass over (M, N) buffers gave the same output but
     took 195 -> 347 ms on a 2-vCPU host, most likely from cache misses.
     """
-    rows = np.atleast_2d(delay_samples)
-    gains = np.broadcast_to(gain, rows.shape)
     n = signal.shape[0]
     half = SINC_HALF_TAPS
     coeffs = _farrow_coefficients()
-    first, last = int(np.floor(rows.min())), int(np.floor(rows.max()))
+    first, last = int(np.floor(delay_samples.min())), int(np.floor(delay_samples.max()))
     # padded[q] = x[q - last - half], so window t, padded[t:t + 32], holds
     # x[t - last - k] for k = 16..-15, and bank[p, t] = z_p[t - last] for
     # every t = i - n0_i + last that a row gathers, 0 <= t < width
@@ -303,11 +301,11 @@ def _delay_varying(
     bank = np.empty((FARROW_DEGREE + 1, width))
     np.matmul(coeffs[:, ::-1], windows.T, out=bank)  # no copy of the windows
 
-    out = np.empty(rows.shape)
+    out = np.empty(delay_samples.shape)
     ramp = np.arange(last, n + last, dtype=np.float64)
     floor, u, two_u, b1, b2, z = (np.empty(n) for _ in range(6))
     index = np.empty(n, dtype=np.int64)
-    for y, delay, g in zip(out, rows, gains):
+    for y, delay, g in zip(out, delay_samples, gain):
         np.floor(delay, out=floor)
         np.subtract(delay, floor, out=u)
         exact = u == 0
@@ -330,7 +328,7 @@ def _delay_varying(
         y += z
         y[exact] = padded[index[exact] + half]
         y *= g
-    return out if np.ndim(delay_samples) == 2 else out[0]
+    return out
 
 
 def _analytic_rtf(

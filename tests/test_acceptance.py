@@ -38,7 +38,7 @@ def test_acceptance_1_past_vs_evd_equivalence(capsys):
         frames = np.array(frames)
         sample_cov = frames.T @ frames.conj() / len(frames)
         evd = covariance.hermitian_evd(sample_cov[None, :, :])
-        v1 = evd.principal_vectors[0]
+        v1 = evd.eigenvectors[0, :, 0]
         cosine = abs(np.vdot(psi[0], v1)) / (
             np.linalg.norm(psi[0]) * np.linalg.norm(v1)
         )
@@ -125,8 +125,8 @@ def test_acceptance_5_si_sdr_improvement(capsys):
 
 def test_acceptance_6_beampattern_tracking(capsys, moving_bundle):
     """Oracle-MVDR wideband beampower argmax within 10 deg for >= 80% frames."""
-    grid = pipeline.beampattern(moving_bundle, "oracle", discard_bins)
-    errs, _, _ = metrics.doa_error(grid, moving_bundle.truth)
+    angles, wideband = pipeline.beampattern(moving_bundle, "oracle", discard_bins)
+    errs, _, _ = metrics.doa_error(angles, wideband, moving_bundle.truth)
     tracked = errs[~np.isnan(errs)]
     frac = float(np.mean(tracked <= 10.0))
     ok = frac >= 0.8

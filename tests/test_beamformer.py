@@ -225,10 +225,11 @@ def test_apply_one_frame_weights_need_matching_channels_and_bins(shape):
 
 
 def _beampattern(w, x, cfg, angles):
-    """The streamed |B| bins stacked to (F, T, L'), and the returned grid."""
+    """The streamed |B| bins stacked to (F, T, L'), and the returned
+    wideband power."""
     bins, sink = collect_bins()
-    grid = beamformer.narrowband_beampattern(w, x, cfg, angles, sink)
-    return np.stack(bins), grid
+    wideband = beamformer.narrowband_beampattern(w, x, cfg, angles, sink)
+    return np.stack(bins), wideband
 
 
 def _pattern(w, x, cfg, angles):
@@ -272,11 +273,11 @@ def test_delay_and_sum_beampattern_peaks_at_steered_angle():
     h = np.exp(-2j * np.pi * freqs[:, None] * tau[None, :])
     w = np.repeat(h[:, :, None] / 8, 2, axis=2)
     angles = np.arange(-90.0, 91.0, 1.0)
-    narrowband, grid = _beampattern(w, x, cfg, angles)
+    narrowband, wideband = _beampattern(w, x, cfg, angles)
     # matched filter: |B| = 1 exactly at the steered angle, every bin/frame
     ti = int(np.where(angles == 30.0)[0][0])
     np.testing.assert_allclose(narrowband[:, ti, :], 1.0, atol=1e-12)
-    assert np.all(np.argmax(grid.wideband, axis=0) == ti)
+    assert np.all(np.argmax(wideband, axis=0) == ti)
 
 
 def test_single_mic_weights_are_omnidirectional():
@@ -313,30 +314,30 @@ def test_wideband_recompute_and_examples():
     x = np.arange(3) * 0.05
     angles = np.array([-10.0, 0.0, 10.0])
     w = random_complex(rng, cfg.num_bins, 3, 2)
-    narrowband, grid = _beampattern(w, x, cfg, angles)
+    narrowband, wideband = _beampattern(w, x, cfg, angles)
     oracle = np.zeros((3, 2))
     for k in range(cfg.num_bins):
         oracle += narrowband[k] ** 2
-    np.testing.assert_allclose(grid.wideband, oracle, rtol=1e-12)
+    np.testing.assert_allclose(wideband, oracle, rtol=1e-12)
 
     # single nonzero bin -> P = |B|^2 at that bin
     w1 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
     w1[2, 0] = 0.5
     out1 = beamformer.narrowband_beampattern(w1, x, cfg, angles, discard_bins)
-    np.testing.assert_allclose(out1.wideband, 0.25)
+    np.testing.assert_allclose(out1, 0.25)
 
     # unit gain in every one of the F bins -> P = F
     w2 = np.zeros((cfg.num_bins, 3, 2), dtype=complex)
     w2[:, 0] = 1.0
     out2 = beamformer.narrowband_beampattern(w2, x, cfg, angles, discard_bins)
-    np.testing.assert_allclose(out2.wideband, cfg.num_bins)
+    np.testing.assert_allclose(out2, cfg.num_bins)
 
 
 def test_mvdr_beampattern_tracks_static_doa(static_bundle):
     # the static truth has one frame: pipeline.beampattern broadcasts the
     # one-frame oracle weights' pattern over the L frames that doa_error scores
-    grid = pipeline.beampattern(static_bundle, "oracle", discard_bins)
-    _, mean_err, _ = metrics.doa_error(grid, static_bundle.truth)
+    angles, wideband = pipeline.beampattern(static_bundle, "oracle", discard_bins)
+    _, mean_err, _ = metrics.doa_error(angles, wideband, static_bundle.truth)
     assert mean_err <= 10.0
 
 

@@ -140,6 +140,25 @@ def test_estimate_rtf_writes_frame_invariant_trajectories_with_every_frame(
         assert np.all(traj.valid == traj.valid[:, :1])
 
 
+def test_a_failed_estimate_rtf_writes_nothing(tmp_path, static_bundle, capsys):
+    # with every frame taken as noise-only, PAST starts after the last frame:
+    # no cell is valid, so no side can be scored and the run exits 1
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    nframes = static_bundle.config.num_frames(static_bundle.mixture.shape[1])
+    failing = ["estimate-rtf", "--bundle", str(out), "--method", "past",
+               "--noise-frames", str(nframes)]
+    for earlier in ([], ["--method", "cw-batch"]):
+        if earlier:
+            assert cli.main(["estimate-rtf", "--bundle", str(out), *earlier]) == cli.EXIT_OK
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main(failing) == cli.EXIT_RUNTIME
+        assert "no valid cells" in capsys.readouterr().err
+        # no new rtf_est_*.rtfb or rtf_mse.csv, and an earlier run's unchanged
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == files
+
+
 def test_estimate_rtf_bad_path_exit_code():
     assert cli.main(["estimate-rtf", "--bundle", "/nonexistent"]) == cli.EXIT_CONFIG
 
@@ -268,6 +287,30 @@ def test_a_wav_that_does_not_fit_the_mixture_is_refused_by_name(
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["doa_per_frame_deg", "active_frames"])
+def test_a_truth_list_that_does_not_fit_the_bundle_is_refused_by_name(
+    tmp_path, static_bundle, capsys, key
+):
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    path = out / "ground_truth.json"
+    meta = json.loads(path.read_text())
+    meta[key] = meta[key][:-1]  # one frame short
+    path.write_text(json.dumps(meta))
+    nframes = static_bundle.config.num_frames(static_bundle.mixture.shape[1])
+    files = sorted(out.iterdir())
+    for argv in (["estimate-rtf"], ["beamform", "--results", str(tmp_path / "r.csv")],
+                 ["beampattern", "--method", "past"],
+                 ["beampattern", "--method", "cw-batch"]):
+        capsys.readouterr()
+        rc = cli.main([argv[0], "--bundle", str(out), *argv[1:]])
+        assert rc == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: {key} has {nframes - 1} entries, expected L = {nframes}")
+    assert sorted(out.iterdir()) == files
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("name,defect", [
     ("mixture.wav", "unsupported sample format (tag 0x1, 8-bit"),
     ("clean.wav", "short data chunk"),
@@ -310,8 +353,8 @@ def test_a_dead_right_mic_refuses_beamform_but_not_the_left_beampattern(
     mixture[-1] = 0.0
     bundle = dataclasses.replace(static_bundle, mixture=mixture)
     bins, sink = collect_bins()
-    grid = pipeline.beampattern(bundle, method, sink, angle_step_deg=5.0)
-    assert np.all(np.isfinite(bins)) and np.all(np.isfinite(grid.wideband))
+    _, wideband = pipeline.beampattern(bundle, method, sink, angle_step_deg=5.0)
+    assert np.all(np.isfinite(bins)) and np.all(np.isfinite(wideband))
     out = tmp_path / "bundle"
     cli.write_bundle(out, bundle)
     args = ["--bundle", str(out), "--method", method]
@@ -373,18 +416,18 @@ def test_beampattern_wideband_csv_is_what_a_csv_writer_writes(bundle_dir):
     # each value must read back as the float in the grid
     rc = cli.main(["beampattern", "--bundle", str(bundle_dir), "--angle-step", "5"])
     assert rc == cli.EXIT_OK
-    grid = pipeline.beampattern(
+    angles, wideband = pipeline.beampattern(
         cli.load_bundle(bundle_dir), "past", discard_bins, angle_step_deg=5.0)
     ref = io.StringIO(newline="")
     writer = csv.writer(ref, lineterminator="\n")
     writer.writerow(["frame", "bin", "theta_deg", "value"])
     writer.writerows((l, "wideband", theta, value)
-                     for theta, powers in zip(grid.angles_deg, grid.wideband)
+                     for theta, powers in zip(angles, wideband)
                      for l, value in enumerate(powers))
     written = (bundle_dir / "beampattern_wideband.csv").read_bytes()
     assert written == ref.getvalue().encode()
     values = [float(r["value"]) for r in _read_csv(bundle_dir / "beampattern_wideband.csv")]
-    np.testing.assert_array_equal(values, grid.wideband.ravel())
+    np.testing.assert_array_equal(values, wideband.ravel())
 
 
 @pytest.mark.parametrize("fallocate", ["present", "absent", "raising"])

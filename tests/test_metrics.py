@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtfbeam import beamformer, cli, metrics, rtf, simulator
+from rtfbeam import cli, metrics, rtf, simulator
 
 
 def test_si_sdr_perfect_reconstruction_clamps():
@@ -86,17 +86,13 @@ def _truth_for_doa(doas, active=None):
     )
 
 
-def _grid(angles, wideband):
-    return beamformer.BeampatternGrid(np.asarray(angles, dtype=float), wideband)
-
-
 def test_doa_error_peak_at_truth():
     angles = np.arange(-90.0, 91.0, 1.0)
     p = np.ones((len(angles), 3))
     for l, doa in enumerate((-30.0, 0.0, 45.0)):
         p[int(doa) + 90, l] = 10.0
     errs, mean, excluded = metrics.doa_error(
-        _grid(angles, p), _truth_for_doa([-30.0, 0.0, 45.0])
+        angles, p, _truth_for_doa([-30.0, 0.0, 45.0])
     )
     assert mean == 0.0 and excluded == 0
     np.testing.assert_array_equal(errs, 0.0)
@@ -106,7 +102,7 @@ def test_doa_error_one_grid_step():
     angles = np.arange(-90.0, 91.0, 1.0)
     p = np.ones((len(angles), 1))
     p[121, 0] = 10.0  # 31 degrees vs truth 30
-    _, mean, _ = metrics.doa_error(_grid(angles, p), _truth_for_doa([30.0]))
+    _, mean, _ = metrics.doa_error(angles, p, _truth_for_doa([30.0]))
     assert mean == 1.0
 
 
@@ -117,13 +113,13 @@ def test_doa_error_excludes_flat_and_inactive_frames():
     p[100, 2] = 10.0  # frame 1 stays flat
     active = np.array([True, True, False])
     errs, _, excluded = metrics.doa_error(
-        _grid(angles, p), _truth_for_doa([10.0, 10.0, 10.0], active)
+        angles, p, _truth_for_doa([10.0, 10.0, 10.0], active)
     )
     assert excluded == 2
     assert np.isnan(errs[1]) and np.isnan(errs[2])
     with pytest.raises(metrics.MetricsError):
         metrics.doa_error(
-            _grid(angles, np.ones((len(angles), 1))), _truth_for_doa([0.0])
+            angles, np.ones((len(angles), 1)), _truth_for_doa([0.0])
         )
 
 
@@ -131,7 +127,7 @@ def test_doa_error_frame_count_mismatch():
     angles = np.arange(-90.0, 91.0, 1.0)
     with pytest.raises(metrics.MetricsError):
         metrics.doa_error(
-            _grid(angles, np.ones((len(angles), 2))), _truth_for_doa([0.0])
+            angles, np.ones((len(angles), 2)), _truth_for_doa([0.0])
         )
 
 

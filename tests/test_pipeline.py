@@ -150,9 +150,9 @@ def test_a_frame_invariant_pattern_is_one_column_for_every_frame(moving_bundle, 
     # one-frame weights give one grid column, broadcast to the L frames;
     # a product over L copies of the weights differs in the last bits
     bins, sink = collect_bins()
-    grid = pipeline.beampattern(moving_bundle, method, sink, angle_step_deg=5.0)
+    _, wideband = pipeline.beampattern(moving_bundle, method, sink, angle_step_deg=5.0)
     narrowband = np.stack(bins)
     nframes = moving_bundle.config.num_frames(moving_bundle.mixture.shape[1])
-    assert narrowband.shape[2] == grid.wideband.shape[1] == nframes
+    assert narrowband.shape[2] == wideband.shape[1] == nframes
     assert np.all(narrowband == narrowband[:, :, :1])
-    assert np.all(grid.wideband == grid.wideband[:, :1])
+    assert np.all(wideband == wideband[:, :1])

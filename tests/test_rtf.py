@@ -96,7 +96,7 @@ def _cw(phi_nn_sqrt, phi_ww, ref):
     its last bin, as cw_trajectory flags the last (Nyquist) bin invalid."""
     phi_ww = _field(*phi_ww, phi_ww[-1])
     phi_nn_sqrt = _field(*phi_nn_sqrt, phi_nn_sqrt[-1])
-    principal = covariance.hermitian_evd(phi_ww).principal_vectors
+    principal = covariance.hermitian_evd(phi_ww).eigenvectors[:, :, 0]
     traj = rtf.cw_trajectory(principal, phi_nn_sqrt, ref)
     return traj.values[:-1, :, 0], traj.valid[:-1, 0]
 

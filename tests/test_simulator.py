@@ -242,14 +242,14 @@ def test_delay_varying_matches_windowed_sinc_reference(lo, hi):
     delay = np.linspace(lo, hi, n)  # crosses many integers
     delay[::5] = np.round(delay[::5])  # fraction exactly 0
     gain = rng.uniform(0.5, 2.0, n)
-    out = simulator._delay_varying(signal, delay, gain)
+    out = simulator._delay_varying(signal, delay[None], gain[None])[0]
     ref = _windowed_sinc_reference(signal, delay, gain)
     assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_delay_varying_integer_delay_is_shift():
     signal = np.random.default_rng(2).standard_normal(500)
-    out = simulator._delay_varying(signal, np.full(500, 7.0), np.ones(500))
+    out = simulator._delay_varying(signal, np.full((1, 500), 7.0), np.ones((1, 500)))[0]
     np.testing.assert_array_equal(out[7:], signal[:-7])
     np.testing.assert_array_equal(out[:7], 0.0)
 
@@ -292,7 +292,8 @@ def test_delay_varying_rows_equal_one_row_calls():
     out = simulator._delay_varying(signal, delays, gains)
     assert out.shape == delays.shape
     for row, delay, gain in zip(out, delays, gains):
-        np.testing.assert_array_equal(row, simulator._delay_varying(signal, delay, gain))
+        np.testing.assert_array_equal(
+            row, simulator._delay_varying(signal, delay[None], gain[None])[0])
 
 
 def test_farrow_fit_is_lazy_and_runs_once():
