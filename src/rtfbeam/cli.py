@@ -7,7 +7,7 @@ mixture.wav, ...). Every output file streams through one atomic writer,
 target on success and unlinked on failure, so a failed run leaves no
 partial files. The one exception, the results-row append, fsyncs each row
 and cuts a torn last row. Exit codes: 0 success, 2 configuration errors
-(including flags out of range), 1 runtime failures.
+(flags out of range, a missing bundle file), 1 runtime failures.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -47,6 +48,10 @@ RESULT_FIELDS = [
 
 class ConfigError(ValueError):
     pass
+
+
+class BundleError(ValueError):
+    """A present bundle file that is unreadable, lacks a key or does not fit."""
 
 
 @contextlib.contextmanager
@@ -110,19 +115,12 @@ def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
         _write_wav(out_dir / f"clean_ref_{side}.wav", rate, ref)
         _write_trajectory(out_dir / f"rtf_true_{side}.rtfb", traj, bundle.config,
                           bundle.truth.doa_per_frame.size)
-    meta = {
+    _write_text(out_dir / "ground_truth.json", json.dumps({
         "snr_db": bundle.snr_db,
-        "noise_frames": bundle.noise_frames,
         "doa_per_frame_deg": [float(x) for x in bundle.truth.doa_per_frame],
         "active_frames": [bool(x) for x in bundle.truth.active_frames],
-        "stft": {
-            "sample_rate_hz": bundle.config.sample_rate_hz,
-            "window_len": bundle.config.window_len,
-            "hop": bundle.config.hop,
-            "window": bundle.config.window,
-        },
-    }
-    _write_text(out_dir / "ground_truth.json", json.dumps(meta, indent=2))
+        "stft": dataclasses.asdict(bundle.config),
+    }, indent=2))
     _write_csv(
         out_dir / "doa.csv",
         ["frame", "doa_deg", "active"],
@@ -131,54 +129,52 @@ def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
     )
 
 
-def _load_truth(path: Path, side: str, config: stft.StftConfig,
-                mixture: np.ndarray) -> rtf.RtfTrajectory:
-    """The truth trajectory of `side`; a file written for another side, or
-    for another array, length or STFT than the mixture and ground_truth.json,
-    raises RtfError naming `path`."""
-    traj, meta = rtf.load_trajectory(path)
-    num_mics, num_samples = mixture.shape
-    shape = (config.num_bins, num_mics, config.num_frames(num_samples))
-    fits = {"ref_channel": (traj.ref_channel, rtf.reference_mics(num_mics)[side]),
-            "(F, M, L)": (traj.values.shape, shape),
-            **{key: (value, getattr(config, key)) for key, value in meta.items()}}
-    misfits = [f"{key} {got}, expected {want}"
-               for key, (got, want) in fits.items() if got != want]
-    if misfits:
-        raise rtf.RtfError(f"{path}: {'; '.join(misfits)} for the {side} side")
-    return traj
+@contextlib.contextmanager
+def _reading(path: Path):
+    """Re-raise a missing key or a bad value met while reading `path` as a
+    BundleError that names the file and the exception's type."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
-    if not (bundle_dir / "scenario.json").exists():
-        raise ConfigError(f"not a scenario bundle: {bundle_dir}")
-    scenario = simulator.Scenario.from_json((bundle_dir / "scenario.json").read_text())
-    meta = json.loads((bundle_dir / "ground_truth.json").read_text())
-    s = meta["stft"]
-    config = stft.StftConfig(s["sample_rate_hz"], s["window_len"], s["hop"], s["window"])
-    rate = scenario.sample_rate
-    _, mixture = stft.read_wav(bundle_dir / "mixture.wav", rate)
-    _, clean = stft.read_wav(bundle_dir / "clean.wav", rate)
-    _, noise = stft.read_wav(bundle_dir / "noise.wav", rate)
-    for name, signal in (("clean.wav", clean), ("noise.wav", noise)):
-        if signal.shape != mixture.shape:
-            raise stft.StftError(f"{bundle_dir / name}: (M, N) {signal.shape}, "
-                                 f"expected {mixture.shape} as in mixture.wav")
-    nframes = config.num_frames(mixture.shape[1])
-    for key in ("doa_per_frame_deg", "active_frames"):
-        if len(meta[key]) != nframes:
-            raise simulator.SimulatorError(
-                f"{bundle_dir / 'ground_truth.json'}: {key} has {len(meta[key])} "
-                f"entries, expected L = {nframes}, the frames of mixture.wav")
-    truth = simulator.GroundTruth(
-        doa_per_frame=np.asarray(meta["doa_per_frame_deg"]),
-        rtf={side: _load_truth(bundle_dir / f"rtf_true_{side}.rtfb", side, config, mixture)
-             for side in rtf.SIDES},
-        active_frames=np.asarray(meta["active_frames"], dtype=bool),
-    )
-    return pipeline.SimBundle(
-        scenario, config, clean, noise, mixture, truth, float(meta["snr_db"])
-    )
+    """Read a `write_bundle` directory: (M, N) and the sample rate come from
+    scenario.json, the STFT, SNR and per-frame lists from ground_truth.json,
+    and every other copy is checked against them in one (file, key, got, want)
+    list. A present file that is unreadable, lacks a key or does not fit
+    raises an error naming it (exit 1); a missing one, FileNotFoundError (2)."""
+    scenario_path, truth_path = bundle_dir / "scenario.json", bundle_dir / "ground_truth.json"
+    with _reading(scenario_path):
+        scenario = simulator.Scenario.from_json(scenario_path.read_text())
+    m, n = scenario.num_mics, scenario.num_samples
+    with _reading(truth_path):
+        meta = json.loads(truth_path.read_text())
+        config = stft.StftConfig(**{f.name: meta["stft"][f.name]
+                                    for f in dataclasses.fields(stft.StftConfig)})
+        truth = simulator.GroundTruth(np.asarray(meta["doa_per_frame_deg"], dtype=float), {},
+                                      np.asarray(meta["active_frames"], dtype=bool))
+        snr_db, nframes = float(meta["snr_db"]), config.num_frames(n)
+    wavs = {name: stft.read_wav(bundle_dir / name, scenario.sample_rate)[1]
+            for name in ("mixture.wav", "clean.wav", "noise.wav")}
+    fits = [*((bundle_dir / name, "(M, N)", x.shape, (m, n)) for name, x in wavs.items()),
+            (truth_path, "doa_per_frame_deg", truth.doa_per_frame.shape, (nframes,)),
+            (truth_path, "active_frames", truth.active_frames.shape, (nframes,)),
+            (truth_path, "stft.sample_rate_hz", config.sample_rate_hz, scenario.sample_rate)]
+    for side, ref in rtf.reference_mics(m).items():
+        path = bundle_dir / f"rtf_true_{side}.rtfb"
+        traj, written = rtf.load_trajectory(path)
+        truth.rtf[side] = traj
+        fits += [(path, "ref_channel", traj.ref_channel, ref),
+                 (path, "(F, M, L)", traj.values.shape, (config.num_bins, m, nframes)),
+                 *((path, key, value, getattr(config, key)) for key, value in written.items())]
+    misfits = [f"{path}: {key} {got}, expected {want}"
+               for path, key, got, want in fits if got != want]
+    if misfits:
+        raise BundleError("; ".join(misfits))
+    return pipeline.SimBundle(scenario, config, wavs["clean.wav"], wavs["noise.wav"],
+                              wavs["mixture.wav"], truth, snr_db)
 
 
 def cmd_simulate(args) -> int:
@@ -411,7 +407,7 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a list of numbers") from None
 
 
-_STEP = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_STEP = _checked(float, lambda v: 0.0 < v <= 180.0, "in (0, 180]")
 _BETA = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _LOADING = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
@@ -488,7 +484,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -76,10 +76,13 @@ def noise_stats(
     sides: tuple[str, ...] = rtf.SIDES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The `covariance.hermitian_evd` result of Phi_nn over the first
-    `noise_frames` frames. A dead reference mic of one of `sides` (MVDR would
-    take it for a noise-free one) raises CovarianceError naming it and its side."""
+    `noise_frames` frames. Frames silent on every mic (a noise-free mixture) and
+    a dead reference mic of one of `sides` (MVDR would take it for a noise-free
+    one) raise CovarianceError, the second naming the mic and its side."""
     phi_nn = covariance.estimate_noise_covariance(mix_spec, noise_frames)
     power = phi_nn.diagonal(axis1=1, axis2=2).real.sum(axis=0)  # per mic
+    if not power.any():
+        raise covariance.CovarianceError("the noise-only frames are silent on every mic")
     median = np.median(power)
     refs = rtf.reference_mics(power.size)
     for side in sides:
@@ -243,16 +246,17 @@ def beampattern(
     noise_frames: int | None = None,
     angle_step_deg: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (T,) angles of a -90..90 deg broadside grid and the (T, L)
-    wideband beampattern of the left-ear weights, one column per STFT frame.
-    Each bin's |B|, (T, L), goes to `sink` in bin order
+    """The (T,) broadside angles -90 + i * `angle_step_deg` deg, up to 90 deg,
+    and the (T, L) wideband beampattern of the left-ear weights, one column
+    per STFT frame. Each bin's |B|, (T, L), goes to `sink` in bin order
     (`beamformer.narrowband_beampattern`). Frame-invariant ('cw-batch',
     'none') weights give one column, broadcast read-only over the frames."""
     # the STFT and the trajectory are dropped before the pattern is
     # computed, so their ~16 MB is not held under it at the peak
     evd, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
     weights = side_weights(trajs.pop("left"), evd, method, mvdr_loading)
-    angles = np.arange(-90.0, 90.0 + angle_step_deg, angle_step_deg)
+    count = int(180.0 / angle_step_deg + 1e-9) + 1  # a step dividing 180 keeps 90
+    angles = np.minimum(-90.0 + angle_step_deg * np.arange(count), 90.0)
     shape = (angles.size, bundle.config.num_frames(bundle.mixture.shape[1]))
     wideband = beamformer.narrowband_beampattern(
         weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles,

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy.io import wavfile
 
 from conftest import collect_bins, count_calls, discard_bins
-from rtfbeam import cli, covariance, metrics, pipeline, rtf, stft
+from rtfbeam import cli, covariance, metrics, pipeline, rtf, simulator, stft
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,8 @@ def _read_csv(path):
 def test_write_load_bundle_round_trip(bundle_dir, static_bundle):
     loaded = cli.load_bundle(bundle_dir)
     assert loaded.scenario.to_json() == static_bundle.scenario.to_json()
+    # the noise-only frame count comes from scenario.json's lead silence alone
+    assert "noise_frames" not in json.loads((bundle_dir / "ground_truth.json").read_text())
     assert loaded.snr_db == static_bundle.snr_db
     assert loaded.noise_frames == static_bundle.noise_frames
     # WAV payloads are float32, so round-trip within single precision
@@ -159,8 +162,12 @@ def test_a_failed_estimate_rtf_writes_nothing(tmp_path, static_bundle, capsys):
         assert {path.name: path.read_bytes() for path in out.iterdir()} == files
 
 
-def test_estimate_rtf_bad_path_exit_code():
+def test_estimate_rtf_bad_path_exit_code(tmp_path):
     assert cli.main(["estimate-rtf", "--bundle", "/nonexistent"]) == cli.EXIT_CONFIG
+    # a file given as the bundle directory is a bad path too
+    (tmp_path / "results.csv").write_text("")
+    assert cli.main(["estimate-rtf", "--bundle", str(tmp_path / "results.csv")]) \
+        == cli.EXIT_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -226,27 +233,32 @@ def test_beamform_on_a_cut_trajectory_file_names_it(tmp_path, static_bundle, cap
     assert capsys.readouterr().err.startswith(f"error: {path}: 1000 bytes")
 
 
+# each defect edits the left truth file and returns the misfits named first
 def _swap_truth_sides(out, static_bundle):
     left, right = out / "rtf_true_left.rtfb", out / "rtf_true_right.rtfb"
     left_bytes = left.read_bytes()
     left.write_bytes(right.read_bytes())
     right.write_bytes(left_bytes)
+    return ["ref_channel 7, expected 0"]
 
 
 def _truth_of_another_stft(out, static_bundle):
-    # the left truth written as if analysed with a hop of 128
+    # the left truth written as if analysed with a hop of 128, in its one frame
     traj = static_bundle.truth.rtf["left"]
     config = dataclasses.replace(static_bundle.config, hop=128)
     with open(out / "rtf_true_left.rtfb", "wb") as fh:
         rtf.save_trajectory(fh, traj, config)
+    nframes = static_bundle.truth.doa_per_frame.size
+    return [f"(F, M, L) (257, 8, 1), expected (257, 8, {nframes})", "hop 128, expected 256"]
 
 
 def _truth_one_frame_short(out, static_bundle):
     nbins, m, _ = static_bundle.truth.rtf["left"].values.shape
-    nframes = static_bundle.truth.doa_per_frame.size - 1
-    traj = rtf.RtfTrajectory(np.ones((nbins, m, nframes), dtype=complex), 0)
+    nframes = static_bundle.truth.doa_per_frame.size
+    traj = rtf.RtfTrajectory(np.ones((nbins, m, nframes - 1), dtype=complex), 0)
     with open(out / "rtf_true_left.rtfb", "wb") as fh:
         rtf.save_trajectory(fh, traj, static_bundle.config)
+    return [f"(F, M, L) (257, 8, {nframes - 1}), expected (257, 8, {nframes})"]
 
 
 @pytest.mark.parametrize("defect", [_swap_truth_sides, _truth_of_another_stft,
@@ -257,11 +269,13 @@ def test_a_truth_file_that_does_not_fit_the_bundle_is_refused_by_name(
 ):
     out = tmp_path / "bundle"
     cli.write_bundle(out, static_bundle)
-    defect(out, static_bundle)
+    misfits = defect(out, static_bundle)
     rc = cli.main(["beamform", "--bundle", str(out), "--method", method,
                    "--results", str(tmp_path / "r.csv")])
     assert rc == cli.EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith(f"error: {out / 'rtf_true_left.rtfb'}: ")
+    path = out / "rtf_true_left.rtfb"
+    assert capsys.readouterr().err.startswith(
+        "error: " + "; ".join(f"{path}: {misfit}" for misfit in misfits))
     assert not (out / "enhanced_left.wav").exists()
 
 
@@ -274,14 +288,17 @@ def test_a_wav_that_does_not_fit_the_mixture_is_refused_by_name(
 ):
     out = tmp_path / "bundle"
     cli.write_bundle(out, static_bundle)
-    stft.write_wav(out / name, 16000, cut(getattr(static_bundle, name[:-4])))
+    signal = cut(getattr(static_bundle, name[:-4]))
+    stft.write_wav(out / name, 16000, signal)
     files = sorted(out.iterdir())
     for argv in (["estimate-rtf"], ["beamform", "--results", str(tmp_path / "r.csv")],
                  ["beampattern"]):
         capsys.readouterr()
         rc = cli.main([argv[0], "--bundle", str(out), *argv[1:]])
         assert rc == cli.EXIT_RUNTIME
-        assert capsys.readouterr().err.startswith(f"error: {out / name}: (M, N) ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {out / name}: (M, N) {signal.shape}, "
+            f"expected {static_bundle.mixture.shape}")
     # no enhanced WAV, nor any other output
     assert sorted(out.iterdir()) == files
     assert not (tmp_path / "r.csv").exists()
@@ -306,7 +323,82 @@ def test_a_truth_list_that_does_not_fit_the_bundle_is_refused_by_name(
         rc = cli.main([argv[0], "--bundle", str(out), *argv[1:]])
         assert rc == cli.EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(
-            f"error: {path}: {key} has {nframes - 1} entries, expected L = {nframes}")
+            f"error: {path}: {key} ({nframes - 1},), expected ({nframes},)")
+    assert sorted(out.iterdir()) == files
+    assert not (tmp_path / "r.csv").exists()
+
+
+BUNDLE_FILES = ("scenario.json", "ground_truth.json", "mixture.wav", "clean.wav",
+                "noise.wav", "rtf_true_left.rtfb", "rtf_true_right.rtfb")
+
+
+def _edit_json(name, edit):
+    def defect(out):
+        path = out / name
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+    return defect
+
+
+def _contract_cases():
+    """(id, defect, exit code, the file the message names, text it holds)."""
+    for key in ("snr_db", "doa_per_frame_deg", "active_frames", "stft"):
+        yield (f"ground_truth-{key}", _edit_json("ground_truth.json", lambda d, k=key: d.pop(k)),
+               cli.EXIT_RUNTIME, "ground_truth.json", f"KeyError: '{key}'")
+    for field in dataclasses.fields(stft.StftConfig):
+        key = field.name  # a missing hop is refused, not taken as the default
+        yield (f"ground_truth-stft.{key}",
+               _edit_json("ground_truth.json", lambda d, k=key: d["stft"].pop(k)),
+               cli.EXIT_RUNTIME, "ground_truth.json", f"KeyError: '{key}'")
+    for field in dataclasses.fields(simulator.Scenario):
+        if field.default is dataclasses.MISSING:
+            key = field.name
+            yield (f"scenario-{key}", _edit_json("scenario.json", lambda d, k=key: d.pop(k)),
+                   cli.EXIT_RUNTIME, "scenario.json", f"'{key}'")
+    # scenario.json sets (M, N): the WAVs are held against it, mixture.wav first
+    yield ("scenario-num_mics-4", _edit_json("scenario.json", lambda d: d.update(num_mics=4)),
+           cli.EXIT_RUNTIME, "mixture.wav", "(M, N) (8, 64000), expected (4, 64000)")
+    yield ("scenario-duration_s-3", _edit_json("scenario.json",
+                                               lambda d: d.update(duration_s=3.0)),
+           cli.EXIT_RUNTIME, "mixture.wav", "(M, N) (8, 64000), expected (8, 48000)")
+    for name in ("ground_truth.json", "scenario.json"):
+        yield (f"{name}-garbled", lambda out, n=name: (out / n).write_text("{garbled"),
+               cli.EXIT_RUNTIME, name, "Expecting property name")
+    for name in BUNDLE_FILES:
+        yield (f"missing-{name}", lambda out, n=name: (out / n).unlink(),
+               cli.EXIT_CONFIG, name, "")
+
+
+CONTRACT_CASES = list(_contract_cases())
+
+
+@pytest.mark.parametrize("defect, rc, named, text", [case[1:] for case in CONTRACT_CASES],
+                         ids=[case[0] for case in CONTRACT_CASES])
+def test_every_bundle_fault_is_refused_by_file_and_key(
+    tmp_path, bundle_dir, capsys, defect, rc, named, text
+):
+    # the JSON files are copied, to be edited; the WAV and .rtfb files are
+    # linked, as a case at most deletes them
+    out = tmp_path / "bundle"
+    out.mkdir()
+    for name in BUNDLE_FILES:
+        if name.endswith(".json"):
+            shutil.copy(bundle_dir / name, out / name)
+        else:
+            (out / name).symlink_to(bundle_dir / name)
+    defect(out)
+    files = sorted(out.iterdir())
+    for argv in (["estimate-rtf"], ["beamform", "--results", str(tmp_path / "r.csv")],
+                 ["beampattern"]):
+        capsys.readouterr()
+        assert cli.main([argv[0], "--bundle", str(out), "--method", "cw-batch",
+                         *argv[1:]]) == rc
+        err = capsys.readouterr().err
+        if rc == cli.EXIT_RUNTIME:
+            assert err.startswith(f"error: {out / named}: ") and text in err, err
+        else:
+            assert err.startswith("configuration error: ") and str(out / named) in err, err
     assert sorted(out.iterdir()) == files
     assert not (tmp_path / "r.csv").exists()
 
@@ -681,7 +773,8 @@ def test_bad_arguments_exit_code(bundle_dir, tmp_path):
     # out-of-range flags are refused at parse time, before any work
     bundle = ["--bundle", str(bundle_dir)]
     for flags in (["--angle-step", "0"], ["--angle-step", "-1"],
-                  ["--angle-step", "nan"], ["--beta", "0"], ["--beta", "1.5"],
+                  ["--angle-step", "nan"], ["--angle-step", "181"],
+                  ["--beta", "0"], ["--beta", "1.5"],
                   ["--noise-frames", "-3"], ["--loading", "-1"],
                   ["--mvdr-loading", "-1"]):
         assert cli.main(["beampattern", *bundle, *flags]) == cli.EXIT_CONFIG, flags

@@ -108,6 +108,17 @@ def test_a_zeroed_reference_mic(moving_bundle, monkeypatch, method):
     assert [c[0] for c in calls] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_a_noise_free_mixture_is_refused_without_blaming_a_mic(moving_bundle, method):
+    # at the SNR cap the mixture is the clean signal, so a moving scene's lead
+    # silence is zero on every mic: there is no noise to whiten with, and no
+    # one reference mic is at fault
+    bundle = pipeline.remix(moving_bundle, simulator.SNR_CAP_DB)
+    with pytest.raises(covariance.CovarianceError,
+                       match="^the noise-only frames are silent on every mic$"):
+        pipeline.evaluate_bundle(bundle, method)
+
+
 def test_a_nan_in_the_mixture_stops_before_any_estimator(moving_bundle, monkeypatch):
     mixture = moving_bundle.mixture.copy()
     mixture[2, 1000] = np.nan
@@ -156,3 +167,18 @@ def test_a_frame_invariant_pattern_is_one_column_for_every_frame(moving_bundle, 
     assert narrowband.shape[2] == wideband.shape[1] == nframes
     assert np.all(narrowband == narrowband[:, :, :1])
     assert np.all(wideband == wideband[:, :1])
+
+
+@pytest.mark.parametrize("step, last", [(7.0, 85.0), (0.7, 89.9), (100.0, 10.0),
+                                        (180.0, 90.0), (1.0, 90.0), (0.1, 90.0)])
+def test_the_beampattern_grid_stays_inside_plus_minus_90_degrees(
+    static_bundle, step, last
+):
+    # a column past 90 deg would steer like its mirror (sin 92 = sin 88); a
+    # step that divides 180 keeps 90 deg itself
+    angles, wideband = pipeline.beampattern(static_bundle, "cw-batch", lambda b: None,
+                                            angle_step_deg=step)
+    count = round((last + 90.0) / step) + 1
+    np.testing.assert_allclose(angles, -90.0 + step * np.arange(count), rtol=0, atol=1e-9)
+    assert angles[0] == -90.0 and angles[-1] <= 90.0
+    assert wideband.shape[0] == count
