@@ -5,9 +5,9 @@ Scenario bundles are directories with fixed filenames (scenario.json,
 mixture.wav, ...). Every output file streams through one atomic writer,
 `_atomic_open`: a temp file in the target directory, renamed over the
 target on success and unlinked on failure, so a failed run leaves no
-partial files. The one exception, the results-row append, fsyncs each row
-and cuts a torn last row. Exit codes: 0 success, 2 configuration errors
-(flags out of range, a missing bundle file), 1 runtime failures.
+partial files, except `results.csv`: checked before any work, then appended
+to, each row fsynced. Exit codes: 0 success, 2 configuration errors (flags
+out of range, a missing bundle file), 1 runtime failures.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -207,6 +206,7 @@ def cmd_estimate_rtf(args) -> int:
 
 
 def cmd_beamform(args) -> int:
+    prepare_results(Path(args.results))
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
     report = pipeline.evaluate_bundle(
@@ -218,8 +218,7 @@ def cmd_beamform(args) -> int:
             bundle_dir / f"enhanced_{side}.wav", bundle.scenario.sample_rate, signal
         )
     row = report.csv_row()
-    row.update(_config_columns(bundle.scenario.source_delta_deg == 0.0, args))
-    row["status"] = "ok"
+    row.update(_config_columns(bundle.scenario.source_delta_deg == 0.0, args), status="ok")
     append_result_row(Path(args.results), row)
     print(
         f"SI-SDR L/R: {report.si_sdr_left:.2f}/{report.si_sdr_right:.2f} dB "
@@ -291,36 +290,29 @@ def _config_columns(static: bool, args) -> dict:
     }
 
 
-def _check_columns(path: Path) -> None:
-    """Refuse to mix rows into a results file written with other columns."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header != RESULT_FIELDS:
-        raise ConfigError(
-            f"{path} has columns {header}, expected {RESULT_FIELDS}; "
-            "write to a new file"
-        )
-
-
-def _cut_torn_row(path: Path) -> None:
-    """Cut a file that does not end in a newline back to its last complete
-    line: a row torn by a crash mid-write is dropped, not appended to."""
-    with open(path, "rb+") as fh:
-        if fh.seek(0, os.SEEK_END) == 0:
+def prepare_results(path: Path) -> None:
+    """Before a command's work: refuse a results file of other columns (exit
+    2), untouched, and cut a last row torn by a crash (no final newline), so
+    its cell runs again. Reads the header line and last byte; empty: no rows."""
+    if not path.exists():
+        return
+    with open(path, "rb") as fh:
+        header = next(csv.reader(fh.readline().decode().splitlines()), None)
+        if header not in (None, RESULT_FIELDS):
+            raise ConfigError(f"{path} has columns {header}, expected {RESULT_FIELDS}; "
+                              "write to a new file")
+        if header is None:
             return
         fh.seek(-1, os.SEEK_END)
         if fh.read(1) != b"\n":
             fh.seek(0)
-            fh.truncate(fh.read().rfind(b"\n") + 1)
+            os.truncate(path, fh.read().rfind(b"\n") + 1)
 
 
 def append_result_row(path: Path, row: dict) -> None:
-    """Single-writer durable append: each row is flushed and fsynced, and a
-    torn last row is cut first. Creates the file with a header when empty."""
+    """Single-writer durable append of one fsynced row to a file checked by
+    `prepare_results`; a new file gets the header with its first row."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        _check_columns(path)
-        _cut_torn_row(path)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, lineterminator="\n")
         if fh.tell() == 0:
@@ -331,20 +323,16 @@ def append_result_row(path: Path, row: dict) -> None:
 
 
 def completed_keys(path: Path) -> set[tuple]:
-    """KEY_FIELDS of every complete row in the results file; a torn last row
-    (no final newline) does not count as done."""
+    """KEY_FIELDS of every row of a results file checked and cut back to
+    complete rows by `prepare_results`."""
     if not path.exists():
         return set()
-    _check_columns(path)
-    text = path.read_text()
-    rows = csv.DictReader(io.StringIO(text[: text.rfind("\n") + 1]))
-    return {tuple(r[k] for k in KEY_FIELDS) for r in rows}
+    with open(path, newline="") as fh:
+        return {tuple(r[k] for k in KEY_FIELDS) for r in csv.DictReader(fh)}
 
 
 def cmd_evaluate(args) -> int:
     out = Path(args.out)
-    done = completed_keys(out)
-    seeds = list(range(args.seed, args.seed + args.count))
     # a repeated SNR or method names the same cell: keep its first place
     # only, so its row is written once
     snrs = list(dict.fromkeys(args.snrs))
@@ -352,28 +340,22 @@ def cmd_evaluate(args) -> int:
     for method in methods:
         if method not in pipeline.METHODS:
             raise ConfigError(f"unknown method {method!r}")
+    prepare_results(out)
+    done = completed_keys(out)
     config = _config_columns(args.static, args)
-    for seed in seeds:
-        todo = {}
-        for snr in snrs:
+    for seed in range(args.seed, args.seed + args.count):
+        rendered = None  # the seed at snrs[0], rendered for its first due cell
+        for i, snr in enumerate(snrs):
+            bundle = None  # remixed to `snr` for its first due cell
             for method in methods:
                 row = {"scenario_id": f"seed{seed}", "snr_db": repr(snr),
                        "method": method, **config}
-                if tuple(row[k] for k in KEY_FIELDS) not in done:
-                    todo[snr, method] = row
-        if not todo:
-            continue  # every cell of this seed is done: skip its render
-        rendered = None
-        for snr in snrs:
-            if rendered is None:
-                rendered = pipeline.simulate(seed, snr, static=args.static)
-                bundle = rendered
-            else:
-                bundle = pipeline.remix(rendered, snr)
-            for method in methods:
-                row = todo.get((snr, method))
-                if row is None:
+                if tuple(row[k] for k in KEY_FIELDS) in done:
                     continue
+                if rendered is None:
+                    rendered = pipeline.simulate(seed, snrs[0], static=args.static)
+                if bundle is None:
+                    bundle = pipeline.remix(rendered, snr) if i else rendered
                 try:
                     report = pipeline.evaluate_bundle(
                         bundle, method, args.beta, args.loading, args.mvdr_loading

@@ -38,23 +38,23 @@ def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
     """Scale-invariant SDR in dB, clamped to +/- 120 dB.
 
     Projects the estimate onto the reference, then takes the energy ratio
-    of the projection to the residual. Both are scored as contiguous
-    copies: BLAS sums a strided dot product (a row of a loaded bundle's
-    transposed WAV data) in another order, so the score depends only on
-    the values, not on the layout.
+    of the projection to the residual. The score depends on the values
+    alone: the products are einsum sums (OpenBLAS splits a dot product over
+    its threads) of contiguous copies (einsum sums a strided operand, such as
+    a row of a loaded bundle's transposed WAV data, in another order).
     """
     est = np.ascontiguousarray(est, dtype=np.float64)
     ref = np.ascontiguousarray(ref, dtype=np.float64)
     if est.shape != ref.shape:
         raise MetricsError("est and ref must have equal length")
-    ref_energy = float(np.dot(ref, ref))
+    ref_energy = float(np.einsum("i,i->", ref, ref))
     if ref_energy <= 0:
         raise MetricsError("all-zero reference")
-    scale = float(np.dot(est, ref)) / ref_energy
+    scale = float(np.einsum("i,i->", est, ref)) / ref_energy
     target = scale * ref
     err = est - target
-    p_target = float(np.dot(target, target))
-    p_err = float(np.dot(err, err))
+    p_target = float(np.einsum("i,i->", target, target))
+    p_err = float(np.einsum("i,i->", err, err))
     if p_target <= 0:
         return -SI_SDR_CLAMP_DB
     if p_err <= p_target * 10.0 ** (-SI_SDR_CLAMP_DB / 10.0):

@@ -251,6 +251,8 @@ def beampattern(
     per STFT frame. Each bin's |B|, (T, L), goes to `sink` in bin order
     (`beamformer.narrowband_beampattern`). Frame-invariant ('cw-batch',
     'none') weights give one column, broadcast read-only over the frames."""
+    if not 0.0 < angle_step_deg <= 180.0:  # refuses nan and inf too
+        raise ValueError(f"angle step {angle_step_deg!r} deg is not in (0, 180]")
     # the STFT and the trajectory are dropped before the pattern is
     # computed, so their ~16 MB is not held under it at the peak
     evd, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]

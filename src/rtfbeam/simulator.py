@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -128,11 +128,12 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        """Inverse of `to_json`; absent optional fields take their defaults,
-        and keys that are not fields (the `room_height` of older bundles) are
-        ignored."""
+        """Inverse of `to_json`: a missing required field raises KeyError, a
+        missing optional one takes its default, and a key that is not a field
+        (the `room_height` of older bundles) is ignored."""
         d = json.loads(text)
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        return cls(**{f.name: d[f.name] for f in fields(cls)
+                      if f.name in d or f.default is MISSING})
 
 
 @dataclass

@@ -180,15 +180,43 @@ def bundle_dir_10db(tmp_path_factory, static_bundle):
 
 def test_beamform_oracle_improves_si_sdr(bundle_dir_10db, tmp_path):
     results = tmp_path / "results.csv"
-    rc = cli.main(
-        ["beamform", "--bundle", str(bundle_dir_10db), "--method", "oracle",
-         "--results", str(results)]
-    )
-    assert rc == cli.EXIT_OK
+    argv = ["beamform", "--bundle", str(bundle_dir_10db), "--method", "oracle",
+            "--results", str(results)]
+    assert cli.main(argv) == cli.EXIT_OK
     (row,) = _read_csv(results)
     assert float(row["si_sdr_left"]) > float(row["si_sdr_input_left"])
     assert float(row["si_sdr_right"]) > float(row["si_sdr_input_right"])
     assert (bundle_dir_10db / "enhanced_left.wav").exists()
+    # a last row torn by a crash is cut, and one complete row appended
+    text = results.read_text()
+    line = text.splitlines()[1]
+    results.write_text(text + line[:20])
+    assert cli.main(argv) == cli.EXIT_OK
+    assert results.read_text() == text + line + "\n"
+
+
+def test_beamform_refuses_results_with_other_columns_before_any_work(
+    tmp_path, static_bundle, capsys
+):
+    # the results file is checked before the bundle is read: a refused run
+    # writes no enhanced WAV, and an earlier run's stay as they were
+    out = tmp_path / "bundle"
+    cli.write_bundle(out, static_bundle)
+    results = tmp_path / "old.csv"
+    results.write_text("scenario_id,snr_db,method,status\nseed3,30.0,past,ok\n")
+    before = results.read_bytes()
+    refused = ["beamform", "--bundle", str(out), "--method", "none",
+               "--results", str(results)]
+    for earlier in ([], ["--method", "past", "--results", str(tmp_path / "r.csv")]):
+        if earlier:
+            assert cli.main(["beamform", "--bundle", str(out), *earlier]) == cli.EXIT_OK
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main(refused) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {results} has columns")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == files
+        assert results.read_bytes() == before
+    assert "enhanced_left.wav" in files
 
 
 def test_beamform_none_is_reference_passthrough(bundle_dir, tmp_path, static_bundle):
@@ -216,9 +244,9 @@ def test_beamform_analyzes_and_decomposes_once(bundle_dir_10db, tmp_path, monkey
     assert (analyze[0], evd[0]) == (1, 1)
 
 
-def test_beamform_missing_bundle():
+def test_beamform_missing_bundle(tmp_path):
     assert (
-        cli.main(["beamform", "--bundle", "/nonexistent", "--results", "/tmp/x.csv"])
+        cli.main(["beamform", "--bundle", "/nonexistent", "--results", str(tmp_path / "x.csv")])
         == cli.EXIT_CONFIG
     )
 
@@ -355,7 +383,7 @@ def _contract_cases():
         if field.default is dataclasses.MISSING:
             key = field.name
             yield (f"scenario-{key}", _edit_json("scenario.json", lambda d, k=key: d.pop(k)),
-                   cli.EXIT_RUNTIME, "scenario.json", f"'{key}'")
+                   cli.EXIT_RUNTIME, "scenario.json", f"KeyError: '{key}'")
     # scenario.json sets (M, N): the WAVs are held against it, mixture.wav first
     yield ("scenario-num_mics-4", _edit_json("scenario.json", lambda d: d.update(num_mics=4)),
            cli.EXIT_RUNTIME, "mixture.wav", "(M, N) (8, 64000), expected (4, 64000)")
@@ -684,6 +712,37 @@ def test_evaluate_resume_cuts_a_torn_last_row(tmp_path, monkeypatch, torn_row):
     assert all(len(row) == len(cli.RESULT_FIELDS) for row in csv.reader(lines))
     keys = [tuple(r[k] for k in cli.KEY_FIELDS) for r in _read_csv(out)]
     assert len(keys) == len(set(keys)) == 2
+
+
+def test_evaluate_remixes_only_the_snrs_it_evaluates(tmp_path, monkeypatch):
+    # the seed is rendered at the first SNR and remixed to an SNR only when
+    # that SNR has a due cell: a rerun that adds SNR 30 remixes once
+    calls = []
+
+    def fake_simulate(seed, snr, static=False):
+        calls.append(("simulate", snr))
+        return (seed, snr)
+
+    def fake_remix(bundle, snr):
+        calls.append(("remix", snr))
+        return (bundle[0], snr)
+
+    def fake_evaluate(bundle, method, beta, loading, mvdr_loading):
+        calls.append(("evaluate", bundle[1], method))
+        return metrics.EvalReport(f"seed{bundle[0]}", bundle[1], method)
+
+    monkeypatch.setattr(pipeline, "simulate", fake_simulate)
+    monkeypatch.setattr(pipeline, "remix", fake_remix)
+    monkeypatch.setattr(pipeline, "evaluate_bundle", fake_evaluate)
+    out = tmp_path / "results.csv"
+    args = ["evaluate", "--seed", "3", "--count", "1", "--methods", "none,past",
+            "--out", str(out)]
+    assert cli.main([*args, "--snrs", "10,20"]) == cli.EXIT_OK
+    calls.clear()
+    assert cli.main([*args, "--snrs", "10,20,30"]) == cli.EXIT_OK
+    assert calls == [("simulate", 10.0), ("remix", 30.0),
+                     ("evaluate", 30.0, "none"), ("evaluate", 30.0, "past")]
+    assert len(_read_csv(out)) == 6
 
 
 def test_evaluate_writes_a_repeated_snr_or_method_once(tmp_path, monkeypatch):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtfbeam import cli, metrics, rtf, simulator
+from rtfbeam import cli, metrics, pipeline, rtf, simulator
 
 
 def test_si_sdr_perfect_reconstruction_clamps():
@@ -26,14 +31,38 @@ def test_si_sdr_zero_inputs():
 
 def test_si_sdr_is_layout_independent():
     # columns of a C-ordered (N, M) array are strided, like the rows of a
-    # loaded bundle's transposed WAV data; BLAS sums a strided dot product
-    # in another order, so the score must not see the layout
+    # loaded bundle's transposed WAV data; einsum sums a strided operand in
+    # another order, so the score must not see the layout
     rng = np.random.default_rng(0)
     data = rng.standard_normal((48000, 8))
     est, ref = data[:, 2], data[:, 7] + 0.5 * data[:, 2]
     assert not est.flags.c_contiguous
     contiguous = metrics.si_sdr(np.ascontiguousarray(est), np.ascontiguousarray(ref))
     assert metrics.si_sdr(est, ref) == contiguous
+
+
+def test_scores_do_not_depend_on_the_blas_thread_count():
+    """One `evaluate_bundle` cell per method on seed 3 moving at 10 dB, in
+    two processes with 1 and 2 OpenBLAS threads: the reports must be equal
+    to the last bit. OpenBLAS splits a long dot product over its threads, so
+    this bites only where it really gets two cores; on one core both
+    processes run one thread and agree whatever the code does."""
+    code = "\n".join([
+        "from rtfbeam import pipeline",
+        "bundle = pipeline.simulate(3, 10.0)",
+        "for method in pipeline.METHODS:",
+        "    print(repr(pipeline.evaluate_bundle(bundle, method)))",
+    ])
+    src = str(Path(metrics.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": path,
+                                  "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    printed = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert printed[0].count("EvalReport(") == len(pipeline.METHODS)
+    assert printed[0] == printed[1]
 
 
 def test_si_sdr_length_mismatch():

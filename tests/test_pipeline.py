@@ -169,6 +169,14 @@ def test_a_frame_invariant_pattern_is_one_column_for_every_frame(moving_bundle, 
     assert np.all(wideband == wideband[:, :1])
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf"), 181.0])
+def test_the_beampattern_refuses_a_step_outside_0_to_180_degrees(static_bundle, step):
+    # the rule of the CLI's --angle-step, for callers that bypass its parser:
+    # 0 divided by zero, -1 gave an empty grid, inf one NaN angle, 181 [-90]
+    with pytest.raises(ValueError, match=r"not in \(0, 180\]"):
+        pipeline.beampattern(static_bundle, "cw-batch", lambda b: None, angle_step_deg=step)
+
+
 @pytest.mark.parametrize("step, last", [(7.0, 85.0), (0.7, 89.9), (100.0, 10.0),
                                         (180.0, 90.0), (1.0, 90.0), (0.1, 90.0)])
 def test_the_beampattern_grid_stays_inside_plus_minus_90_degrees(
