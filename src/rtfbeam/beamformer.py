@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .covariance import loaded_power
+from .covariance import by_bins, loaded_power
 from .rtf import RtfTrajectory
 from .stft import StftConfig, phase_ramp
 
@@ -30,6 +30,11 @@ MVDR_LOADING = 0.1
 
 class BeamformerError(ValueError):
     pass
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^H b per (k, l) of two (F, M, L) arrays, over the channel axis."""
+    return np.einsum("kml,kml->kl", a.conj(), b)
 
 
 def mvdr_weights(
@@ -54,7 +59,8 @@ def mvdr_weights(
 
     a = rtf.values  # (F, M, L')
     num = inv @ a  # Phi^{-1} a
-    den = np.einsum("kml,kml->kl", a.conj(), num).real  # a^H Phi^{-1} a
+    # a^H Phi^{-1} a
+    den = by_bins(_inner, a, num, out=np.empty((nbins, nframes), complex)).real
     ok = rtf.valid & (den > 1e-300)
 
     dead_bins = ~np.any(ok[:-1], axis=1)
@@ -83,7 +89,7 @@ def apply(weights: np.ndarray, spec: np.ndarray) -> np.ndarray:
     if (spec.ndim != 3 or (nbins, m) != spec.shape[:2]
             or nframes not in (1, spec.shape[2])):
         raise BeamformerError(f"weights shape {weights.shape} != STFT {spec.shape}")
-    return np.einsum("kml,kml->kl", weights.conj(), spec)
+    return by_bins(_inner, weights, spec, out=np.empty((nbins, spec.shape[2]), complex))
 
 
 def narrowband_beampattern(

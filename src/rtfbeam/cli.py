@@ -264,13 +264,20 @@ def cmd_beampattern(args) -> int:
         )
         errs, mean_err, excluded = metrics.doa_error(angles, wideband, bundle.truth)
         # one string per angle, values as Python float reprs: the bytes a
-        # csv.writer of the numpy scalars writes, at a third of its cost
+        # csv.writer of the numpy scalars writes, at a third of its cost. A
+        # frame-invariant pattern is one column broadcast over the frames
+        # (frame stride 0): its one value per angle is formatted once
+        frames = range(wideband.shape[1])
         with _atomic_open(bundle_dir / "beampattern_wideband.csv", "w") as fh:
             fh.write("frame,bin,theta_deg,value\n")
             for theta, powers in zip(angles.tolist(), wideband):
                 middle = f",wideband,{theta!r},"
-                fh.write("".join(f"{l}{middle}{value!r}\n"
-                                 for l, value in enumerate(powers.tolist())))
+                if powers.strides[0] == 0:
+                    tail = f"{middle}{powers[0].item()!r}\n"
+                    fh.write("".join(f"{l}{tail}" for l in frames))
+                else:
+                    fh.write("".join(f"{l}{middle}{value!r}\n"
+                                     for l, value in enumerate(powers.tolist())))
         _write_csv(
             bundle_dir / "doa_error.csv",
             ["frame", "doa_error_deg"],

@@ -11,10 +11,12 @@ loading*mean|lambda|*I)^p V^H, with p = -1/2 for the whitener Phi_nn^{-1/2},
 +1/2 for its de-whitening inverse and -1 for the MVDR inverse. Phi_nn is
 therefore decomposed once per bundle.
 
-The per-bin products (the covariances, the whitened frames and the whitened
-mixture covariance) are batched ``np.matmul`` over the bin-major complex
-(F, M, L) STFT array as `stft.analyze` returns it, one BLAS call per
-product.
+The per-bin products (the covariances and the whitened mixture covariance)
+are batched ``np.matmul`` over the bin-major complex (F, M, L) STFT array as
+`stft.analyze` returns it, one BLAS call per product. ``whiten`` stores its
+frames frame-major, (L, F, M), for the PAST recursion, and so takes its
+product ``by_bins``: a block of bins at a time, so that only one block is
+ever held bin-major, with the bits of one batched product.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 DEFAULT_LOADING = 1e-6
 HERMITIAN_TOL = 1e-12
+# bins per block of `by_bins`: a (32, 8, 249) complex128 block is 1 MB
+_BIN_CHUNK = 32
 
 
 class CovarianceError(ValueError):
@@ -114,14 +118,28 @@ def sqrt_pair(
     return loaded_power(evd, 0.5, loading), loaded_power(evd, -0.5, loading)
 
 
+def by_bins(fn, *arrays: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = `fn` of the bin-major `arrays`, computed a few bins at a time
+    into `out`, which may be one of `arrays`: `fn`'s temporaries (a product,
+    a conjugate) then hold one block of bins, not all F, and every bin is
+    computed as in one call over all of them."""
+    for k in range(0, out.shape[0], _BIN_CHUNK):
+        out[k:k + _BIN_CHUNK] = fn(*(x[k:k + _BIN_CHUNK] for x in arrays))
+    return out
+
+
 def whiten(spec: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply the per-bin whitening matrix to the (F, M, L) STFT:
-    y_w(l,k) = W(k) y(l,k), a contiguous (F, M, L) array."""
+    y_w(l,k) = W(k) y(l,k). The result is the (F, M, L) view of a
+    frame-major (L, F, M) buffer, one contiguous (F, M) block per frame, as
+    the PAST recursion reads it."""
     if w.shape[:2] != spec.shape[:2]:  # both lead with (F, M)
         raise CovarianceError(
             f"whitener shape {w.shape} does not match STFT {spec.shape}"
         )
-    return w @ spec
+    nbins, m, nframes = spec.shape
+    frames = np.empty((nframes, nbins, m), dtype=np.result_type(w, spec))
+    return by_bins(np.matmul, w, spec, out=frames.transpose(1, 2, 0))
 
 
 def whitened_mixture_covariance(

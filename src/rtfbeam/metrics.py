@@ -51,10 +51,10 @@ def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
     if ref_energy <= 0:
         raise MetricsError("all-zero reference")
     scale = float(np.einsum("i,i->", est, ref)) / ref_energy
-    target = scale * ref
-    err = est - target
-    p_target = float(np.einsum("i,i->", target, target))
-    p_err = float(np.einsum("i,i->", err, err))
+    buf = scale * ref  # the target, then the error, in one buffer
+    p_target = float(np.einsum("i,i->", buf, buf))
+    np.subtract(est, buf, out=buf)
+    p_err = float(np.einsum("i,i->", buf, buf))
     if p_target <= 0:
         return -SI_SDR_CLAMP_DB
     if p_err <= p_target * 10.0 ** (-SI_SDR_CLAMP_DB / 10.0):

@@ -48,15 +48,19 @@ class SimBundle:
 
 
 def simulate(seed: int, snr_db: float, static: bool = False) -> SimBundle:
-    """Render one scenario at the requested SNR; deterministic per seed."""
+    """Render one scenario at the requested SNR; deterministic per seed.
+
+    The babble is rendered first and its (20, N) babbler signals dropped
+    before the target is rendered, so the two renders' temporaries do not
+    stack; the two draw from independent streams, [seed, 2] and [seed, 1].
+    """
     scenario = simulator.sample_scenario(seed, static=static)
     config = stft.StftConfig(sample_rate_hz=scenario.sample_rate)
+    noise = simulator.render_babble(scenario, simulator.synthesize_babbler_signals(
+        [seed, 2], simulator.NUM_BABBLERS, scenario.duration_s, scenario.sample_rate
+    ))
     target = simulator.synthesize_target_signal([seed, 1], scenario)
     clean, truth = simulator.render_moving_source(target, scenario, config)
-    babble = simulator.synthesize_babbler_signals(
-        [seed, 2], simulator.NUM_BABBLERS, scenario.duration_s, scenario.sample_rate
-    )
-    noise = simulator.render_babble(scenario, babble)
     mixture = simulator.mix_at_snr(clean, noise, snr_db)
     return SimBundle(scenario, config, clean, noise, mixture, truth, snr_db)
 

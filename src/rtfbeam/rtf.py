@@ -2,21 +2,27 @@
 
 CW takes the principal vectors of the whitened mixture covariance once per
 bin; PAST tracks them frame by frame with ``past_step``, one O(M) recursion
-per bin. Both de-whiten in one batched product and end in one finisher,
-``_trajectory``: it divides each de-whitened vector by its entry at the
-reference microphone, so the reference entry is exactly 1+0j, and flags a
-cell invalid where that entry falls into the null of the vector, before the
-tracker's start frame, or in the Nyquist bin. Every invalid cell holds the
-trivial RTF e_ref; no estimator carries an earlier value forward, as the
-MVDR weights hold their own (``beamformer.mvdr_weights``).
+per bin. Both de-whiten their vectors per bin in one product and end in one
+in-place finisher, ``_trajectory``: it divides each de-whitened vector by its
+entry at the reference microphone, so the reference entry is exactly 1+0j,
+and flags a cell invalid where that entry falls into the null of the vector,
+before the tracker's start frame, or in the Nyquist bin. Every invalid cell
+holds the trivial RTF e_ref; no estimator carries an earlier value forward,
+as the MVDR weights hold their own (``beamformer.mvdr_weights``).
 
-Trajectories are bin-major, (F, M, L'), like the (F, M, L) STFT. One whose RTF
-does not change over frames (CW, and the trivial 'none' trajectory) keeps a
-frame axis of length L' = 1 instead of L copies of one frame, and so does
-the analytic truth of a static scene. Every consumer broadcasts that axis
-as numpy does: the MVDR weights are then solved once per bin, and
-`rtf_mse` broadcasts either side, a one-frame estimate against every frame
-of the truth or a one-frame truth under every frame of the estimate.
+PAST reads the frame-major whitened frames of ``covariance.whiten`` and
+tracks into one frame-major (L, F, M) buffer, one row per frame, which it
+de-whitens and finishes in place: its values are the (F, M, L) view of that
+buffer, so one side's tracking holds one buffer and copies no frame.
+
+Trajectories are indexed bin-major, (F, M, L'), like the (F, M, L) STFT.
+One whose RTF does not change over frames (CW, and the trivial 'none'
+trajectory) keeps a frame axis of length L' = 1 instead of L copies of one
+frame, and so does the analytic truth of a static scene. Every consumer
+broadcasts that axis as numpy does: the MVDR weights are then solved once
+per bin, and `rtf_mse` broadcasts either side, a one-frame estimate against
+every frame of the truth or a one-frame truth under every frame of the
+estimate.
 
 The reference channel enters only at that normalization, apart from the
 PAST start vector e_ref, and it is the trajectory's only side label.
@@ -33,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .covariance import by_bins
 from .stft import StftConfig
 
 DENOM_TOL = 1e-12
@@ -120,24 +127,27 @@ class RtfTrajectory:
                 raise RtfError("valid mask shape must be (F, L)")
 
 
-def _trajectory(b: np.ndarray, ref: int, start: int, num_frames: int) -> RtfTrajectory:
-    """Finish de-whitened principal vectors b, shape (F, M, L'), into the
-    reference-normalized (F, M, num_frames) trajectory of either estimator.
-    b covers frames start..num_frames-1: one vector per frame (PAST), or
-    one vector per bin for the one frame of a frame-invariant (CW) trajectory.
+def _trajectory(values: np.ndarray, ref: int, start: int) -> RtfTrajectory:
+    """Finish de-whitened principal vectors in place into the
+    reference-normalized (F, M, L') trajectory of either estimator. `values`
+    holds them in frames start..L'-1: one vector per frame (PAST), or one
+    vector per bin for the one frame of a frame-invariant (CW) trajectory;
+    what it holds before `start` is overwritten.
 
     A cell is valid where its reference entry is clear of the null, from
     `start` on and outside the Nyquist bin; every other cell holds e_ref.
     """
-    nbins, m, _ = b.shape
-    den = b[:, ref]
+    nbins, _, nframes = values.shape
+    b = values[:, :, start:]
+    den = b[:, ref].copy()  # b is divided in place
     mag = np.abs(den)
-    ok = (mag >= DENOM_TOL) & (mag >= REF_NULL_REL_TOL * np.linalg.norm(b, axis=1))
+    ok = (mag >= DENOM_TOL) & (mag >= REF_NULL_REL_TOL * np.sqrt(_norm2(b)))
     ok[-1] = False  # Nyquist bin: real-signal STFT cannot carry RTF phase
-    values = np.zeros((nbins, m, num_frames), dtype=np.complex128)
-    np.divide(b, den[:, None], out=values[:, :, start:], where=ok[:, None])
+    np.divide(b, den[:, None], out=b, where=ok[:, None])
+    np.copyto(b, 0, where=~ok[:, None])
+    values[:, :, :start] = 0
     values[:, ref] = 1.0  # exact, not just within rounding
-    valid = np.zeros((nbins, num_frames), dtype=bool)
+    valid = np.zeros((nbins, nframes), dtype=bool)
     valid[:, start:] = ok
     return RtfTrajectory(values, ref, valid)
 
@@ -159,8 +169,7 @@ def cw_trajectory(
     psi), finished by `_trajectory`.
     """
     _check_ref_channel(ref_channel, principal.shape[1])
-    b = phi_nn_sqrt @ principal[:, :, None]  # (F, M, 1)
-    return _trajectory(b, ref_channel, 0, 1)
+    return _trajectory(phi_nn_sqrt @ principal[:, :, None], ref_channel, 0)
 
 
 def track_rtf_past(
@@ -182,7 +191,8 @@ def track_rtf_past(
         raise RtfError(f"beta must be in (0, 1], got {beta}")
     nbins, m, nframes = spec_whitened.shape
     _check_ref_channel(ref_channel, m)
-    # one contiguous (F, M) block per step of the recursion
+    # one contiguous (F, M) block per step of the recursion: `covariance.whiten`
+    # stores its frames so, and only another layout is copied
     frames = np.ascontiguousarray(spec_whitened.transpose(2, 0, 1))  # (L, F, M)
     if not np.all(np.isfinite(frames)):
         raise RtfError("non-finite whitened input to track_rtf_past")
@@ -191,14 +201,16 @@ def track_rtf_past(
     psi = np.zeros((nbins, m), dtype=np.complex128)
     psi[:, ref_channel] = 1.0
     delta = np.ones(nbins)
-    tracked = np.empty((nbins, m, nframes - start), dtype=np.complex128)
+    # one row per frame; the trajectory's values are the (F, M, L) view of it
+    tracked = np.empty((nframes, nbins, m), dtype=np.complex128)
     for l in range(start, nframes):
         psi, delta = past_step(psi, delta, frames[l], beta)
-        tracked[:, :, l - start] = psi
+        tracked[l] = psi
 
-    # de-whiten every frame at once: b[k, :, l] = Phi_nn^{1/2}(k) psi[l, k]
-    b = phi_nn_sqrt @ tracked
-    return _trajectory(b, ref_channel, start, nframes)
+    # de-whiten in place: b[k, :, l] = Phi_nn^{1/2}(k) psi[l, k]
+    values = tracked.transpose(1, 2, 0)
+    by_bins(np.matmul, phi_nn_sqrt, values[:, :, start:], out=values[:, :, start:])
+    return _trajectory(values, ref_channel, start)
 
 
 def _norm2(values: np.ndarray) -> np.ndarray:

@@ -550,6 +550,22 @@ def test_beampattern_wideband_csv_is_what_a_csv_writer_writes(bundle_dir):
     np.testing.assert_array_equal(values, wideband.ravel())
 
 
+def test_frame_invariant_wideband_csv_is_the_per_value_formatting(bundle_dir):
+    # a cw-batch pattern is one column broadcast over the frames, and its CSV
+    # formats each angle's value once; the bytes must be those of formatting
+    # every (frame, angle) value on its own
+    args = ["beampattern", "--bundle", str(bundle_dir), "--method", "cw-batch"]
+    assert cli.main(args) == cli.EXIT_OK
+    angles, wideband = pipeline.beampattern(cli.load_bundle(bundle_dir), "cw-batch",
+                                            discard_bins)
+    assert wideband.strides[1] == 0
+    ref = ["frame,bin,theta_deg,value\n"]
+    ref += [f"{l},wideband,{theta!r},{value!r}\n"
+            for theta, powers in zip(angles.tolist(), wideband.tolist())
+            for l, value in enumerate(powers)]
+    assert (bundle_dir / "beampattern_wideband.csv").read_bytes() == "".join(ref).encode()
+
+
 @pytest.mark.parametrize("fallocate", ["present", "absent", "raising"])
 @pytest.mark.parametrize("method", ["past", "cw-batch"])
 def test_beampattern_npy_is_np_save_of_the_collected_bins(

@@ -270,6 +270,19 @@ def test_whiten_matches_einsum_reference(layout):
         assert_matches_reference(out, np.einsum("kij,kjl->kil", w, y))
 
 
+def test_by_bins_has_the_bits_of_one_call_over_every_bin():
+    # 70 bins are three blocks, the last one short; into the frame-major
+    # `out` of whiten, and into the input itself (the in-place de-whitening),
+    # the blocks get the bits of the one batched product
+    rng = np.random.default_rng(23)
+    w = np.stack([random_spd(rng, 4) for _ in range(70)])
+    y = random_complex(rng, 70, 4, 30)
+    whole = w @ y
+    frames = np.empty((30, 70, 4), dtype=complex).transpose(1, 2, 0)
+    np.testing.assert_array_equal(covariance.by_bins(np.matmul, w, y, out=frames), whole)
+    np.testing.assert_array_equal(covariance.by_bins(np.matmul, w, frames, out=frames), w @ whole)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_whitened_mixture_covariance_matches_einsum_reference(layout):
     rng = np.random.default_rng(22)

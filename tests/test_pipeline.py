@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,6 +47,31 @@ def test_evaluate_bundle_does_per_bundle_estimation_work_once(
     calls = count_calls(monkeypatch, fn)
     pipeline.evaluate_bundle(static_bundle, method)
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    # in spectra, one (F, M, L) complex128 array of the scene (8.2 MB):
+    # measured 4.55 for the past cell and 4.21 for the moving render (35.6
+    # and 32.9 MiB); each bound leaves about half a spectrum of margin
+    [(lambda b: pipeline.evaluate_bundle(b, "past"), 5.0),
+     (lambda b: pipeline.simulate(3, 10.0), 4.7)],
+    ids=["evaluate_bundle-past", "simulate-moving"],
+)
+def test_peak_memory_in_spectra(moving_bundle, call, bound):
+    # numpy reports its buffers to tracemalloc
+    b = moving_bundle
+    nframes = b.config.num_frames(b.mixture.shape[1])
+    spectrum = b.config.num_bins * b.mixture.shape[0] * nframes * 16
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the past cell's dead-bin warning
+            call(b)
+        peak = tracemalloc.get_traced_memory()[1] / spectrum
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak:.2f} spectra"
 
 
 @pytest.mark.parametrize("method", ["cw-batch", "past"])

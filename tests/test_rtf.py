@@ -142,8 +142,9 @@ def test_cw_scalar_whitening_invariance_property(seed, c):
 def _finish(b, ref):
     """The finisher on (N, M) vectors as N bins of one frame; returns their
     (N, M) values and (N,) validity. A copy of the last vector is appended,
-    as the finisher flags the last (Nyquist) bin invalid."""
-    traj = rtf._trajectory(np.concatenate([b, b[-1:]])[:, :, None], ref, 0, 1)
+    as the finisher flags the last (Nyquist) bin invalid. The finisher
+    works in place, on a copy of `b`."""
+    traj = rtf._trajectory(np.concatenate([b, b[-1:]])[:, :, None], ref, 0)
     return traj.values[:-1, :, 0], traj.valid[:-1, 0]
 
 
@@ -351,22 +352,25 @@ def test_track_matches_per_frame_reference():
 
 
 def test_track_reads_whitened_view_as_its_contiguous_copy():
-    # whiten returns a contiguous (F, M, L) array; the same values as the
-    # strided (F, M, L) view of a channel-major array track identically
+    # whiten returns the (F, M, L) view of a frame-major (L, F, M) buffer, the
+    # layout the recursion reads; the same values as a contiguous (F, M, L)
+    # copy, and as the strided view of a channel-major array, track identically
     rng = np.random.default_rng(25)
     m, nbins = 3, 5
     spec = random_complex(rng, nbins, m, 30)
     invsqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
     sqrt_nn = _field(*(random_spd(rng, m) for _ in range(nbins)))
-    copy = covariance.whiten(spec, invsqrt_nn)
-    assert copy.flags["C_CONTIGUOUS"]
-    whitened = layouts(copy)["transposed"]
-    assert not whitened.flags["C_CONTIGUOUS"]
+    whitened = covariance.whiten(spec, invsqrt_nn)
+    assert whitened.transpose(2, 0, 1).flags["C_CONTIGUOUS"]
+    copy = np.ascontiguousarray(whitened)
+    channel_major = layouts(copy)["transposed"]
+    assert not (whitened.flags["C_CONTIGUOUS"] or channel_major.flags["C_CONTIGUOUS"])
     for ref in (0, m - 1):
-        view_traj = rtf.track_rtf_past(whitened, sqrt_nn, ref, 0.8, start_frame=4)
         copy_traj = rtf.track_rtf_past(copy, sqrt_nn, ref, 0.8, start_frame=4)
-        np.testing.assert_array_equal(view_traj.values, copy_traj.values)
-        np.testing.assert_array_equal(view_traj.valid, copy_traj.valid)
+        for view in (whitened, channel_major):
+            view_traj = rtf.track_rtf_past(view, sqrt_nn, ref, 0.8, start_frame=4)
+            np.testing.assert_array_equal(view_traj.values, copy_traj.values)
+            np.testing.assert_array_equal(view_traj.valid, copy_traj.valid)
 
 
 # ------------------------------------------------------------------ MSE
