@@ -7,7 +7,8 @@ are evaluated against far-field plane-wave steering vectors on the caller's
 broadside angle grid; the wideband pattern is a plain (T, L') ndarray over
 those T angles. The weights w(l,k) are a plain complex (F, M, L') ndarray,
 bin-major like the RTF trajectory, with L' = L or 1 for weights that hold
-in every frame; they are applied as s = w^H y.
+in every frame; they are applied as s = w^H y. `mvdr_weights` can write
+them over the trajectory's own buffer.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def mvdr_weights(
     rtf: RtfTrajectory,
     phi_nn_evd: tuple[np.ndarray, np.ndarray],
     loading: float = MVDR_LOADING,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distortionless MVDR weights per (k, l): w = Phi^{-1}a / (a^H Phi^{-1}a).
 
@@ -51,18 +53,26 @@ def mvdr_weights(
     hold, and the weights do not depend on the values of invalid cells.
     A one-frame trajectory gives one-frame weights: one solve per bin. The
     Nyquist bin, invalid by design, is not counted in the dead-bin warning.
+
+    The weights go into `out`, an (F, M, L') array that may be the
+    trajectory's own values, which they then replace, or a new array if
+    None: a block of bins is solved from its RTFs before its weights are
+    stored (`by_bins`), so no whole (F, M, L') product is held beside them.
     """
     nbins, m, nframes = rtf.values.shape
     if phi_nn_evd.eigenvalues.shape != (nbins, m):
         raise BeamformerError("noise covariance shape does not match RTF")
     inv = loaded_power(phi_nn_evd, -1.0, loading)
 
-    a = rtf.values  # (F, M, L')
-    num = inv @ a  # Phi^{-1} a
-    # a^H Phi^{-1} a
-    den = by_bins(_inner, a, num, out=np.empty((nbins, nframes), complex)).real
-    ok = rtf.valid & (den > 1e-300)
+    def solve(inv, a, den):  # Phi^{-1} a, and a^H Phi^{-1} a into `den`
+        num = inv @ a
+        den[:] = _inner(a, num).real
+        return num
 
+    den = np.empty((nbins, nframes))
+    num = np.empty((nbins, m, nframes), dtype=np.complex128) if out is None else out
+    by_bins(solve, inv, rtf.values, den, out=num)
+    ok = rtf.valid & (den > 1e-300)
     dead_bins = ~np.any(ok[:-1], axis=1)
     if np.any(dead_bins):
         warnings.warn(
@@ -118,13 +128,13 @@ def narrowband_beampattern(
         raise BeamformerError(f"weights have {nbins} bins, config {config.num_bins}")
 
     tau = (x - x[0])[None, :] * np.sin(np.deg2rad(angles_deg))[:, None]  # (T, M) m
-    h = phase_ramp(tau / SPEED_OF_SOUND * config.sample_rate_hz, config.window_len)
-    h = np.ascontiguousarray(h.transpose(2, 0, 1))  # (F, T, M)
-    w = weights.conj()
+    h = np.empty((nbins, *tau.shape), dtype=np.complex128)  # (F, T, M)
+    phase_ramp(tau / SPEED_OF_SOUND * config.sample_rate_hz, config.window_len,
+               out=h.transpose(1, 2, 0))
     b = np.empty((angles_deg.size, nframes))
     wide = np.zeros((angles_deg.size, nframes))
     for k in range(nbins):
-        np.abs(h[k] @ w[k], out=b)
+        np.abs(h[k] @ weights[k].conj(), out=b)
         wide += b ** 2
         sink(b)
     return wide

@@ -183,6 +183,7 @@ def cmd_simulate(args) -> int:
         bundle = pipeline.simulate(seed, args.snr, static=args.static)
         name = f"seed{seed:05d}_snr{args.snr:+05.1f}"
         write_bundle(out_root / name, bundle)
+        del bundle  # else it is still held while the next one renders
         print(f"wrote {out_root / name}")
     return EXIT_OK
 
@@ -330,12 +331,14 @@ def append_result_row(path: Path, row: dict) -> None:
 
 
 def completed_keys(path: Path) -> set[tuple]:
-    """KEY_FIELDS of every row of a results file checked and cut back to
-    complete rows by `prepare_results`."""
+    """KEY_FIELDS of every "ok" row of a results file checked and cut back to
+    complete rows by `prepare_results`: a cell whose rows are all errors is
+    not done, and a rerun evaluates it again, appending its new row."""
     if not path.exists():
         return set()
     with open(path, newline="") as fh:
-        return {tuple(r[k] for k in KEY_FIELDS) for r in csv.DictReader(fh)}
+        return {tuple(r[k] for k in KEY_FIELDS) for r in csv.DictReader(fh)
+                if r["status"] == "ok"}
 
 
 def cmd_evaluate(args) -> int:

@@ -11,12 +11,12 @@ loading*mean|lambda|*I)^p V^H, with p = -1/2 for the whitener Phi_nn^{-1/2},
 +1/2 for its de-whitening inverse and -1 for the MVDR inverse. Phi_nn is
 therefore decomposed once per bundle.
 
-The per-bin products (the covariances and the whitened mixture covariance)
-are batched ``np.matmul`` over the bin-major complex (F, M, L) STFT array as
-`stft.analyze` returns it, one BLAS call per product. ``whiten`` stores its
-frames frame-major, (L, F, M), for the PAST recursion, and so takes its
-product ``by_bins``: a block of bins at a time, so that only one block is
-ever held bin-major, with the bits of one batched product.
+The per-bin products are batched ``np.matmul`` over the bin-major complex
+(F, M, L) STFT array as `stft.analyze` returns it. The covariances y y^H
+and ``whiten`` take theirs ``by_bins``: a block of bins at a time, with the
+bits of one batched product, so that only one block of the conjugated
+frames is ever held, and ``whiten`` can store its frames frame-major,
+(L, F, M), for the PAST recursion.
 """
 
 from __future__ import annotations
@@ -39,9 +39,14 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 
 def _frame_outer_average(spec: np.ndarray, frames: slice) -> np.ndarray:
     y = spec[:, :, frames]  # (F, M, Lsel)
-    if y.shape[2] == 0:
+    nbins, m, count = y.shape
+    if count == 0:
         raise CovarianceError("empty frame range")
-    return _hermitize((y @ y.conj().transpose(0, 2, 1)) / y.shape[2])
+    # y y^H a block of bins at a time: no conjugated copy of the frames
+    outer = by_bins(lambda b: b @ b.conj().transpose(0, 2, 1), y,
+                    out=np.empty((nbins, m, m), dtype=np.result_type(y, 1.0)))
+    outer /= count
+    return _hermitize(outer)
 
 
 def estimate_noise_covariance(spec: np.ndarray, noise_frames: int) -> np.ndarray:

@@ -2,20 +2,28 @@
 
 The CLI and the batch evaluation sweep are thin wrappers around these
 functions; they are also the entry points the verification suite drives.
-`estimate` is the one path from a bundle to RTF trajectories and
+`_analysis` is the one path from a bundle to its STFT and noise
+statistics, `_trajectories` the one path from those to RTF trajectories
+(`estimate` and `estimate_trajectory` collect them into a dict) and
 `side_weights` the one rule from a trajectory to weights: `evaluate_bundle`
 and `beampattern` both go through them.
 
 The noise statistics of a bundle are the one `covariance.hermitian_evd`
-result of Phi_nn that `noise_stats` returns; `estimate` passes it on to the
+result of Phi_nn that `noise_stats` returns; it is passed on to the
 estimators and the weights. Only 'cw-batch' and 'past' build the whitener
-pair from it, inside `estimate_trajectory`. Per-bin matrices, weights and
+pair from it, inside `_trajectories`. Per-bin matrices, weights and
 beampatterns are plain ndarrays, in the layouts of `covariance` and `beamformer`.
+
+`evaluate_bundle` finishes one ear before it tracks the next: the left
+trajectory is scored, its weights written over its own buffer, applied and
+synthesized, and dropped; only then is the right one made, and the whitened
+frames of 'past' go after its track. So a 'past' cell holds at most the
+STFT, the whitened frames and one trajectory at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +58,15 @@ class SimBundle:
 def simulate(seed: int, snr_db: float, static: bool = False) -> SimBundle:
     """Render one scenario at the requested SNR; deterministic per seed.
 
-    The babble is rendered first and its (20, N) babbler signals dropped
-    before the target is rendered, so the two renders' temporaries do not
-    stack; the two draw from independent streams, [seed, 2] and [seed, 1].
+    The babble is rendered first, each babbler's signal drawn from the
+    `simulator.babbler_stream` and added into the mic spectra before the
+    next is drawn, and then the target, so the two renders' temporaries do
+    not stack; the two draw from independent streams, [seed, 2] and
+    [seed, 1].
     """
     scenario = simulator.sample_scenario(seed, static=static)
     config = stft.StftConfig(sample_rate_hz=scenario.sample_rate)
-    noise = simulator.render_babble(scenario, simulator.synthesize_babbler_signals(
+    noise = simulator.render_babble(scenario, simulator.babbler_stream(
         [seed, 2], simulator.NUM_BABBLERS, scenario.duration_s, scenario.sample_rate
     ))
     target = simulator.synthesize_target_signal([seed, 1], scenario)
@@ -98,6 +108,51 @@ def noise_stats(
     return covariance.hermitian_evd(phi_nn)
 
 
+def _trajectories(
+    mix_spec: np.ndarray,
+    phi_nn_evd: tuple[np.ndarray, np.ndarray],
+    noise_frames: int,
+    method: str,
+    beta: float,
+    loading: float,
+    truth: simulator.GroundTruth | None,
+    sides: tuple[str, ...],
+) -> Iterator[tuple[str, rtf.RtfTrajectory]]:
+    """Yield (side, trajectory) for each of `sides`, each made only when
+    asked for, by the rules of `estimate_trajectory`: a caller that drops a
+    side's trajectory before asking for the next never holds two. The
+    whitened frames of 'past' are dropped after the last side's track."""
+    nbins, m, _ = mix_spec.shape
+    refs = [(side, rtf.reference_mics(m)[side]) for side in sides]
+    if method == "none":
+        for side, ref in refs:
+            values = np.zeros((nbins, m, 1), dtype=np.complex128)
+            values[:, ref] = 1.0
+            yield side, rtf.RtfTrajectory(values, ref)
+        return
+    if method == "oracle":
+        if truth is None:
+            raise ValueError("oracle method requires ground truth")
+        yield from ((side, truth.rtf[side]) for side, _ in refs)
+        return
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
+    sqrt_nn, invsqrt_nn = covariance.sqrt_pair(phi_nn_evd, loading)
+    if method == "cw-batch":
+        phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
+        phi_ww = covariance.whitened_mixture_covariance(phi_yy, invsqrt_nn)
+        principal = covariance.hermitian_evd(phi_ww).eigenvectors[:, :, 0]
+        yield from ((side, rtf.cw_trajectory(principal, sqrt_nn, ref)) for side, ref in refs)
+        return
+    whitened = covariance.whiten(mix_spec, invsqrt_nn)
+    for i, (side, ref) in enumerate(refs, 1):
+        traj = rtf.track_rtf_past(whitened, sqrt_nn, ref, beta, start_frame=noise_frames)
+        if i == len(refs):
+            del whitened
+        yield side, traj
+        del traj  # before the next side is tracked
+
+
 def estimate_trajectory(
     mix_spec: np.ndarray,
     phi_nn_evd: tuple[np.ndarray, np.ndarray],
@@ -119,32 +174,27 @@ def estimate_trajectory(
     frame-invariant 'cw-batch' and 'none' trajectories have one frame
     (`rtf.RtfTrajectory`).
     """
-    nbins, m, _ = mix_spec.shape
-    refs = {side: rtf.reference_mics(m)[side] for side in sides}
-    if method == "none":
-        out = {}
-        for side, ref in refs.items():
-            values = np.zeros((nbins, m, 1), dtype=np.complex128)
-            values[:, ref] = 1.0
-            out[side] = rtf.RtfTrajectory(values, ref)
-        return out
-    if method == "oracle":
-        if truth is None:
-            raise ValueError("oracle method requires ground truth")
-        return {side: truth.rtf[side] for side in refs}
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
-    sqrt_nn, invsqrt_nn = covariance.sqrt_pair(phi_nn_evd, loading)
-    if method == "cw-batch":
-        phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
-        phi_ww = covariance.whitened_mixture_covariance(phi_yy, invsqrt_nn)
-        principal = covariance.hermitian_evd(phi_ww).eigenvectors[:, :, 0]
-        return {side: rtf.cw_trajectory(principal, sqrt_nn, ref)
-                for side, ref in refs.items()}
-    whitened = covariance.whiten(mix_spec, invsqrt_nn)
-    return {side: rtf.track_rtf_past(whitened, sqrt_nn, ref, beta,
-                                     start_frame=noise_frames)
-            for side, ref in refs.items()}
+    return dict(_trajectories(mix_spec, phi_nn_evd, noise_frames, method, beta, loading,
+                              truth, sides))
+
+
+def _analysis(
+    bundle: SimBundle, noise_frames: int | None, sides: tuple[str, ...]
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+    """The mixture's (F, M, L) STFT, the `covariance.hermitian_evd` result
+    of Phi_nn over its first `noise_frames` frames (0 or None: the bundle's
+    lead-silence count), and that count; only the reference mics of `sides`
+    are checked for a dead one. A lead silence shorter than one window holds
+    no noise-only frame: then `noise_frames` must be given."""
+    ln = noise_frames or bundle.noise_frames
+    if ln == 0:
+        raise ValueError(
+            f"the lead silence of {bundle.scenario.lead_silence_s} s is shorter than "
+            f"one {bundle.config.window_len}-sample window, so no frame is noise-only; "
+            "give the noise-only frame count (--noise-frames)"
+        )
+    mix_spec = stft.analyze(bundle.mixture, bundle.config)
+    return mix_spec, noise_stats(mix_spec, ln, sides), ln
 
 
 def estimate(
@@ -158,20 +208,9 @@ def estimate(
            dict[str, rtf.RtfTrajectory]]:
     """Analyse the mixture into its (F, M, L) STFT, take the
     `covariance.hermitian_evd` result of Phi_nn over its first
-    `noise_frames` frames (0 or None: the bundle's lead-silence count) and
-    estimate the RTF trajectory of each of `sides`; only their reference
-    mics are checked for a dead one. A lead silence shorter than one window
-    holds no noise-only frame: then `noise_frames` must be given.
-    """
-    ln = noise_frames or bundle.noise_frames
-    if ln == 0:
-        raise ValueError(
-            f"the lead silence of {bundle.scenario.lead_silence_s} s is shorter than "
-            f"one {bundle.config.window_len}-sample window, so no frame is noise-only; "
-            "give the noise-only frame count (--noise-frames)"
-        )
-    mix_spec = stft.analyze(bundle.mixture, bundle.config)
-    evd = noise_stats(mix_spec, ln, sides)
+    `noise_frames` frames (`_analysis`) and estimate the RTF trajectory of
+    each of `sides`."""
+    mix_spec, evd, ln = _analysis(bundle, noise_frames, sides)
     trajs = estimate_trajectory(mix_spec, evd, ln, method, beta, loading, bundle.truth,
                                 sides)
     return mix_spec, evd, trajs
@@ -184,10 +223,14 @@ def side_weights(
     loading: float = beamformer.MVDR_LOADING,
 ) -> np.ndarray:
     """MVDR weights, (F, M, L'), from the `covariance.hermitian_evd` result
-    of Phi_nn; method 'none' passes the reference channel through."""
+    of Phi_nn; method 'none' passes the reference channel through. An
+    estimated trajectory ('cw-batch', 'past') is the caller's own: its
+    weights are written over its values, so score it first. An 'oracle'
+    trajectory is the bundle's truth and is left as it is."""
     if method == "none":  # the trivial 'none' trajectory is the passthrough
         return traj.values
-    return beamformer.mvdr_weights(traj, phi_nn_evd, loading)
+    out = None if method == "oracle" else traj.values
+    return beamformer.mvdr_weights(traj, phi_nn_evd, loading, out=out)
 
 
 def beamform_side(
@@ -199,8 +242,9 @@ def beamform_side(
     loading: float = beamformer.MVDR_LOADING,
 ) -> np.ndarray:
     """Beamform one side: its `side_weights` from the `covariance.hermitian_evd`
-    result of Phi_nn, applied to the mixture's (F, M, L) STFT and synthesized
-    with the `config` it was analysed with."""
+    result of Phi_nn (over an estimated trajectory's own values), applied to
+    the mixture's (F, M, L) STFT and synthesized with the `config` it was
+    analysed with."""
     weights = side_weights(traj, phi_nn_evd, method, loading)
     return stft.synthesize(beamformer.apply(weights, mix_spec), config)
 
@@ -220,23 +264,28 @@ def evaluate_bundle(
     input mixture are both scored over its first len(enhanced) samples: all
     N when N - window_len is a whole number of hops.
     """
-    mix_spec, evd, trajs = estimate(bundle, method, beta, loading, noise_frames)
+    mix_spec, evd, ln = _analysis(bundle, noise_frames, rtf.SIDES)
     report = metrics.EvalReport(
         scenario_id=f"seed{bundle.scenario.seed}",
         snr_db=bundle.snr_db,
         method=method,
     )
-    for side, traj in trajs.items():
+    # one side at a time: each is tracked, scored, beamformed and dropped
+    # before the next is tracked
+    for side, traj in _trajectories(mix_spec, evd, ln, method, beta, loading,
+                                    bundle.truth, rtf.SIDES):
+        if side == "left" and method != "none":  # before its weights overwrite it
+            report.rtf_mse_db = rtf.rtf_mse(traj, bundle.truth.rtf[side])
         enhanced = beamform_side(mix_spec, bundle.config, evd, traj, method,
                                  mvdr_loading)
+        ref = traj.ref_channel
+        del traj
         report.enhanced[side] = enhanced
         n = enhanced.size
-        clean = bundle.clean[traj.ref_channel, :n]
-        mixture = bundle.mixture[traj.ref_channel, :n]
+        clean = bundle.clean[ref, :n]
+        mixture = bundle.mixture[ref, :n]
         setattr(report, f"si_sdr_{side}", metrics.si_sdr(enhanced, clean))
         setattr(report, f"si_sdr_input_{side}", metrics.si_sdr(mixture, clean))
-    if method != "none":
-        report.rtf_mse_db = rtf.rtf_mse(trajs["left"], bundle.truth.rtf["left"])
     return report
 
 

@@ -3,27 +3,32 @@
 Geometry: an 8-mic linear array at room center, randomly rotated; a source
 on a circular arc around the array center; 20 babblers near the walls.
 Rendering is free-field (gain 1/r, pure propagation delay) and linear in
-the sources. Static sources (a pinned target, or all babblers at once) are
+the sources. Static sources (a pinned target, or the babblers) are
 rendered in the frequency domain: one rfft per source at a common 5-smooth
 length, each spectrum times its fractional-delay `stft.phase_ramp` and 1/r
-summed per mic, then one irfft per mic. A moving source goes through a
-32-tap raised-cosine windowed-sinc interpolator, its trajectory sampled per
-STFT hop, in Farrow form: each tap is a degree-14 Chebyshev polynomial in
-the delay fraction, fitted once per process, so one matrix product filters
-the source by the 15 coefficient columns for all mics, and each mic gathers
-the filtered signals at its integer delays and sums the polynomial by
-Clenshaw's recurrence. The analytic RTFs and DOA of the same geometry are
-returned as ground truth for verifying the estimators. A static source's
-RTF is the same in every frame, so its truth keeps one frame, (F, M, 1),
-the L' = 1 rule of `rtf.RtfTrajectory`; a moving source's keeps all L.
-The babble's 4 Hz modulations share one sin and one cos of the time axis:
-each signal's phase enters by angle addition.
+summed per mic, then one irfft per mic. The babblers' signals come from
+`babbler_stream` one at a time, each added into the mic spectra before the
+next is drawn. A moving source goes through a 32-tap raised-cosine
+windowed-sinc interpolator, its trajectory sampled per STFT hop, in Farrow
+form: each tap is a degree-14 Chebyshev polynomial in the delay fraction,
+fitted once per process, so one matrix product filters the source by the 15
+coefficient columns for all mics, and each mic gathers the filtered signals
+at its integer delays and sums the polynomial by Clenshaw's recurrence. A
+mic's delay and gain rows are interpolated from its hop knots when its
+turn comes, in two reused N-sample buffers. The analytic RTFs and DOA of
+the same geometry are returned as ground truth for verifying the
+estimators, the ramps written straight into the (F, M, L) values. A static
+source's RTF is the same in every frame, so its truth keeps one frame,
+(F, M, 1), the L' = 1 rule of `rtf.RtfTrajectory`; a moving source's keeps
+all L. The babble's 4 Hz modulations share one sin and one cos of the time
+axis: each signal's phase enters by angle addition.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -208,19 +213,20 @@ def _fast_len(n: int) -> int:
 
 
 def _render_sources(
-    signals: np.ndarray, positions: np.ndarray, mic_positions: np.ndarray, fs: int
+    signals, positions: np.ndarray, mic_positions: np.ndarray, fs: int, n: int
 ) -> np.ndarray:
-    """Free-field sum of static sources at each mic, (M, N).
+    """Free-field sum of static sources at each mic, (M, n).
 
     Source s reaches mic m with gain 1/d_sm after tau_sm = d_sm / c. Each
     source is transformed once at a common 5-smooth FFT length, long enough
     that no delayed sample wraps; its spectrum times the `stft.phase_ramp`
     exp(-j 2 pi f tau_sm) / d_sm is summed into the mic spectra, and one
     inverse FFT over the mics returns the field, each path an exact
-    band-limited fractional delay. The sources' ramps take turns in one
-    buffer: a fresh 4 MB array per source costs page faults.
+    band-limited fractional delay. `signals` is read one n-sample signal at
+    a time, in the order of `positions`, so it may be a stream. The sources'
+    ramps take turns in one buffer: a fresh 4 MB array per source costs page
+    faults.
     """
-    n = signals.shape[1]
     num_mics = mic_positions.shape[0]
     dists = np.linalg.norm(positions[:, None, :] - mic_positions[None, :, :], axis=2)
     delays = dists / SPEED_OF_SOUND * fs  # (S, M) samples
@@ -259,16 +265,17 @@ def _farrow_coefficients() -> np.ndarray:
     return coeffs
 
 
-def _delay_varying(
-    signal: np.ndarray, delay_samples: np.ndarray, gain: np.ndarray
-) -> np.ndarray:
+def _delay_varying(signal: np.ndarray, rows: Callable[[], Iterable]) -> np.ndarray:
     """Time-varying fractional delay: 32-tap windowed-sinc interpolation.
 
     y[i] = gain[i] sum_k h_k(f_i) x[i - n0_i - k] for k = -15..16, with
     n0 = floor(delay), f = delay - n0 and the raised-cosine windowed sinc
     h_k(f) = sinc(k - f) (1 + cos(pi (k - f) / 16)) / 2; samples outside the
-    signal are zero. Delays and gains are (M, N), one row per mic: M outputs
-    of the same source.
+    signal are zero. `rows()` yields one (delay, gain) pair of N-sample rows
+    per output, M outputs of the same source; it is called twice, once for
+    the bounds of the delays and once for the outputs, so its rows may be
+    formed one at a time in reused buffers: the (M, N) delays and gains are
+    never held.
 
     Farrow structure. `_farrow_coefficients` fits each tap by a Chebyshev
     series of degree P = FARROW_DEGREE in u = 2f - 1, h_k(f) ~ sum_p c_kp
@@ -289,7 +296,9 @@ def _delay_varying(
     n = signal.shape[0]
     half = SINC_HALF_TAPS
     coeffs = _farrow_coefficients()
-    first, last = int(np.floor(delay_samples.min())), int(np.floor(delay_samples.max()))
+    bounds = [(delay.min(), delay.max()) for delay, _ in rows()]
+    first = int(np.floor(min(lo for lo, _ in bounds)))
+    last = int(np.floor(max(hi for _, hi in bounds)))
     # padded[q] = x[q - last - half], so window t, padded[t:t + 32], holds
     # x[t - last - k] for k = 16..-15, and bank[p, t] = z_p[t - last] for
     # every t = i - n0_i + last that a row gathers, 0 <= t < width
@@ -302,11 +311,11 @@ def _delay_varying(
     bank = np.empty((FARROW_DEGREE + 1, width))
     np.matmul(coeffs[:, ::-1], windows.T, out=bank)  # no copy of the windows
 
-    out = np.empty(delay_samples.shape)
+    out = np.empty((len(bounds), n))
     ramp = np.arange(last, n + last, dtype=np.float64)
     floor, u, two_u, b1, b2, z = (np.empty(n) for _ in range(6))
     index = np.empty(n, dtype=np.int64)
-    for y, delay, g in zip(out, delay_samples, gain):
+    for y, (delay, g) in zip(out, rows()):
         np.floor(delay, out=floor)
         np.subtract(delay, floor, out=u)
         exact = u == 0
@@ -343,9 +352,11 @@ def _analytic_rtf(
     dists = np.linalg.norm(mics[:, None, :] - pos[None, :, :], axis=2)  # (M, L)
     tau = dists / SPEED_OF_SOUND * config.sample_rate_hz  # samples
     # a_m(k, l) = exp(-j 2 pi f_k (tau_m - tau_ref)) * d_ref / d_m
-    ramps = phase_ramp(tau - tau[ref_channel], config.window_len,
-                       dists[ref_channel] / dists)  # (M, L, F)
-    return RtfTrajectory(np.ascontiguousarray(ramps.transpose(2, 0, 1)), ref_channel)
+    # written straight into the (M, L, F) view of the (F, M, L) values
+    values = np.empty((config.num_bins, *tau.shape), dtype=np.complex128)
+    phase_ramp(tau - tau[ref_channel], config.window_len, dists[ref_channel] / dists,
+               values.transpose(1, 2, 0))
+    return RtfTrajectory(values, ref_channel)
 
 
 def render_moving_source(
@@ -366,7 +377,7 @@ def render_moving_source(
 
     if scenario.source_delta_deg == 0.0:
         clean = _render_sources(
-            source[None, :], scenario.source_position(0.0)[None, :], mics, fs
+            source[None, :], scenario.source_position(0.0)[None, :], mics, fs, n
         )
     else:
         # positions at hop resolution, linearly interpolated per sample
@@ -374,9 +385,18 @@ def render_moving_source(
         hop_pos = scenario.source_position(hop_times)  # (H, 3)
         sample_t = np.arange(n) / fs
         hop_d = np.linalg.norm(hop_pos[None, :, :] - mics[:, None, :], axis=2)  # (M, H)
-        dist = np.stack([np.interp(sample_t, hop_times, row) for row in hop_d])
-        clean = _delay_varying(source, dist / SPEED_OF_SOUND * fs, 1.0 / dist)
-        del dist  # else its 4 MB stay alive through the truth below, the render's peak
+
+        def rows():
+            """Each mic's delay and gain, in two buffers reused from mic to mic."""
+            delay, gain = np.empty(n), np.empty(n)
+            for knots in hop_d:
+                dist = np.interp(sample_t, hop_times, knots)
+                np.divide(dist, SPEED_OF_SOUND, out=delay)
+                delay *= fs
+                np.divide(1.0, dist, out=gain)
+                yield delay, gain
+
+        clean = _delay_varying(source, rows)
 
     num_frames = config.num_frames(n)
     frame_times = (np.arange(num_frames) * config.hop + config.window_len / 2) / fs
@@ -392,17 +412,31 @@ def render_moving_source(
     return clean, truth
 
 
-def render_babble(scenario: Scenario, babbler_signals: np.ndarray) -> np.ndarray:
+def render_babble(scenario: Scenario, babbler_signals: Iterable) -> np.ndarray:
     """Sum of static free-field renderings of each babbler, (M, N): one
-    signal per babbler position of the scenario."""
-    sigs = np.atleast_2d(np.asarray(babbler_signals, dtype=np.float64))
+    N-sample signal per babbler position of the scenario, from a (B, N)
+    array or any iterable of B signals, such as `babbler_stream`, read one
+    signal at a time. A count other than B raises SimulatorError once the
+    signals are read."""
     positions = scenario.babbler_positions
-    if sigs.shape[0] != positions.shape[0]:
-        raise SimulatorError(
-            f"{sigs.shape[0]} babbler signals for {positions.shape[0]} positions"
-        )
-    mics = scenario.mic_positions()
-    return _render_sources(sigs, positions, mics, scenario.sample_rate)
+    n = scenario.num_samples
+    count = 0
+
+    def checked():
+        nonlocal count
+        for count, signal in enumerate(babbler_signals, 1):
+            signal = np.asarray(signal, dtype=np.float64)
+            if signal.shape != (n,):
+                raise SimulatorError(f"babbler signal {count} has shape {signal.shape}, "
+                                     f"expected ({n},)")
+            if count <= len(positions):
+                yield signal
+
+    noise = _render_sources(checked(), positions, scenario.mic_positions(),
+                            scenario.sample_rate, n)
+    if count != len(positions):
+        raise SimulatorError(f"{count} babbler signals for {len(positions)} positions")
+    return noise
 
 
 def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
@@ -418,7 +452,47 @@ def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarra
     if p_clean <= 0 or p_noise <= 0:
         raise SimulatorError("zero-power clean or noise at reference channel")
     gain = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return clean + gain * noise
+    # gain * noise + clean in one buffer: the bits of clean + gain * noise
+    mixture = np.multiply(gain, noise)
+    mixture += clean
+    return mixture
+
+
+def babbler_stream(
+    seed: int,
+    count: int = NUM_BABBLERS,
+    duration_s: float = DEFAULT_DURATION_S,
+    sample_rate: int = DEFAULT_SAMPLE_RATE,
+) -> Iterator[np.ndarray]:
+    """Speech-shaped noise: pink spectrum, 4 Hz amplitude modulation.
+
+    Yields `count` signals of N samples, one at a time, each a fresh array
+    of unit RMS; deterministic per seed. Signal i draws its white noise,
+    then its modulation phase phi, from one generator in turn, so signal 0
+    is the same for every count. The modulation 1 + sin(w t + phi) / 2
+    expands by angle addition over one sin(w t) and cos(w t) shared by all
+    signals.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * sample_rate))
+    wt = 2 * np.pi * 4.0 * (np.arange(n) / sample_rate)
+    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+    mod, scratch = np.empty(n), np.empty(n)
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    shaping = np.where(freqs > 50.0, np.sqrt(50.0 / np.maximum(freqs, 50.0)), 1.0)
+    shaping[0] = 0.0
+    for _ in range(count):
+        white = rng.standard_normal(n)
+        sig = np.fft.irfft(np.fft.rfft(white) * shaping, n=n)
+        phase = rng.uniform(0, 2 * np.pi)
+        np.multiply(sin_wt, np.cos(phase), out=mod)
+        np.multiply(cos_wt, np.sin(phase), out=scratch)
+        mod += scratch
+        mod *= 0.5
+        mod += 1.0
+        sig *= mod
+        sig /= np.sqrt(np.mean(sig**2))
+        yield sig
 
 
 def synthesize_babbler_signals(
@@ -427,34 +501,11 @@ def synthesize_babbler_signals(
     duration_s: float = DEFAULT_DURATION_S,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> np.ndarray:
-    """Speech-shaped noise: pink spectrum, 4 Hz amplitude modulation.
-
-    Returns (count, N), unit RMS per signal, deterministic per seed. Signal
-    i draws its white noise, then its modulation phase phi, from one
-    generator in turn, so signal 0 is the same for every count. The
-    modulation 1 + sin(w t + phi) / 2 expands by angle addition over one
-    sin(w t) and cos(w t) shared by all signals.
-    """
-    rng = np.random.default_rng(seed)
+    """The `babbler_stream` signals as one (count, N) array."""
     n = int(round(duration_s * sample_rate))
-    wt = 2 * np.pi * 4.0 * (np.arange(n) / sample_rate)
-    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
     out = np.empty((count, n))
-    mod, scratch = np.empty(n), np.empty(n)
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    shaping = np.where(freqs > 50.0, np.sqrt(50.0 / np.maximum(freqs, 50.0)), 1.0)
-    shaping[0] = 0.0
-    for sig in out:
-        white = rng.standard_normal(n)
-        pink = np.fft.irfft(np.fft.rfft(white) * shaping, n=n)
-        phase = rng.uniform(0, 2 * np.pi)
-        np.multiply(sin_wt, np.cos(phase), out=mod)
-        np.multiply(cos_wt, np.sin(phase), out=scratch)
-        mod += scratch
-        mod *= 0.5
-        mod += 1.0
-        np.multiply(pink, mod, out=sig)
-        sig /= np.sqrt(np.mean(sig**2))
+    for row, sig in zip(out, babbler_stream(seed, count, duration_s, sample_rate)):
+        row[:] = sig
     return out
 
 

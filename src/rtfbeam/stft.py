@@ -3,14 +3,14 @@
 Frames are laid out without centering or zero padding: frame l covers
 samples [l*hop, l*hop + window_len), so L = 1 + (N - window_len)//hop.
 A spectrogram is a plain complex ndarray, bin-major (F, M, L), the layout
-of every per-bin product downstream; `analyze` has the rfft write its
-output into that layout. `synthesize` takes a single-channel (F, L)
-spectrum and the config it was analysed with. Overlap-add divides window
-position n by the sum of w_a^2 over every window position congruent to n
-modulo the hop: an interior sample is covered by exactly those positions,
-one per frame, so the round trip is exact on the fully-overlapped interior
-for any hop whose sums are nonzero (NOLA), whether or not the hop divides
-the window length.
+of every per-bin product downstream; `analyze` windows one mic's frames at
+a time and has the rfft write them into that layout. `synthesize` takes a
+single-channel (F, L) spectrum and the config it was analysed with.
+Overlap-add divides window position n by the sum of w_a^2 over every
+window position congruent to n modulo the hop: an interior sample is
+covered by exactly those positions, one per frame, so the round trip is
+exact on the fully-overlapped interior for any hop whose sums are nonzero
+(NOLA), whether or not the hop divides the window length.
 
 `phase_ramp`, gains * exp(-j 2 pi k d / nfft) over the rfft bins k for
 delays d in samples, is the one free-field phase model: the render, the
@@ -97,9 +97,14 @@ def analyze(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise StftError("signal contains non-finite samples")
     frames = config.frames(x)  # (M, L, W)
+    window = config.analysis_window()
     spec = np.empty((config.num_bins, *frames.shape[:2]), dtype=np.complex128)
-    # the rfft writes each frame's spectrum straight into its (F, M, L) place
-    np.fft.rfft(frames * config.analysis_window(), axis=-1, out=spec.transpose(1, 2, 0))
+    # one mic's windowed frames at a time, in one reused (L, W) buffer; the
+    # rfft writes each frame's spectrum straight into its (F, M, L) place
+    windowed = np.empty(frames.shape[1:])
+    for m, mic_frames in enumerate(frames):
+        np.multiply(mic_frames, window, out=windowed)
+        np.fft.rfft(windowed, axis=-1, out=spec[:, m].T)
     return spec
 
 

@@ -90,6 +90,25 @@ def test_simulate_count_makes_multiple_bundles(tmp_path):
         assert (tmp_path / d / "mixture.wav").exists()
 
 
+def test_simulate_count_holds_one_bundle_at_a_time(tmp_path):
+    # numpy reports its buffers to tracemalloc. Each bundle is written and
+    # dropped before the next renders, so a second bundle adds no clean,
+    # noise and mixture (M, N) arrays (1.5 spectra) to the peak
+    peaks = {}
+    for count in (1, 2):
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--seed", "3", "--count", str(count),
+                             "--out", str(tmp_path / str(count))]) == cli.EXIT_OK
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bundle = cli.load_bundle(next((tmp_path / "1").iterdir()))
+    spectrum = (bundle.config.num_bins * bundle.mixture.shape[0]
+                * bundle.config.num_frames(bundle.mixture.shape[1]) * 16)
+    assert peaks[2] - peaks[1] <= 0.5 * spectrum, (peaks[2] - peaks[1]) / spectrum
+
+
 def test_simulate_static_writes_every_frame_of_the_truth(tmp_path):
     # a static scene's truth keeps one frame in memory; its .rtfb files hold
     # all L frames of ground_truth.json, each a copy of the first
@@ -824,6 +843,28 @@ def test_evaluate_records_failure_rows(tmp_path, monkeypatch):
     assert rc == cli.EXIT_OK
     (row,) = _read_csv(out)
     assert row["status"].startswith("error:")
+
+
+def test_evaluate_retries_a_failed_cell(tmp_path, monkeypatch):
+    # an error row does not mark its cell done: the rerun evaluates it again
+    # and appends its new row, and a third run finds every cell done
+    calls = []
+
+    def flaky(bundle, method, beta, loading, mvdr_loading):
+        calls.append(method)
+        if len(calls) == 1:
+            raise MemoryError("transient")
+        return metrics.EvalReport("seed3", 10.0, method)
+
+    monkeypatch.setattr(pipeline, "simulate", lambda seed, snr, static: None)
+    monkeypatch.setattr(pipeline, "evaluate_bundle", flaky)
+    out = tmp_path / "results.csv"
+    args = ["evaluate", "--seed", "3", "--count", "1", "--snrs", "10",
+            "--methods", "none", "--out", str(out)]
+    for _ in range(3):
+        assert cli.main(args) == cli.EXIT_OK
+    assert calls == ["none", "none"]
+    assert [r["status"] for r in _read_csv(out)] == ["error: MemoryError: transient", "ok"]
 
 
 def test_evaluate_failure_rows_keep_the_exception_type(tmp_path, monkeypatch):

@@ -211,7 +211,7 @@ def test_render_static_integer_sample_delays_are_shifts():
     dists = lags * SPEED_OF_SOUND / fs
     mics = np.stack([dists, np.zeros_like(dists), np.zeros_like(dists)], axis=1)
     source = np.random.default_rng(0).standard_normal(3000)
-    out = simulator._render_sources(source[None, :], np.zeros((1, 3)), mics, fs)
+    out = simulator._render_sources(source[None, :], np.zeros((1, 3)), mics, fs, 3000)
     for m, (lag, d) in enumerate(zip(lags, dists)):
         expected = np.concatenate([np.zeros(lag), source[:-lag]]) / d
         np.testing.assert_allclose(out[m], expected, rtol=0, atol=1e-12)
@@ -242,14 +242,14 @@ def test_delay_varying_matches_windowed_sinc_reference(lo, hi):
     delay = np.linspace(lo, hi, n)  # crosses many integers
     delay[::5] = np.round(delay[::5])  # fraction exactly 0
     gain = rng.uniform(0.5, 2.0, n)
-    out = simulator._delay_varying(signal, delay[None], gain[None])[0]
+    out = simulator._delay_varying(signal, lambda: [(delay, gain)])[0]
     ref = _windowed_sinc_reference(signal, delay, gain)
     assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_delay_varying_integer_delay_is_shift():
     signal = np.random.default_rng(2).standard_normal(500)
-    out = simulator._delay_varying(signal, np.full((1, 500), 7.0), np.ones((1, 500)))[0]
+    out = simulator._delay_varying(signal, lambda: [(np.full(500, 7.0), np.ones(500))])[0]
     np.testing.assert_array_equal(out[7:], signal[:-7])
     np.testing.assert_array_equal(out[:7], 0.0)
 
@@ -289,11 +289,11 @@ def test_delay_varying_rows_equal_one_row_calls():
                        np.linspace(-5.5, 12.0, n)])
     delays[:, ::7] = np.round(delays[:, ::7])
     gains = rng.uniform(0.5, 2.0, delays.shape)
-    out = simulator._delay_varying(signal, delays, gains)
+    out = simulator._delay_varying(signal, lambda: zip(delays, gains))
     assert out.shape == delays.shape
     for row, delay, gain in zip(out, delays, gains):
         np.testing.assert_array_equal(
-            row, simulator._delay_varying(signal, delay[None], gain[None])[0])
+            row, simulator._delay_varying(signal, lambda: [(delay, gain)])[0])
 
 
 def test_farrow_fit_is_lazy_and_runs_once():
@@ -352,7 +352,7 @@ def test_render_babble_single_matches_static_render():
     out = simulator.render_babble(one, sig)
     oracle = simulator._render_sources(
         sig, scenario.babbler_positions[:1], scenario.mic_positions(),
-        scenario.sample_rate,
+        scenario.sample_rate, scenario.num_samples,
     )
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
@@ -363,6 +363,23 @@ def test_render_babble_needs_one_signal_per_position():
     with pytest.raises(simulator.SimulatorError,
                        match="^1 babbler signals for 20 positions"):
         simulator.render_babble(scenario, sig)
+
+
+def test_render_babble_reads_a_stream_as_its_array():
+    # the stream is read one signal at a time and renders the bits of its
+    # stacked signals; a count or a length that does not fit is refused
+    scenario = simulator.sample_scenario(4)
+    n = scenario.num_samples
+    args = ([4, 2], simulator.NUM_BABBLERS, scenario.duration_s, scenario.sample_rate)
+    np.testing.assert_array_equal(
+        simulator.render_babble(scenario, simulator.babbler_stream(*args)),
+        simulator.render_babble(scenario, simulator.synthesize_babbler_signals(*args)))
+    with pytest.raises(simulator.SimulatorError,
+                       match="^25 babbler signals for 20 positions$"):
+        simulator.render_babble(scenario, np.zeros((25, n)))
+    with pytest.raises(simulator.SimulatorError,
+                       match=rf"^babbler signal 1 has shape \({n - 1},\), expected \({n},\)$"):
+        simulator.render_babble(scenario, [np.zeros(n - 1)])
 
 
 def test_render_babble_zero_signals():
