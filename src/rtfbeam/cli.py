@@ -2,11 +2,17 @@
 evaluate.
 
 Scenario bundles are directories with fixed filenames (scenario.json,
-mixture.wav, ...). Every output file streams through one atomic writer,
-`_atomic_open`: a temp file in the target directory, renamed over the
-target on success and unlinked on failure, so a failed run leaves no
-partial files, except `results.csv`: checked before any work, then appended
-to, each row fsynced. Exit codes: 0 success, 2 configuration errors (flags
+mixture.wav, ...), written by `write_bundle` and read by `load_bundle`;
+the keys of ground_truth.json are one table that both walk. A loaded
+bundle holds only mixture.wav and clean.wav in memory: noise.wav and the
+true RTF files are checked by their headers, and a true trajectory is read
+only when a method asks for it.
+
+Every output file streams through one atomic writer, `_atomic_open`: a
+temp file in the target directory, renamed over the target on success and
+unlinked on failure, so a failed run leaves no partial files, except
+`results.csv`: checked before any work, then appended to, each row
+fsynced. Exit codes: 0 success, 2 configuration errors (flags
 out of range, a missing bundle file), 1 runtime failures.
 """
 
@@ -101,25 +107,40 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# the keys of ground_truth.json: key -> (its value in a bundle, as written;
+# the value read back). write_bundle and load_bundle both walk this table,
+# so a key the writer writes is one the reader requires
+GROUND_TRUTH_KEYS = {
+    "snr_db": (lambda b: b.snr_db, float),
+    "doa_per_frame_deg": (lambda b: b.truth.doa_per_frame.tolist(),
+                          lambda v: np.asarray(v, dtype=float)),
+    "active_frames": (lambda b: b.truth.active_frames.tolist(),
+                      lambda v: np.asarray(v, dtype=bool)),
+    "stft": (lambda b: dataclasses.asdict(b.config),
+             lambda v: stft.StftConfig(**{f.name: v[f.name]
+                                          for f in dataclasses.fields(stft.StftConfig)})),
+}
+
+
 def write_bundle(out_dir: Path, bundle: pipeline.SimBundle) -> None:
+    """Write a simulated bundle (one with its noise samples) to `out_dir`;
+    each side's truth is made from its maker, written and dropped."""
     rate = bundle.scenario.sample_rate
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "scenario.json", bundle.scenario.to_json())
     _write_wav(out_dir / "mixture.wav", rate, bundle.mixture)
     _write_wav(out_dir / "clean.wav", rate, bundle.clean)
     _write_wav(out_dir / "noise.wav", rate, bundle.noise)
-    for side, traj in bundle.truth.rtf.items():
+    for side, make in bundle.truth.rtf.items():
+        traj = make()
         # for readers of the bundle; load_bundle takes these rows from clean.wav
         ref = bundle.clean[traj.ref_channel]
         _write_wav(out_dir / f"clean_ref_{side}.wav", rate, ref)
         _write_trajectory(out_dir / f"rtf_true_{side}.rtfb", traj, bundle.config,
                           bundle.truth.doa_per_frame.size)
-    _write_text(out_dir / "ground_truth.json", json.dumps({
-        "snr_db": bundle.snr_db,
-        "doa_per_frame_deg": [float(x) for x in bundle.truth.doa_per_frame],
-        "active_frames": [bool(x) for x in bundle.truth.active_frames],
-        "stft": dataclasses.asdict(bundle.config),
-    }, indent=2))
+        del traj  # before the next side's is made
+    _write_text(out_dir / "ground_truth.json", json.dumps(
+        {key: write(bundle) for key, (write, _) in GROUND_TRUTH_KEYS.items()}, indent=2))
     _write_csv(
         out_dir / "doa.csv",
         ["frame", "doa_deg", "active"],
@@ -138,42 +159,55 @@ def _reading(path: Path):
         raise BundleError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
+def _truth_maker(path: Path):
+    """The truth maker of a loaded bundle: it reads `path` when called."""
+    return lambda: rtf.load_trajectory(path)[0]
+
+
 def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
     """Read a `write_bundle` directory: (M, N) and the sample rate come from
     scenario.json, the STFT, SNR and per-frame lists from ground_truth.json,
     and every other copy is checked against them in one (file, key, got, want)
     list. A present file that is unreadable, lacks a key or does not fit
-    raises an error naming it (exit 1); a missing one, FileNotFoundError (2)."""
+    raises an error naming it (exit 1); a missing one, FileNotFoundError (2).
+
+    Only mixture.wav and clean.wav are read whole. noise.wav and the
+    rtf_true_*.rtfb files are checked by their headers and sizes: the
+    bundle's `noise` is None, and each side's truth is a maker that reads
+    its file when called, so a command reads only the truth its method uses."""
     scenario_path, truth_path = bundle_dir / "scenario.json", bundle_dir / "ground_truth.json"
     with _reading(scenario_path):
         scenario = simulator.Scenario.from_json(scenario_path.read_text())
     m, n = scenario.num_mics, scenario.num_samples
     with _reading(truth_path):
         meta = json.loads(truth_path.read_text())
-        config = stft.StftConfig(**{f.name: meta["stft"][f.name]
-                                    for f in dataclasses.fields(stft.StftConfig)})
-        truth = simulator.GroundTruth(np.asarray(meta["doa_per_frame_deg"], dtype=float), {},
-                                      np.asarray(meta["active_frames"], dtype=bool))
-        snr_db, nframes = float(meta["snr_db"]), config.num_frames(n)
-    wavs = {name: stft.read_wav(bundle_dir / name, scenario.sample_rate)[1]
-            for name in ("mixture.wav", "clean.wav", "noise.wav")}
+        facts = {key: read(meta[key]) for key, (_, read) in GROUND_TRUTH_KEYS.items()}
+        config = facts["stft"]
+        truth = simulator.GroundTruth(facts["doa_per_frame_deg"], {}, facts["active_frames"])
+        nframes = config.num_frames(n)
+    rate = scenario.sample_rate
+    wavs = {name: stft.read_wav(bundle_dir / name, rate)[1]
+            for name in ("mixture.wav", "clean.wav")}
     fits = [*((bundle_dir / name, "(M, N)", x.shape, (m, n)) for name, x in wavs.items()),
+            (bundle_dir / "noise.wav", "(M, N)",
+             stft.read_wav_shape(bundle_dir / "noise.wav", rate)[1], (m, n)),
             (truth_path, "doa_per_frame_deg", truth.doa_per_frame.shape, (nframes,)),
             (truth_path, "active_frames", truth.active_frames.shape, (nframes,)),
-            (truth_path, "stft.sample_rate_hz", config.sample_rate_hz, scenario.sample_rate)]
+            (truth_path, "stft.sample_rate_hz", config.sample_rate_hz, rate)]
     for side, ref in rtf.reference_mics(m).items():
         path = bundle_dir / f"rtf_true_{side}.rtfb"
-        traj, written = rtf.load_trajectory(path)
-        truth.rtf[side] = traj
-        fits += [(path, "ref_channel", traj.ref_channel, ref),
-                 (path, "(F, M, L)", traj.values.shape, (config.num_bins, m, nframes)),
-                 *((path, key, value, getattr(config, key)) for key, value in written.items())]
+        header = rtf.read_trajectory_header(path)
+        truth.rtf[side] = _truth_maker(path)
+        fits += [(path, "ref_channel", header.ref_channel, ref),
+                 (path, "(F, M, L)", header.shape, (config.num_bins, m, nframes)),
+                 *((path, key, value, getattr(config, key))
+                   for key, value in header.stft.items())]
     misfits = [f"{path}: {key} {got}, expected {want}"
                for path, key, got, want in fits if got != want]
     if misfits:
         raise BundleError("; ".join(misfits))
-    return pipeline.SimBundle(scenario, config, wavs["clean.wav"], wavs["noise.wav"],
-                              wavs["mixture.wav"], truth, snr_db)
+    return pipeline.SimBundle(scenario, config, wavs["clean.wav"], None,
+                              wavs["mixture.wav"], truth, facts["snr_db"])
 
 
 def cmd_simulate(args) -> int:
@@ -195,7 +229,7 @@ def cmd_estimate_rtf(args) -> int:
         bundle, args.method, args.beta, args.loading, args.noise_frames
     )
     # score every side first: a side that cannot be scored writes no file
-    mse = {side: rtf.rtf_mse(traj, bundle.truth.rtf[side])
+    mse = {side: rtf.rtf_mse(traj, bundle.truth.rtf[side]())
            for side, traj in trajs.items()}
     for side, traj in trajs.items():
         _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config,

@@ -14,11 +14,19 @@ estimators and the weights. Only 'cw-batch' and 'past' build the whitener
 pair from it, inside `_trajectories`. Per-bin matrices, weights and
 beampatterns are plain ndarrays, in the layouts of `covariance` and `beamformer`.
 
-`evaluate_bundle` finishes one ear before it tracks the next: the left
-trajectory is scored, its weights written over its own buffer, applied and
-synthesized, and dropped; only then is the right one made, and the whitened
-frames of 'past' go after its track. So a 'past' cell holds at most the
-STFT, the whitened frames and one trajectory at a time.
+A bundle's truth is a maker per side (`simulator.GroundTruth`), called
+where the truth is read: by the 'oracle' trajectories and by the left RTF
+MSE. Every trajectory a cell weights is thus its own fresh array, an
+estimate or a truth just made, and `side_weights` writes the MVDR weights
+over its values whatever the method.
+
+`evaluate_bundle` finishes one ear before it tracks the next, and tracks
+the scored left ear last: the right trajectory is made, its weights
+written over its own buffer, applied and synthesized, and dropped; then
+the left one is made, and the whitened frames of 'past' go after its
+track, so the left truth it is scored against is made after they are
+gone. A 'past' cell holds at most the STFT, the whitened frames and one
+trajectory at a time, or the STFT, the left trajectory and its truth.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ class SimBundle:
     scenario: simulator.Scenario
     config: stft.StftConfig
     clean: np.ndarray  # (M, N)
-    noise: np.ndarray  # (M, N), unscaled babble
+    noise: np.ndarray | None  # (M, N), unscaled babble; None once loaded from disk
     mixture: np.ndarray  # (M, N) at the requested SNR
     truth: simulator.GroundTruth
     snr_db: float
@@ -76,7 +84,11 @@ def simulate(seed: int, snr_db: float, static: bool = False) -> SimBundle:
 
 
 def remix(bundle: SimBundle, snr_db: float) -> SimBundle:
-    """Same rendered scene at a different SNR (avoids re-rendering)."""
+    """Same rendered scene at a different SNR (avoids re-rendering). A
+    bundle loaded from disk carries no noise samples and is refused."""
+    if bundle.noise is None:
+        raise ValueError("this bundle carries no noise samples (a bundle loaded from "
+                         "disk reads only the header of noise.wav), so it cannot be remixed")
     mixture = simulator.mix_at_snr(bundle.clean, bundle.noise, snr_db)
     return SimBundle(
         bundle.scenario, bundle.config, bundle.clean, bundle.noise, mixture,
@@ -133,7 +145,7 @@ def _trajectories(
     if method == "oracle":
         if truth is None:
             raise ValueError("oracle method requires ground truth")
-        yield from ((side, truth.rtf[side]) for side, _ in refs)
+        yield from ((side, truth.rtf[side]()) for side, _ in refs)
         return
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
@@ -223,14 +235,12 @@ def side_weights(
     loading: float = beamformer.MVDR_LOADING,
 ) -> np.ndarray:
     """MVDR weights, (F, M, L'), from the `covariance.hermitian_evd` result
-    of Phi_nn; method 'none' passes the reference channel through. An
-    estimated trajectory ('cw-batch', 'past') is the caller's own: its
-    weights are written over its values, so score it first. An 'oracle'
-    trajectory is the bundle's truth and is left as it is."""
+    of Phi_nn; method 'none' passes the reference channel through. The
+    trajectory is the caller's own, an estimate or a truth fresh from its
+    maker: its weights are written over its values, so score it first."""
     if method == "none":  # the trivial 'none' trajectory is the passthrough
         return traj.values
-    out = None if method == "oracle" else traj.values
-    return beamformer.mvdr_weights(traj, phi_nn_evd, loading, out=out)
+    return beamformer.mvdr_weights(traj, phi_nn_evd, loading, out=traj.values)
 
 
 def beamform_side(
@@ -271,11 +281,12 @@ def evaluate_bundle(
         method=method,
     )
     # one side at a time: each is tracked, scored, beamformed and dropped
-    # before the next is tracked
+    # before the next is tracked. The scored left ear goes last, so its
+    # truth is made after the whitened frames of 'past' are dropped
     for side, traj in _trajectories(mix_spec, evd, ln, method, beta, loading,
-                                    bundle.truth, rtf.SIDES):
+                                    bundle.truth, rtf.SIDES[::-1]):
         if side == "left" and method != "none":  # before its weights overwrite it
-            report.rtf_mse_db = rtf.rtf_mse(traj, bundle.truth.rtf[side])
+            report.rtf_mse_db = rtf.rtf_mse(traj, bundle.truth.rtf[side]())
         enhanced = beamform_side(mix_spec, bundle.config, evd, traj, method,
                                  mvdr_loading)
         ref = traj.ref_channel

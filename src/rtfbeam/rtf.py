@@ -29,11 +29,14 @@ PAST start vector e_ref, and it is the trajectory's only side label.
 `reference_mics` is the one rule from a side to its reference mic: the left
 ear is mic 0, the right mic M-1. The ``.rtfb`` file stays (M, F, L) and
 writes the side as a byte, 0 for ref_channel 0 and 1 for any other; only
-`save_trajectory` and `load_trajectory` convert.
+`save_trajectory` and `load_trajectory` convert. `read_trajectory_header`
+checks a file by its header and its size alone, with the parser that
+`load_trajectory` uses.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -261,26 +264,58 @@ def save_trajectory(fh, traj: RtfTrajectory, config: StftConfig) -> None:
     fh.write(traj.values.transpose(1, 0, 2).astype(np.complex64, order="C"))
 
 
-def load_trajectory(path) -> tuple[RtfTrajectory, dict]:
-    """Read a `save_trajectory` file; a short, long or inconsistent one
-    raises RtfError naming `path`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise RtfError(f"{path}: {len(data)} bytes, shorter than the header")
-    magic, version, m, f, l, ref, side_code, rate, wlen, hop = _HEADER.unpack_from(data)
+@dataclass(frozen=True)
+class TrajectoryHeader:
+    """What a `save_trajectory` file says of itself: its (F, M, L) shape,
+    reference channel and the STFT it was written with."""
+
+    shape: tuple[int, int, int]
+    ref_channel: int
+    stft: dict  # sample_rate_hz, window_len, hop
+
+
+def _read_header(fh, path) -> TrajectoryHeader:
+    """Parse the header of the open `.rtfb` file `fh`, leaving `fh` at its
+    mask, and check the file's size against it; a short, long or
+    inconsistent file raises RtfError naming `path`."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise RtfError(f"{path}: {size} bytes, shorter than the header")
+    magic, version, m, f, l, ref, side_code, rate, wlen, hop = _HEADER.unpack(head)
     if magic != _MAGIC:
         raise RtfError(f"{path}: bad magic {magic!r} in trajectory file")
     if version != _VERSION:
         raise RtfError(f"{path}: unsupported trajectory version {version}")
     if not (ref < m and side_code == int(ref != 0)):
         raise RtfError(f"{path}: side byte {side_code} does not match ref_channel {ref} of M={m}")
-    mask_end = _HEADER.size + f * l
-    size = mask_end + 8 * m * f * l
-    if len(data) != size:
-        raise RtfError(f"{path}: {len(data)} bytes, expected {size} for M={m}, F={f}, L={l}")
-    valid = np.frombuffer(data, np.uint8, f * l, _HEADER.size).reshape(f, l).astype(bool)
-    values = np.frombuffer(data, np.complex64, offset=mask_end).reshape(m, f, l)
-    values = values.transpose(1, 0, 2).astype(np.complex128, order="C")  # (F, M, L)
-    meta = {"sample_rate_hz": rate, "window_len": wlen, "hop": hop}
-    return RtfTrajectory(values, ref, valid), meta
+    expected = _HEADER.size + f * l + 8 * m * f * l
+    if size != expected:
+        raise RtfError(f"{path}: {size} bytes, expected {expected} for M={m}, F={f}, L={l}")
+    return TrajectoryHeader((f, m, l), ref,
+                            {"sample_rate_hz": rate, "window_len": wlen, "hop": hop})
+
+
+def read_trajectory_header(path) -> TrajectoryHeader:
+    """The header of a `save_trajectory` file, checked as `load_trajectory`
+    checks it, size included, without reading its mask or values."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def load_trajectory(path) -> tuple[RtfTrajectory, dict]:
+    """Read a `save_trajectory` file; a short, long or inconsistent one
+    raises RtfError naming `path`. The complex64 values are read one mic's
+    (F, L) rows at a time into the (F, M, L) complex128 array, an exact
+    upcast: the file's bytes are never held whole beside it."""
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        f, m, l = header.shape
+        valid = np.frombuffer(fh.read(f * l), np.uint8).reshape(f, l).astype(bool)
+        values = np.empty((f, m, l), dtype=np.complex128)
+        row = np.empty((f, l), dtype=np.complex64)
+        for mic in range(m):
+            if fh.readinto(row.view(np.uint8)) != row.nbytes:
+                raise RtfError(f"{path}: cut short while it was read")
+            values[:, mic] = row
+    return RtfTrajectory(values, header.ref_channel, valid), header.stft

@@ -15,13 +15,18 @@ fitted once per process, so one matrix product filters the source by the 15
 coefficient columns for all mics, and each mic gathers the filtered signals
 at its integer delays and sums the polynomial by Clenshaw's recurrence. A
 mic's delay and gain rows are interpolated from its hop knots when its
-turn comes, in two reused N-sample buffers. The analytic RTFs and DOA of
-the same geometry are returned as ground truth for verifying the
-estimators, the ramps written straight into the (F, M, L) values. A static
-source's RTF is the same in every frame, so its truth keeps one frame,
-(F, M, 1), the L' = 1 rule of `rtf.RtfTrajectory`; a moving source's keeps
-all L. The babble's 4 Hz modulations share one sin and one cos of the time
-axis: each signal's phase enters by angle addition.
+turn comes, in two reused N-sample buffers. The babble's 4 Hz
+modulations share one sin and one cos of the time axis: each signal's
+phase enters by angle addition.
+
+The DOA and the analytic RTFs of the same geometry are returned as ground
+truth for verifying the estimators. The RTFs are kept as geometry, not
+arrays: each side's truth is a maker, a zero-argument call that computes a
+fresh trajectory each time it is called, its ramps written straight into
+the (F, M, L) values. So a held bundle holds no (F, M, L) truth, and a
+caller may write over what it is given. A static source's RTF is the same
+in every frame, so its truth has one frame, (F, M, 1), the L' = 1 rule of
+`rtf.RtfTrajectory`; a moving source's has all L.
 """
 
 from __future__ import annotations
@@ -144,7 +149,8 @@ class Scenario:
 @dataclass
 class GroundTruth:
     doa_per_frame: np.ndarray  # degrees, (L,)
-    rtf: dict[str, RtfTrajectory]  # side -> analytic trajectory
+    # side -> maker of its trajectory: each call returns a fresh one
+    rtf: dict[str, Callable[[], RtfTrajectory]]
     active_frames: np.ndarray  # bool (L,)
 
 
@@ -365,8 +371,8 @@ def render_moving_source(
     """Free-field render of the (possibly moving) target source.
 
     Returns the (M, N) multichannel clean signal and ground truth sampled
-    at STFT frame centers: DOA and the analytic RTF trajectory of each side,
-    one frame for a static source and L for a moving one.
+    at STFT frame centers: DOA, and a maker of the analytic RTF trajectory
+    of each side, one frame for a static source and L for a moving one.
     """
     source = np.asarray(source, dtype=np.float64)
     n = scenario.num_samples
@@ -403,7 +409,7 @@ def render_moving_source(
     doa = scenario.source_doa_deg(frame_times)
     # a pinned source has one RTF: its truth is the first frame's, (F, M, 1)
     rtf_times = frame_times[:1] if scenario.source_delta_deg == 0.0 else frame_times
-    rtfs = {side: _analytic_rtf(scenario, rtf_times, config, ref)
+    rtfs = {side: functools.partial(_analytic_rtf, scenario, rtf_times, config, ref)
             for side, ref in reference_mics(scenario.num_mics).items()}
 
     frame_energy = np.sum(config.frames(clean[0]) ** 2, axis=-1)

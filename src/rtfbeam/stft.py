@@ -27,12 +27,14 @@ scipy.io.wavfile.write writes. `read_wav` reads little-endian RIFF with
 PCM16, PCM32, float32 or float64 samples, also under WAVE_FORMAT_EXTENSIBLE,
 and skips any other chunk; anything else (8- or 24-bit PCM, A-law, RIFX,
 RF64, a missing `fmt ` or `data` chunk, a truncated file) raises an
-StftError that names the file.
+StftError that names the file. `read_wav_shape` checks a file by the same
+header parser and its size, without reading a sample.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -159,52 +161,71 @@ _SAMPLE_TYPES = {(_PCM, 16): "<i2", (_PCM, 32): "<i4",
                  (_IEEE_FLOAT, 32): "<f4", (_IEEE_FLOAT, 64): "<f8"}
 
 
-def read_wav(path, expected_rate: int | None = None) -> tuple[int, np.ndarray]:
-    """Read a WAV file as C-contiguous float64 (channels, samples) in
-    [-1, 1] scaling: each channel's samples are adjacent in memory, as
-    `analyze` reads them."""
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
-            raise StftError(f"{path}: no RIFF/WAVE header")
-        fmt = None
-        while True:
-            chunk = fh.read(8)
-            if len(chunk) < 8:
-                raise StftError(f"{path}: no {'fmt ' if fmt is None else 'data'} chunk")
-            size = struct.unpack("<I", chunk[4:])[0]
-            if chunk[:4] == b"data":
-                break
-            if chunk[:4] == b"fmt ":
-                fmt = fh.read(size)
-                if size < 16 or len(fmt) < size:
-                    raise StftError(f"{path}: short fmt chunk")
-            else:
-                fh.seek(size, 1)
-            fh.seek(size & 1, 1)  # chunks are padded to an even length
-        if fmt is None:
-            raise StftError(f"{path}: no fmt chunk before the data chunk")
-        tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
-        if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _GUID_TAIL:
-            tag = struct.unpack("<I", fmt[24:28])[0]
-        dtype = _SAMPLE_TYPES.get((tag, bits))
-        if dtype is None or channels == 0 or block_align != channels * bits // 8:
-            raise StftError(f"{path}: unsupported sample format (tag {tag:#x}, "
-                            f"{bits}-bit, {channels} channels)")
-        data = fh.read(size)
-    if len(data) < size:
-        raise StftError(f"{path}: short data chunk ({len(data)} of {size} bytes)")
+def _wav_header(fh, path, expected_rate: int | None) -> tuple[int, int, int, str, int]:
+    """Parse the RIFF chunks of the open file `fh` up to its data chunk, which
+    `fh` is left at; returns (rate, format tag, channels, sample dtype, data
+    bytes). A data chunk the file is too short for is refused from the file
+    size, so the samples need not be read to find it."""
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+        raise StftError(f"{path}: no RIFF/WAVE header")
+    fmt = None
+    while True:
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            raise StftError(f"{path}: no {'fmt ' if fmt is None else 'data'} chunk")
+        size = struct.unpack("<I", chunk[4:])[0]
+        if chunk[:4] == b"data":
+            break
+        if chunk[:4] == b"fmt ":
+            fmt = fh.read(size)
+            if size < 16 or len(fmt) < size:
+                raise StftError(f"{path}: short fmt chunk")
+        else:
+            fh.seek(size, 1)
+        fh.seek(size & 1, 1)  # chunks are padded to an even length
+    if fmt is None:
+        raise StftError(f"{path}: no fmt chunk before the data chunk")
+    tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _GUID_TAIL:
+        tag = struct.unpack("<I", fmt[24:28])[0]
+    dtype = _SAMPLE_TYPES.get((tag, bits))
+    if dtype is None or channels == 0 or block_align != channels * bits // 8:
+        raise StftError(f"{path}: unsupported sample format (tag {tag:#x}, "
+                        f"{bits}-bit, {channels} channels)")
+    present = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
+    if present < size:
+        raise StftError(f"{path}: short data chunk ({present} of {size} bytes)")
     if size % block_align:
         raise StftError(f"{path}: data chunk of {size} bytes holds a partial "
                         f"{block_align}-byte frame")
     if expected_rate is not None and rate != expected_rate:
         raise StftError(f"{path}: sample rate {rate} != expected {expected_rate}")
+    return rate, tag, channels, dtype, size
+
+
+def read_wav_shape(path, expected_rate: int | None = None) -> tuple[int, tuple[int, int]]:
+    """The sample rate and (channels, samples) of a WAV file, from its header
+    and its size alone: the file is refused as `read_wav` refuses it, but
+    no sample is read."""
+    with open(path, "rb") as fh:
+        rate, _, channels, dtype, size = _wav_header(fh, path, expected_rate)
+    return rate, (channels, size // (channels * np.dtype(dtype).itemsize))
+
+
+def read_wav(path, expected_rate: int | None = None) -> tuple[int, np.ndarray]:
+    """Read a WAV file as C-contiguous float64 (channels, samples) in
+    [-1, 1] scaling: each channel's samples are adjacent in memory, as
+    `analyze` reads them."""
+    with open(path, "rb") as fh:
+        rate, tag, channels, dtype, size = _wav_header(fh, path, expected_rate)
+        data = fh.read(size)
     # the file interleaves the channels, (samples, channels): one copy
     # converts and transposes
     samples = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
     out = np.ascontiguousarray(samples.T, dtype=np.float64)
     if tag == _PCM:
-        out /= float(1 << (bits - 1))
+        out /= float(1 << (8 * samples.itemsize - 1))
     return rate, out
 
 

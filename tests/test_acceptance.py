@@ -92,7 +92,7 @@ def test_acceptance_4_mse_snr_trend(capsys):
             traj = pipeline.estimate_trajectory(
                 spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
             )["left"]
-            sums[i] += rtf.rtf_mse(traj, bundle.truth.rtf["left"])
+            sums[i] += rtf.rtf_mse(traj, bundle.truth.rtf["left"]())
     means = sums / num_seeds
     elapsed = time.perf_counter() - start
     monotone = bool(np.all(np.diff(means) < 0))

@@ -66,7 +66,7 @@ def test_outputs_match_golden_table(golden_bundles):
         for side, traj in trajs.items():
             assert np.count_nonzero(traj.valid) == cell[f"valid_{side}"], (cell, side)
         if method != "none":
-            mse = rtf.rtf_mse(trajs["right"], bundle.truth.rtf["right"])
+            mse = rtf.rtf_mse(trajs["right"], bundle.truth.rtf["right"]())
             assert abs(mse - cell["rtf_mse_right_db"]) <= TOL_DB, (cell, mse)
         assert ("wideband_sum" in cell) == (method in ("past", "oracle"))
         if "wideband_sum" in cell:

@@ -199,7 +199,7 @@ def test_cw_static_scenario_mse(static_bundle):
     traj = pipeline.estimate_trajectory(
         spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
     )["left"]
-    assert rtf.rtf_mse(traj, bundle.truth.rtf["left"]) <= -20.0
+    assert rtf.rtf_mse(traj, bundle.truth.rtf["left"]()) <= -20.0
 
 
 # -------------------------------------------------------------- tracking
@@ -269,7 +269,7 @@ def test_track_static_scene_mse(static_bundle):
     traj = pipeline.estimate_trajectory(
         spec, evd, static_bundle.noise_frames, "past", sides=("left",)
     )["left"]
-    assert rtf.rtf_mse(traj, static_bundle.truth.rtf["left"]) <= -20.0
+    assert rtf.rtf_mse(traj, static_bundle.truth.rtf["left"]()) <= -20.0
 
 
 @pytest.mark.xfail(
@@ -286,7 +286,7 @@ def test_track_moving_scene_mse(moving_bundle):
     traj = pipeline.estimate_trajectory(
         spec, evd, moving_bundle.noise_frames, "past", sides=("left",)
     )["left"]
-    assert rtf.rtf_mse(traj, moving_bundle.truth.rtf["left"]) <= -15.0
+    assert rtf.rtf_mse(traj, moving_bundle.truth.rtf["left"]()) <= -15.0
 
 
 def test_track_parameter_validation():
@@ -459,7 +459,7 @@ def test_mse_monotone_with_snr(static_bundle):
         traj = pipeline.estimate_trajectory(
             spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
         )["left"]
-        mses.append(rtf.rtf_mse(traj, bundle.truth.rtf["left"]))
+        mses.append(rtf.rtf_mse(traj, bundle.truth.rtf["left"]()))
     assert all(b < a for a, b in zip(mses, mses[1:]))
 
 
@@ -480,6 +480,8 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.valid, valid)
     assert loaded.ref_channel == 1
     assert meta == {"sample_rate_hz": 16000, "window_len": 4, "hop": 2}
+    # the header alone says as much, without the mask or the values
+    assert rtf.read_trajectory_header(path) == rtf.TrajectoryHeader((3, 2, 4), 1, meta)
 
 
 def test_trajectory_file_body_is_channel_major(tmp_path):
@@ -530,6 +532,9 @@ def test_trajectory_load_rejects_a_damaged_file(tmp_path, damage):
     path.write_bytes(bytes(data))
     with pytest.raises(rtf.RtfError, match=re.escape(str(path))):
         rtf.load_trajectory(path)
+    # the header check refuses it too, from the file size where the body is cut
+    with pytest.raises(rtf.RtfError, match=re.escape(str(path))):
+        rtf.read_trajectory_header(path)
 
 
 def test_trajectory_save_accepts_file_object():

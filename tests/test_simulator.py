@@ -153,7 +153,7 @@ def test_ground_truth_rtf_matches_geometry_oracle(moving_bundle):
             a = (dists[0] / dists) * np.exp(
                 -2j * np.pi * freqs[k] * (dists - dists[0]) / SPEED_OF_SOUND
             )
-            np.testing.assert_allclose(truth.rtf["left"].values[k, :, l], a, atol=1e-9)
+            np.testing.assert_allclose(truth.rtf["left"]().values[k, :, l], a, atol=1e-9)
 
 
 def test_static_truth_is_one_frame_of_the_per_frame_truth(static_bundle, moving_bundle):
@@ -163,7 +163,7 @@ def test_static_truth_is_one_frame_of_the_per_frame_truth(static_bundle, moving_
     nframes = static_bundle.truth.doa_per_frame.size
     frame_times = (np.arange(nframes) * cfg.hop + cfg.window_len / 2) / scenario.sample_rate
     for side, ref in (("left", 0), ("right", scenario.num_mics - 1)):
-        truth = static_bundle.truth.rtf[side]
+        truth = static_bundle.truth.rtf[side]()
         assert truth.values.shape == (cfg.num_bins, scenario.num_mics, 1)
         assert truth.valid.shape == (cfg.num_bins, 1)
         per_frame = simulator._analytic_rtf(scenario, frame_times, cfg, ref)
@@ -172,7 +172,8 @@ def test_static_truth_is_one_frame_of_the_per_frame_truth(static_bundle, moving_
         np.testing.assert_array_equal(
             np.broadcast_to(truth.valid, per_frame.valid.shape), per_frame.valid)
     moving = moving_bundle.truth
-    for traj in moving.rtf.values():
+    for make in moving.rtf.values():
+        traj = make()
         assert traj.values.shape[2] == traj.valid.shape[1] == moving.doa_per_frame.size
 
 

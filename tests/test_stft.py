@@ -244,14 +244,17 @@ def _odd_list_before_data():
     return _riff((b"fmt ", _fmt(1, 2, 16)), (b"LIST", b"INFOodd"), (b"data", data.tobytes()))
 
 
-@pytest.mark.parametrize("make", [
+WAV_FILES = [
     pytest.param(lambda p: wavfile.write(p, 16000, _samples("<i2")), id="pcm16"),
     pytest.param(lambda p: wavfile.write(p, 16000, _samples("<i4")), id="pcm32"),
     pytest.param(lambda p: wavfile.write(p, 16000, _samples("<f4")), id="float32"),
     pytest.param(lambda p: wavfile.write(p, 16000, _samples("<f8", (400,))), id="float64-mono"),
     pytest.param(lambda p: p.write_bytes(_extensible_float32()), id="extensible-float32"),
     pytest.param(lambda p: p.write_bytes(_odd_list_before_data()), id="odd-list-chunk"),
-])
+]
+
+
+@pytest.mark.parametrize("make", WAV_FILES)
 def test_read_wav_matches_scipy(tmp_path, make):
     path = tmp_path / "x.wav"
     make(path)
@@ -272,7 +275,7 @@ def _cut(nbytes):
     return make
 
 
-@pytest.mark.parametrize("make,defect", [
+WAV_DEFECTS = [
     pytest.param(lambda p: wavfile.write(p, 16000, _samples("u1")),
                  "unsupported sample format (tag 0x1, 8-bit", id="pcm8"),
     pytest.param(lambda p: p.write_bytes(_riff((b"fmt ", _fmt(1, 2, 24)), (b"data", bytes(60)))),
@@ -291,10 +294,32 @@ def _cut(nbytes):
     pytest.param(_cut(400), "short data chunk (342 of 800 bytes)", id="short-data"),
     pytest.param(lambda p: p.write_bytes(_riff((b"fmt ", _fmt(1, 2, 16)), (b"data", bytes(6)))),
                  "data chunk of 6 bytes holds a partial 4-byte frame", id="partial-frame"),
-])
+]
+
+
+@pytest.mark.parametrize("make,defect", WAV_DEFECTS)
 def test_read_wav_names_the_path_and_the_defect(tmp_path, make, defect):
     path = tmp_path / "bad.wav"
     make(path)
     with pytest.raises(stft.StftError) as err:
         stft.read_wav(path)
+    assert str(err.value).startswith(f"{path}: {defect}")
+
+
+@pytest.mark.parametrize("make", WAV_FILES)
+def test_read_wav_shape_is_the_shape_read_wav_reads(tmp_path, make):
+    path = tmp_path / "x.wav"
+    make(path)
+    rate, data = stft.read_wav(path)
+    assert stft.read_wav_shape(path) == (rate, data.shape)
+
+
+@pytest.mark.parametrize("make,defect", WAV_DEFECTS)
+def test_read_wav_shape_refuses_what_read_wav_refuses(tmp_path, make, defect):
+    # one header parser: the samples are not read, but a data chunk the file
+    # is too short for is refused from the file size, with the same message
+    path = tmp_path / "bad.wav"
+    make(path)
+    with pytest.raises(stft.StftError) as err:
+        stft.read_wav_shape(path)
     assert str(err.value).startswith(f"{path}: {defect}")

@@ -9,14 +9,17 @@ each scene at 10 dB: `simulate`; then `estimate-rtf`, `beamform` and
 `beampattern` for each of the four methods, each method on its own copy of
 the bundle; then `evaluate --snrs 0,10` over the four methods. It writes
 DIR/manifest.json: every command with its exit code, and the sha256 of every
-file written. It exits 1 when a command's exit code is not the expected one
-(`beampattern --method none` exits 1: a flat pattern has no scorable frame).
+file written, and each command's peak resident memory (the child's
+`ru_maxrss`, from `os.wait4`). It exits 1 when a command's exit code is not
+the expected one (`beampattern --method none` exits 1: a flat pattern has no
+scorable frame).
 
 `compare` reads two such directories and prints, per file, "identical", or
 how many values moved with the largest absolute and relative move. WAV,
 `.rtfb`, `.npy`, CSV and JSON files are decoded with rtfbeam's own readers
-(this tree's). It exits 0 only when every file is identical and every exit
-code matches.
+(this tree's). It then prints the two trees' peak memory per command, where
+both manifests hold it. It exits 0 only when every file is identical and
+every exit code matches; the peaks are reported, never judged.
 
 Byte identity depends on the BLAS and the platform, so this is a developer
 tool for A/B checks of a change, not a test.
@@ -62,6 +65,19 @@ def _scene_commands(kind: str, seed: int, root: Path):
            "--out", str(root / "evaluate.csv")], 0, None
 
 
+def _run_cli(argv: list[str], env: dict) -> tuple[int, str, float]:
+    """Run `python -m rtfbeam.cli argv`; returns its exit code, its stderr and
+    its peak resident memory: Linux's ru_maxrss, in KiB, over 1024, the MB
+    that perfbench's `peak_rss_mb` reports."""
+    proc = subprocess.Popen([sys.executable, "-m", "rtfbeam.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return proc.returncode, err, usage.ru_maxrss / 1024
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -80,14 +96,12 @@ def run(tree: Path, out: Path, scenes: list[tuple[str, int]]) -> int:
             if copy is not None and not copy.exists():
                 (bundle,) = (root / "bundle").iterdir()
                 shutil.copytree(bundle, copy)
-            proc = subprocess.run([sys.executable, "-m", "rtfbeam.cli", *argv], env=env,
-                                  capture_output=True, text=True)
+            code, err, peak_mb = _run_cli(argv, env)
             shown = " ".join(argv).replace(str(out) + os.sep, "")
-            commands.append({"argv": shown, "exit": proc.returncode})
-            if proc.returncode != expected:
+            commands.append({"argv": shown, "exit": code, "peak_rss_mb": round(peak_mb, 1)})
+            if code != expected:
                 bad += 1
-                print(f"exit {proc.returncode}, expected {expected}: {shown}\n{proc.stderr}",
-                      file=sys.stderr)
+                print(f"exit {code}, expected {expected}: {shown}\n{err}", file=sys.stderr)
     files = {p.relative_to(out).as_posix(): _sha256(p)
              for p in sorted(out.rglob("*")) if p.is_file()}
     manifest = {"tree": str(tree), "commands": commands, "files": files}
@@ -156,8 +170,9 @@ def _describe(a_path: Path, b_path: Path) -> str:
 
 def compare(a_dir: Path, b_dir: Path) -> int:
     a, b = (json.loads((d / "manifest.json").read_text()) for d in (a_dir, b_dir))
-    exits_match = a["commands"] == b["commands"]
-    for ca, cb in itertools.zip_longest(a["commands"], b["commands"]):
+    runs = [[(c["argv"], c["exit"]) for c in m["commands"]] for m in (a, b)]
+    exits_match = runs[0] == runs[1]
+    for ca, cb in itertools.zip_longest(*runs):
         if ca != cb:
             print(f"command: {ca} against {cb}")
     identical = 0
@@ -170,6 +185,11 @@ def compare(a_dir: Path, b_dir: Path) -> int:
             print(f"{name}: identical")
         else:
             print(f"{name}: {_describe(a_dir / name, b_dir / name)}")
+    # a manifest written before the tool read ru_maxrss holds no peaks
+    for ca, cb in zip(a["commands"], b["commands"]):
+        if "peak_rss_mb" in ca and "peak_rss_mb" in cb and ca["argv"] == cb["argv"]:
+            print(f"peak RSS {ca['peak_rss_mb']:7.1f} -> {cb['peak_rss_mb']:7.1f} MB: "
+                  f"{ca['argv']}")
     print(f"{identical} of {len(names)} files sha256-identical; commands and exit codes "
           f"{'match' if exits_match else 'differ'} ({len(a['commands'])} commands)")
     return 0 if identical == len(names) and exits_match else 1
