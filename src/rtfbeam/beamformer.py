@@ -8,7 +8,9 @@ broadside angle grid; the wideband pattern is a plain (T, L') ndarray over
 those T angles. The weights w(l,k) are a plain complex (F, M, L') ndarray,
 bin-major like the RTF trajectory, with L' = L or 1 for weights that hold
 in every frame; they are applied as s = w^H y. `mvdr_weights` can write
-them over the trajectory's own buffer.
+them over the trajectory's own buffer, and weight a trajectory a block of
+frames at a time, its zero-order hold carried from block to block in a
+`WeightHold`.
 """
 
 from __future__ import annotations
@@ -38,21 +40,50 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kml,kml->kl", a.conj(), b)
 
 
+class WeightHold:
+    """The zero-order hold of `mvdr_weights` across the frame blocks of one
+    trajectory: each bin's weights at the last frame so far (the reference
+    passthrough before its first valid frame), and whether it has had a
+    valid frame. It also keeps the loaded inverse of Phi_nn, made at the
+    first block: a trajectory's blocks are weighted with one Phi_nn and one
+    loading."""
+
+    def __init__(self, nbins: int, num_mics: int, ref_channel: int):
+        self.weights = np.zeros((nbins, num_mics), dtype=np.complex128)
+        self.weights[:, ref_channel] = 1.0
+        self.live = np.zeros(nbins, dtype=bool)
+        self.inverse = None
+
+    def warn_dead_bins(self) -> None:
+        """Warn of the bins that had no valid frame, the Nyquist bin (invalid
+        by design) aside: their weights are the reference passthrough."""
+        dead = int(np.sum(~self.live[:-1]))
+        if dead:
+            warnings.warn(f"{dead} bins have no valid RTF; using reference passthrough weights")
+
+
 def mvdr_weights(
     rtf: RtfTrajectory,
     phi_nn_evd: tuple[np.ndarray, np.ndarray],
     loading: float = MVDR_LOADING,
     out: np.ndarray | None = None,
+    hold: WeightHold | None = None,
 ) -> np.ndarray:
     """Distortionless MVDR weights per (k, l): w = Phi^{-1}a / (a^H Phi^{-1}a).
 
     Phi^{-1} is the loaded inverse from `phi_nn_evd`, the `hermitian_evd`
     result of the noise covariance. Invalid RTF cells, which hold e_ref
     (`rtf._trajectory`), reuse the previous frame's weights; a bin with no
-    valid cell at all falls back to reference-channel passthrough. This is the package's only zero-order
-    hold, and the weights do not depend on the values of invalid cells.
-    A one-frame trajectory gives one-frame weights: one solve per bin. The
-    Nyquist bin, invalid by design, is not counted in the dead-bin warning.
+    valid cell so far falls back to reference-channel passthrough. This is
+    the package's only zero-order hold, and the weights do not depend on
+    the values of invalid cells. A one-frame trajectory gives one-frame
+    weights: one solve per bin.
+
+    `hold` carries the hold, and the loaded inverse, from the frames before
+    these, a block of a trajectory, and takes their last frame's weights;
+    its caller warns of the dead bins after the last block. None holds nothing before the first
+    frame and warns here, once per trajectory, of the bins with no valid
+    cell, the Nyquist bin (invalid by design) aside.
 
     The weights go into `out`, an (F, M, L') array that may be the
     trajectory's own values, which they then replace, or a new array if
@@ -62,7 +93,11 @@ def mvdr_weights(
     nbins, m, nframes = rtf.values.shape
     if phi_nn_evd.eigenvalues.shape != (nbins, m):
         raise BeamformerError("noise covariance shape does not match RTF")
-    inv = loaded_power(phi_nn_evd, -1.0, loading)
+    whole = hold is None
+    if whole:
+        hold = WeightHold(nbins, m, rtf.ref_channel)
+    if hold.inverse is None:
+        hold.inverse = loaded_power(phi_nn_evd, -1.0, loading)
 
     def solve(inv, a, den):  # Phi^{-1} a, and a^H Phi^{-1} a into `den`
         num = inv @ a
@@ -71,22 +106,20 @@ def mvdr_weights(
 
     den = np.empty((nbins, nframes))
     num = np.empty((nbins, m, nframes), dtype=np.complex128) if out is None else out
-    by_bins(solve, inv, rtf.values, den, out=num)
+    by_bins(solve, hold.inverse, rtf.values, den, out=num)
     ok = rtf.valid & (den > 1e-300)
-    dead_bins = ~np.any(ok[:-1], axis=1)
-    if np.any(dead_bins):
-        warnings.warn(
-            f"{int(np.sum(dead_bins))} bins have no valid RTF; "
-            "using reference passthrough weights"
-        )
     num /= np.where(ok, den, 1.0)[:, None]
     # zero-order hold: each invalid cell takes the weights of its bin's last
-    # valid frame, or the reference passthrough where there is none
+    # valid frame, or the held ones where there is none in these frames
     last = np.maximum.accumulate(np.where(ok, np.arange(nframes), -1), axis=1)
     k, l = np.nonzero(~ok & (last >= 0))
     num[k, :, l] = num[k, :, last[k, l]]
     k, l = np.nonzero(last < 0)
-    num[k, :, l] = np.eye(m)[rtf.ref_channel]
+    num[k, :, l] = hold.weights[k]
+    hold.weights[:] = num[:, :, -1]
+    hold.live |= np.any(ok, axis=1)
+    if whole:
+        hold.warn_dead_bins()
     return num
 
 

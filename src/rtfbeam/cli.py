@@ -6,7 +6,7 @@ mixture.wav, ...), written by `write_bundle` and read by `load_bundle`;
 the keys of ground_truth.json are one table that both walk. A loaded
 bundle holds only mixture.wav and clean.wav in memory: noise.wav and the
 true RTF files are checked by their headers, and a true trajectory is read
-only when a method asks for it.
+only when a method asks for it, and only the frames it asks for.
 
 Every output file streams through one atomic writer, `_atomic_open`: a
 temp file in the target directory, renamed over the target on success and
@@ -160,8 +160,9 @@ def _reading(path: Path):
 
 
 def _truth_maker(path: Path):
-    """The truth maker of a loaded bundle: it reads `path` when called."""
-    return lambda: rtf.load_trajectory(path)[0]
+    """The truth maker of a loaded bundle: it reads the frames it is asked
+    for (all by default) from `path` when called."""
+    return lambda frames=slice(None): rtf.load_trajectory(path, frames)[0]
 
 
 def load_bundle(bundle_dir: Path) -> pipeline.SimBundle:
@@ -225,15 +226,15 @@ def cmd_simulate(args) -> int:
 def cmd_estimate_rtf(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
-    mix_spec, _, trajs = pipeline.estimate(
-        bundle, args.method, args.beta, args.loading, args.noise_frames
-    )
+    # the spectrum is dropped here, before the sides are scored
+    trajs = pipeline.estimate(bundle, args.method, args.beta, args.loading,
+                              args.noise_frames)[2]
     # score every side first: a side that cannot be scored writes no file
     mse = {side: rtf.rtf_mse(traj, bundle.truth.rtf[side]())
            for side, traj in trajs.items()}
+    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
     for side, traj in trajs.items():
-        _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config,
-                          mix_spec.shape[2])
+        _write_trajectory(bundle_dir / f"rtf_est_{side}.rtfb", traj, bundle.config, nframes)
         print(f"{side}: MSE {mse[side]:.2f} dB")
     _write_csv(bundle_dir / "rtf_mse.csv", ["side", "method", "mse_db"],
                ((side, args.method, value) for side, value in mse.items()))

@@ -27,6 +27,12 @@ DEFAULT_LOADING = 1e-6
 HERMITIAN_TOL = 1e-12
 # bins per block of `by_bins`: a (32, 8, 249) complex128 block is 1 MB
 _BIN_CHUNK = 32
+# BLAS sums the trailing columns of a product whose count is not a multiple
+# of its unroll (4, 8 or 16) in another order than the rest. A product over
+# a block of columns that starts on a multiple of this many columns of the
+# whole, and ends on one or at the end of the whole, has the bits of those
+# columns of one product over the whole
+PRODUCT_ALIGN = 32
 
 
 class CovarianceError(ValueError):

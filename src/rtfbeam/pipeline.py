@@ -2,31 +2,42 @@
 
 The CLI and the batch evaluation sweep are thin wrappers around these
 functions; they are also the entry points the verification suite drives.
-`_analysis` is the one path from a bundle to its STFT and noise
-statistics, `_trajectories` the one path from those to RTF trajectories
-(`estimate` and `estimate_trajectory` collect them into a dict) and
-`side_weights` the one rule from a trajectory to weights: `evaluate_bundle`
-and `beampattern` both go through them.
+`_spectrum` is the one path from a bundle's mixture to the STFT of a block
+of frames, `estimate_trajectory` the one path from that and the noise
+statistics to RTF trajectories, all frames at once (`estimate`) or a block
+at a time with a `BlockState` (`_blocks`), and `side_weights` the one rule
+from a trajectory to weights: `evaluate_bundle` and `beampattern` both go
+through them.
 
 The noise statistics of a bundle are the one `covariance.hermitian_evd`
 result of Phi_nn that `noise_stats` returns; it is passed on to the
 estimators and the weights. Only 'cw-batch' and 'past' build the whitener
-pair from it, inside `_trajectories`. Per-bin matrices, weights and
-beampatterns are plain ndarrays, in the layouts of `covariance` and `beamformer`.
+pair from it, once per trajectory. Per-bin matrices, weights and beampatterns
+are plain ndarrays, in the layouts of `covariance` and `beamformer`.
 
 A bundle's truth is a maker per side (`simulator.GroundTruth`), called
-where the truth is read: by the 'oracle' trajectories and by the left RTF
-MSE. Every trajectory a cell weights is thus its own fresh array, an
-estimate or a truth just made, and `side_weights` writes the MVDR weights
-over its values whatever the method.
+where the truth is read, for the frames it is read for: by the 'oracle'
+trajectories and by the left RTF MSE. Every trajectory a cell weights is
+thus its own fresh array, an estimate or a truth just made, and
+`side_weights` writes the MVDR weights over its values whatever the method.
 
-`evaluate_bundle` finishes one ear before it tracks the next, and tracks
-the scored left ear last: the right trajectory is made, its weights
-written over its own buffer, applied and synthesized, and dropped; then
-the left one is made, and the whitened frames of 'past' go after its
-track, so the left truth it is scored against is made after they are
-gone. A 'past' cell holds at most the STFT, the whitened frames and one
-trajectory at a time, or the STFT, the left trajectory and its truth.
+`evaluate_bundle` runs a cell in blocks of frames (`_frame_blocks`).
+'past', 'oracle' and 'none' are causal: they run blocks of _FRAME_BLOCK
+frames, the first holding the noise-only frames, and Phi_nn and its one EVD
+come from that block. Each block is analysed and, for 'past', whitened
+once, and each side is tracked (carrying its `rtf.PastState`), de-whitened
+and finished, the last one over the whitened frames, or made from the
+truth. Then each side in turn, the scored left ear last, is scored
+(`rtf.mse_terms`; the last block's `rtf.rtf_mse` reduces them all once),
+weighted (carrying its `beamformer.WeightHold`), applied and overlap-added
+into its enhanced signal (`stft.synthesize`). The left truth block is made
+once: for 'oracle' it is both the trajectory and what it is scored
+against. A causal cell thus holds at most one block's STFT, whitened frames
+and trajectories, or its STFT, left trajectory and left truth, and every
+output has the bits of one block of all frames. 'cw-batch' needs Phi_yy
+over all frames, so its cell is that one block. `beampattern` makes its
+weights in the same blocks and holds them whole; `estimate` keeps whole
+trajectories.
 """
 
 from __future__ import annotations
@@ -43,6 +54,10 @@ METHODS = ("cw-batch", "past", "oracle", "none")
 # power is dead: on 16 clean scenes (seeds 0-7, static and moving, 10 dB)
 # every mic lies within 0.965-1.054 of the median, a zeroed one at exactly 0
 DEAD_MIC_POWER_RATIO = 0.01
+# frames per block of a 'past', 'oracle' or 'none' cell, a multiple of
+# covariance.PRODUCT_ALIGN: a (257, 8, 64) complex128 block is a quarter of
+# the STFT of a 4 s scene
+_FRAME_BLOCK = 64
 
 
 @dataclass
@@ -120,49 +135,95 @@ def noise_stats(
     return covariance.hermitian_evd(phi_nn)
 
 
-def _trajectories(
-    mix_spec: np.ndarray,
+def _frame_blocks(num_frames: int, noise_frames: int, method: str) -> list[slice]:
+    """The blocks of frames a cell runs: all frames at once for 'cw-batch',
+    whose Phi_yy spans them; else blocks of _FRAME_BLOCK frames, the first
+    as many of them as hold the `noise_frames` that Phi_nn is estimated
+    from. Every block starts on a multiple of _FRAME_BLOCK, so the per-bin
+    products over a block's frames (whitening, MVDR) have the bits of one
+    product over all frames (`covariance.PRODUCT_ALIGN`)."""
+    if method == "cw-batch":
+        return [slice(0, num_frames)]
+    first = min(-(-noise_frames // _FRAME_BLOCK) * _FRAME_BLOCK, num_frames)
+    return [slice(0, first), *(slice(l0, min(l0 + _FRAME_BLOCK, num_frames))
+                               for l0 in range(first, num_frames, _FRAME_BLOCK))]
+
+
+def _samples(frames: slice, config: stft.StftConfig) -> slice:
+    """The samples that the frames `frames` cover."""
+    return slice(frames.start * config.hop, (frames.stop - 1) * config.hop + config.window_len)
+
+
+def _spectrum(mixture: np.ndarray, config: stft.StftConfig, frames: slice) -> np.ndarray:
+    """The (F, M, l1 - l0) STFT of the frames `frames`, [l0, l1): the
+    analysis of the samples they cover, frame for frame the bits of the
+    whole analysis."""
+    return stft.analyze(mixture[:, _samples(frames, config)], config)
+
+
+def _estimator(
     phi_nn_evd: tuple[np.ndarray, np.ndarray],
+    num_frames: int,
     noise_frames: int,
     method: str,
     beta: float,
     loading: float,
     truth: simulator.GroundTruth | None,
     sides: tuple[str, ...],
-) -> Iterator[tuple[str, rtf.RtfTrajectory]]:
-    """Yield (side, trajectory) for each of `sides`, each made only when
-    asked for, by the rules of `estimate_trajectory`: a caller that drops a
-    side's trajectory before asking for the next never holds two. The
-    whitened frames of 'past' are dropped after the last side's track."""
-    nbins, m, _ = mix_spec.shape
-    refs = [(side, rtf.reference_mics(m)[side]) for side in sides]
-    if method == "none":
-        for side, ref in refs:
-            values = np.zeros((nbins, m, 1), dtype=np.complex128)
-            values[:, ref] = 1.0
-            yield side, rtf.RtfTrajectory(values, ref)
-        return
-    if method == "oracle":
-        if truth is None:
-            raise ValueError("oracle method requires ground truth")
-        yield from ((side, truth.rtf[side]()) for side, _ in refs)
-        return
+) -> Callable[[np.ndarray, slice], dict[str, rtf.RtfTrajectory]]:
+    """The trajectories of `sides` by the rules of `estimate_trajectory`, a
+    block of frames at a time: `block(spec, frames)` returns them for the
+    (F, M, l1 - l0) STFT `spec` of the frames `frames`, [l0, l1), of the
+    `num_frames` frames. Blocks come in frame order: 'past' carries each
+    side's `rtf.PastState` from block to block; 'cw-batch' takes all frames
+    in one block."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
+    if method == "oracle" and truth is None:
+        raise ValueError("oracle method requires ground truth")
+    nbins, m = phi_nn_evd.eigenvalues.shape
+    refs = {side: rtf.reference_mics(m)[side] for side in sides}
+    if method == "none":
+        def block(spec, frames):
+            trajs = {}
+            for side, ref in refs.items():
+                values = np.zeros((nbins, m, 1), dtype=np.complex128)
+                values[:, ref] = 1.0
+                trajs[side] = rtf.RtfTrajectory(values, ref)
+            return trajs
+        return block
+    if method == "oracle":
+        return lambda spec, frames: {side: truth.rtf[side](frames) for side in refs}
     sqrt_nn, invsqrt_nn = covariance.sqrt_pair(phi_nn_evd, loading)
     if method == "cw-batch":
-        phi_yy = covariance.estimate_mixture_covariance(mix_spec, noise_frames)
-        phi_ww = covariance.whitened_mixture_covariance(phi_yy, invsqrt_nn)
-        principal = covariance.hermitian_evd(phi_ww).eigenvectors[:, :, 0]
-        yield from ((side, rtf.cw_trajectory(principal, sqrt_nn, ref)) for side, ref in refs)
-        return
-    whitened = covariance.whiten(mix_spec, invsqrt_nn)
-    for i, (side, ref) in enumerate(refs, 1):
-        traj = rtf.track_rtf_past(whitened, sqrt_nn, ref, beta, start_frame=noise_frames)
-        if i == len(refs):
-            del whitened
-        yield side, traj
-        del traj  # before the next side is tracked
+        def block(spec, frames):
+            phi_yy = covariance.estimate_mixture_covariance(spec, noise_frames)
+            phi_ww = covariance.whitened_mixture_covariance(phi_yy, invsqrt_nn)
+            principal = covariance.hermitian_evd(phi_ww).eigenvectors[:, :, 0]
+            return {side: rtf.cw_trajectory(principal, sqrt_nn, ref)
+                    for side, ref in refs.items()}
+        return block
+    states = {side: rtf.PastState(nbins, m, ref, num_frames) for side, ref in refs.items()}
+
+    def block(spec, frames):
+        whitened = covariance.whiten(spec, invsqrt_nn)
+        last = list(refs)[-1]  # tracks over the whitened frames, which no side reads after
+        return {side: rtf.track_rtf_past(whitened, sqrt_nn, ref, beta, noise_frames,
+                                         states[side], whitened if side == last else None)
+                for side, ref in refs.items()}
+    return block
+
+
+@dataclass
+class BlockState:
+    """What the estimation of one trajectory a block of frames at a time
+    carries from block to block: its frame count, the frames given so far,
+    and its method's estimator (`_estimator`), which keeps the whitener pair,
+    built once, and each side's `rtf.PastState`."""
+
+    num_frames: int
+    frame: int = 0
+    estimator: Callable[[np.ndarray, slice], dict[str, rtf.RtfTrajectory]] | None = None
 
 
 def estimate_trajectory(
@@ -174,6 +235,7 @@ def estimate_trajectory(
     loading: float = covariance.DEFAULT_LOADING,
     truth: simulator.GroundTruth | None = None,
     sides: tuple[str, ...] = rtf.SIDES,
+    state: BlockState | None = None,
 ) -> dict[str, rtf.RtfTrajectory]:
     """RTF trajectory per side by the chosen method ('oracle' needs ground
     truth; 'none' is the trivial e_ref trajectory of reference passthrough).
@@ -185,19 +247,24 @@ def estimate_trajectory(
     mixture covariance and its whitened EVD for 'cw-batch'. The
     frame-invariant 'cw-batch' and 'none' trajectories have one frame
     (`rtf.RtfTrajectory`).
+
+    `mix_spec` holds all frames, or with `state` the next block of frames
+    of a trajectory estimated a block at a time, in frame order: its calls
+    share one `BlockState`, which carries the estimator from block to block.
     """
-    return dict(_trajectories(mix_spec, phi_nn_evd, noise_frames, method, beta, loading,
-                              truth, sides))
+    state = BlockState(mix_spec.shape[2]) if state is None else state
+    if state.estimator is None:
+        state.estimator = _estimator(phi_nn_evd, state.num_frames, noise_frames, method,
+                                     beta, loading, truth, sides)
+    frames = slice(state.frame, state.frame + mix_spec.shape[2])
+    state.frame = frames.stop
+    return state.estimator(mix_spec, frames)
 
 
-def _analysis(
-    bundle: SimBundle, noise_frames: int | None, sides: tuple[str, ...]
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
-    """The mixture's (F, M, L) STFT, the `covariance.hermitian_evd` result
-    of Phi_nn over its first `noise_frames` frames (0 or None: the bundle's
-    lead-silence count), and that count; only the reference mics of `sides`
-    are checked for a dead one. A lead silence shorter than one window holds
-    no noise-only frame: then `noise_frames` must be given."""
+def _noise_frame_count(bundle: SimBundle, noise_frames: int | None) -> int:
+    """`noise_frames`, or when 0 or None the bundle's lead-silence count. A
+    lead silence shorter than one window holds no noise-only frame: then
+    `noise_frames` must be given."""
     ln = noise_frames or bundle.noise_frames
     if ln == 0:
         raise ValueError(
@@ -205,8 +272,38 @@ def _analysis(
             f"one {bundle.config.window_len}-sample window, so no frame is noise-only; "
             "give the noise-only frame count (--noise-frames)"
         )
-    mix_spec = stft.analyze(bundle.mixture, bundle.config)
-    return mix_spec, noise_stats(mix_spec, ln, sides), ln
+    return ln
+
+
+def _blocks(
+    bundle: SimBundle,
+    method: str,
+    beta: float,
+    loading: float,
+    noise_frames: int | None,
+    sides: tuple[str, ...],
+) -> Iterator[tuple[slice, np.ndarray, tuple[np.ndarray, np.ndarray], str,
+                    rtf.RtfTrajectory]]:
+    """Run a cell's `_frame_blocks` in order: yield (frames, spec, evd, side,
+    trajectory) for each block of frames and each of `sides` in turn, with
+    the block's STFT, the `covariance.hermitian_evd` result of Phi_nn, which
+    the first block's leading frames give (checking only the reference mics
+    of `sides` for a dead one), and the side's trajectory for the block
+    (`estimate_trajectory`). A caller that drops the spectrum and the
+    trajectory before it asks for the next never holds two blocks' arrays."""
+    config = bundle.config
+    ln = _noise_frame_count(bundle, noise_frames)
+    nframes = config.num_frames(bundle.mixture.shape[1])
+    state = BlockState(nframes)
+    for frames in _frame_blocks(nframes, ln, method):
+        spec = _spectrum(bundle.mixture, config, frames)
+        if frames.start == 0:
+            evd = noise_stats(spec, ln, sides)
+        trajs = estimate_trajectory(spec, evd, ln, method, beta, loading, bundle.truth, sides,
+                                    state)
+        for side in sides:
+            yield frames, spec, evd, side, trajs.pop(side)
+        del spec  # before the next block is analysed
 
 
 def estimate(
@@ -220,9 +317,13 @@ def estimate(
            dict[str, rtf.RtfTrajectory]]:
     """Analyse the mixture into its (F, M, L) STFT, take the
     `covariance.hermitian_evd` result of Phi_nn over its first
-    `noise_frames` frames (`_analysis`) and estimate the RTF trajectory of
-    each of `sides`."""
-    mix_spec, evd, ln = _analysis(bundle, noise_frames, sides)
+    `noise_frames` frames (`_noise_frame_count`), checking only the
+    reference mics of `sides` for a dead one, and estimate the RTF
+    trajectory of each of `sides`."""
+    ln = _noise_frame_count(bundle, noise_frames)
+    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
+    mix_spec = _spectrum(bundle.mixture, bundle.config, slice(0, nframes))
+    evd = noise_stats(mix_spec, ln, sides)
     trajs = estimate_trajectory(mix_spec, evd, ln, method, beta, loading, bundle.truth,
                                 sides)
     return mix_spec, evd, trajs
@@ -233,14 +334,17 @@ def side_weights(
     phi_nn_evd: tuple[np.ndarray, np.ndarray],
     method: str,
     loading: float = beamformer.MVDR_LOADING,
+    hold: beamformer.WeightHold | None = None,
 ) -> np.ndarray:
     """MVDR weights, (F, M, L'), from the `covariance.hermitian_evd` result
-    of Phi_nn; method 'none' passes the reference channel through. The
-    trajectory is the caller's own, an estimate or a truth fresh from its
-    maker: its weights are written over its values, so score it first."""
+    of Phi_nn, carrying `hold` for a block of a trajectory
+    (`beamformer.mvdr_weights`); method 'none' passes the reference channel
+    through. The trajectory is the caller's own, an estimate or a truth
+    fresh from its maker: its weights are written over its values, so score
+    it first."""
     if method == "none":  # the trivial 'none' trajectory is the passthrough
         return traj.values
-    return beamformer.mvdr_weights(traj, phi_nn_evd, loading, out=traj.values)
+    return beamformer.mvdr_weights(traj, phi_nn_evd, loading, out=traj.values, hold=hold)
 
 
 def beamform_side(
@@ -250,13 +354,17 @@ def beamform_side(
     traj: rtf.RtfTrajectory,
     method: str,
     loading: float = beamformer.MVDR_LOADING,
+    hold: beamformer.WeightHold | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Beamform one side: its `side_weights` from the `covariance.hermitian_evd`
     result of Phi_nn (over an estimated trajectory's own values), applied to
     the mixture's (F, M, L) STFT and synthesized with the `config` it was
-    analysed with."""
-    weights = side_weights(traj, phi_nn_evd, method, loading)
-    return stft.synthesize(beamformer.apply(weights, mix_spec), config)
+    analysed with. For a block of frames, `hold` carries the weights and
+    `out` is the slice of the enhanced signal the frames are overlap-added
+    into (`stft.synthesize`)."""
+    weights = side_weights(traj, phi_nn_evd, method, loading, hold)
+    return stft.synthesize(beamformer.apply(weights, mix_spec), config, out)
 
 
 def evaluate_bundle(
@@ -269,33 +377,52 @@ def evaluate_bundle(
 ) -> metrics.EvalReport:
     """Full pipeline on one bundle: estimate, beamform both sides, score.
 
+    The cell runs its `_frame_blocks` in order: each block is analysed,
+    its trajectories made (`estimate_trajectory`), the left one scored, and
+    each side weighted, applied and overlap-added into its enhanced signal.
     The report keeps both sides' enhanced signals in `enhanced`. Overlap-add
     covers the samples of whole frames only, so the enhanced signal and the
     input mixture are both scored over its first len(enhanced) samples: all
     N when N - window_len is a whole number of hops.
     """
-    mix_spec, evd, ln = _analysis(bundle, noise_frames, rtf.SIDES)
+    config = bundle.config
+    m, n = bundle.mixture.shape
+    nframes = config.num_frames(n)
+    refs = rtf.reference_mics(m)
     report = metrics.EvalReport(
         scenario_id=f"seed{bundle.scenario.seed}",
         snr_db=bundle.snr_db,
         method=method,
     )
-    # one side at a time: each is tracked, scored, beamformed and dropped
-    # before the next is tracked. The scored left ear goes last, so its
-    # truth is made after the whitened frames of 'past' are dropped
-    for side, traj in _trajectories(mix_spec, evd, ln, method, beta, loading,
-                                    bundle.truth, rtf.SIDES[::-1]):
+    enhanced = {}  # side -> its signal, made at its first block
+    holds = {side: beamformer.WeightHold(config.num_bins, m, ref)
+             for side, ref in refs.items()}
+    scored = []  # the left RTF MSE terms of each block before the last
+    # the scored left ear goes last, so its truth is made after the right
+    # trajectory is dropped
+    for frames, spec, evd, side, traj in _blocks(bundle, method, beta, loading,
+                                                 noise_frames, rtf.SIDES[::-1]):
         if side == "left" and method != "none":  # before its weights overwrite it
-            report.rtf_mse_db = rtf.rtf_mse(traj, bundle.truth.rtf[side]())
-        enhanced = beamform_side(mix_spec, bundle.config, evd, traj, method,
-                                 mvdr_loading)
-        ref = traj.ref_channel
-        del traj
-        report.enhanced[side] = enhanced
-        n = enhanced.size
-        clean = bundle.clean[ref, :n]
-        mixture = bundle.mixture[ref, :n]
-        setattr(report, f"si_sdr_{side}", metrics.si_sdr(enhanced, clean))
+            # an oracle trajectory is the truth: made once, it is also scored
+            truth = traj if method == "oracle" else bundle.truth.rtf[side](frames)
+            if frames.stop < nframes:
+                scored.append(rtf.mse_terms(traj, truth))
+            else:
+                report.rtf_mse_db = rtf.rtf_mse(traj, truth, scored)
+            del truth
+        if side not in enhanced:
+            enhanced[side] = np.zeros(_samples(slice(0, nframes), config).stop)
+        beamform_side(spec, config, evd, traj, method, mvdr_loading, holds[side],
+                      enhanced[side][_samples(frames, config)])
+        del spec, traj  # before the next are made
+    if method != "none":
+        for hold in holds.values():
+            hold.warn_dead_bins()
+    for side, ref in refs.items():
+        report.enhanced[side] = enhanced[side]
+        clean = bundle.clean[ref, :enhanced[side].size]
+        mixture = bundle.mixture[ref, :enhanced[side].size]
+        setattr(report, f"si_sdr_{side}", metrics.si_sdr(enhanced[side], clean))
         setattr(report, f"si_sdr_input_{side}", metrics.si_sdr(mixture, clean))
     return report
 
@@ -317,13 +444,28 @@ def beampattern(
     'none') weights give one column, broadcast read-only over the frames."""
     if not 0.0 < angle_step_deg <= 180.0:  # refuses nan and inf too
         raise ValueError(f"angle step {angle_step_deg!r} deg is not in (0, 180]")
-    # the STFT and the trajectory are dropped before the pattern is
-    # computed, so their ~16 MB is not held under it at the peak
-    evd, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))[1:]
-    weights = side_weights(trajs.pop("left"), evd, method, mvdr_loading)
+    m, n = bundle.mixture.shape
+    nframes = bundle.config.num_frames(n)
+    hold = beamformer.WeightHold(bundle.config.num_bins, m, rtf.reference_mics(m)["left"])
+    weights = None
+    # the weights are made a block of frames at a time, as a cell makes
+    # them: only they are held whole under the pattern
+    for frames, spec, evd, _, traj in _blocks(bundle, method, beta, loading, noise_frames,
+                                              ("left",)):
+        block = side_weights(traj, evd, method, mvdr_loading, hold)
+        if weights is None:
+            # one frame of weights for a block of more is frame-invariant:
+            # that frame stands for every frame
+            whole = block.shape[2] == frames.stop - frames.start
+            weights = np.empty((*block.shape[:2], nframes), complex) if whole else block
+        if whole:
+            weights[:, :, frames] = block
+        del spec, traj, block  # before the next block's are made
+    if method != "none":
+        hold.warn_dead_bins()
     count = int(180.0 / angle_step_deg + 1e-9) + 1  # a step dividing 180 keeps 90
     angles = np.minimum(-90.0 + angle_step_deg * np.arange(count), 90.0)
-    shape = (angles.size, bundle.config.num_frames(bundle.mixture.shape[1]))
+    shape = (angles.size, nframes)
     wideband = beamformer.narrowband_beampattern(
         weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles,
         lambda b: sink(np.broadcast_to(b, shape)),

@@ -13,7 +13,13 @@ as the MVDR weights hold their own (``beamformer.mvdr_weights``).
 PAST reads the frame-major whitened frames of ``covariance.whiten`` and
 tracks into one frame-major (L, F, M) buffer, one row per frame, which it
 de-whitens and finishes in place: its values are the (F, M, L) view of that
-buffer, so one side's tracking holds one buffer and copies no frame.
+buffer, so one side's tracking holds one buffer and copies no frame. The
+frames may come a block at a time: a ``PastState`` carries the recursion's
+(psi, delta) and the frame count from each block to the next, and the
+de-whitening runs over groups of frames aligned from the first tracked
+frame, so a trajectory tracked in blocks has the bits of one tracked whole.
+Its RTF MSE then takes each block's ``mse_terms`` and reduces them once,
+in ``rtf_mse`` of the last block.
 
 Trajectories are indexed bin-major, (F, M, L'), like the (F, M, L) STFT.
 One whose RTF does not change over frames (CW, and the trivial 'none'
@@ -29,9 +35,9 @@ PAST start vector e_ref, and it is the trajectory's only side label.
 `reference_mics` is the one rule from a side to its reference mic: the left
 ear is mic 0, the right mic M-1. The ``.rtfb`` file stays (M, F, L) and
 writes the side as a byte, 0 for ref_channel 0 and 1 for any other; only
-`save_trajectory` and `load_trajectory` convert. `read_trajectory_header`
-checks a file by its header and its size alone, with the parser that
-`load_trajectory` uses.
+`save_trajectory` and `load_trajectory` convert; `load_trajectory` reads
+all frames or a block of them. `read_trajectory_header` checks a file by
+its header and its size alone, with the parser that `load_trajectory` uses.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import by_bins
+from .covariance import PRODUCT_ALIGN, by_bins
 from .stft import StftConfig
 
 DENOM_TOL = 1e-12
@@ -175,44 +181,99 @@ def cw_trajectory(
     return _trajectory(phi_nn_sqrt @ principal[:, :, None], ref_channel, 0)
 
 
+class PastState:
+    """What one side's PAST tracker carries from a block of frames to the
+    next: psi (F, M) and delta (F,), from psi = e_ref and delta = 1, and
+    `frame`, the number of the trajectory's `num_frames` frames given so
+    far. `track_rtf_past` advances it over each block, so a trajectory
+    tracked a block at a time is, bit for bit, the trajectory tracked
+    whole."""
+
+    def __init__(self, nbins: int, num_mics: int, ref_channel: int, num_frames: int):
+        self.psi = np.zeros((nbins, num_mics), dtype=np.complex128)
+        self.psi[:, ref_channel] = 1.0
+        self.delta = np.ones(nbins)
+        self.frame = 0
+        self.num_frames = num_frames
+
+
+def _dewhiten(phi_nn_sqrt: np.ndarray, values: np.ndarray, first: int, total: int) -> None:
+    """b = Phi_nn^{1/2} psi in place over the (F, M, n) `values`, the
+    tracked frames first..first + n - 1 of a trajectory's `total` tracked
+    frames. The product runs from a multiple of `PRODUCT_ALIGN` frames
+    counted from the first tracked frame to one or to the last, with zeros
+    for the frames that are not in `values`, so every frame has the bits of
+    one product over all tracked frames."""
+    n = values.shape[2]
+    before = first % PRODUCT_ALIGN
+    after = min(-(-(first + n) // PRODUCT_ALIGN) * PRODUCT_ALIGN, total) - first - n
+
+    def product(sqrt, psi):
+        if before == after == 0:
+            return sqrt @ psi
+        padded = np.zeros((*psi.shape[:2], before + n + after), dtype=psi.dtype)
+        padded[:, :, before:before + n] = psi
+        return (sqrt @ padded)[:, :, before:before + n]
+
+    by_bins(product, phi_nn_sqrt, values, out=values)
+
+
 def track_rtf_past(
     spec_whitened: np.ndarray,
     phi_nn_sqrt: np.ndarray,
     ref_channel: int,
     beta: float = DEFAULT_BETA,
     start_frame: int = 0,
+    state: PastState | None = None,
+    out: np.ndarray | None = None,
 ) -> RtfTrajectory:
     """Run one PAST tracker per bin over the whitened frames from
-    `start_frame` on, from psi = e_ref and delta = 1, and de-whiten every
-    tracked eigenvector into a reference-normalized RTF with `_trajectory`.
+    `start_frame` on, and de-whiten every tracked eigenvector into a
+    reference-normalized RTF with `_trajectory`.
+
+    The frames are the next block of the trajectory of `state`, which the
+    tracker starts from and leaves after their last frame; None takes them
+    as a whole trajectory, from psi = e_ref and delta = 1. `start_frame`
+    counts from the trajectory's first frame. The values go into `out`, an
+    (F, M, L) array like `spec_whitened`, or a new one if None; `out` may be
+    `spec_whitened` itself, whose frames are then used up as they are
+    tracked (each is read before its row is written).
 
     Causal: frame l depends only on frames <= l. Frames before
     `start_frame`, and cells whose normalization fails, are invalid and hold
-    e_ref; nothing is carried over from an earlier frame.
+    e_ref; no value of an earlier frame is carried over.
     """
     if not (0.0 < beta <= 1.0):
         raise RtfError(f"beta must be in (0, 1], got {beta}")
     nbins, m, nframes = spec_whitened.shape
     _check_ref_channel(ref_channel, m)
+    if out is not None and out.shape != spec_whitened.shape:
+        raise RtfError(f"out has shape {out.shape}, the frames {spec_whitened.shape}")
+    state = PastState(nbins, m, ref_channel, nframes) if state is None else state
+    if state.frame + nframes > state.num_frames:
+        raise RtfError(f"{nframes} frames after frame {state.frame} overrun a trajectory "
+                       f"of {state.num_frames}")
     # one contiguous (F, M) block per step of the recursion: `covariance.whiten`
     # stores its frames so, and only another layout is copied
     frames = np.ascontiguousarray(spec_whitened.transpose(2, 0, 1))  # (L, F, M)
     if not np.all(np.isfinite(frames)):
         raise RtfError("non-finite whitened input to track_rtf_past")
 
-    start = min(max(start_frame, 0), nframes)
-    psi = np.zeros((nbins, m), dtype=np.complex128)
-    psi[:, ref_channel] = 1.0
-    delta = np.ones(nbins)
+    first = min(max(start_frame, 0), state.num_frames)  # of the trajectory
+    start = min(max(first - state.frame, 0), nframes)  # of these frames
+    psi, delta = state.psi, state.delta
     # one row per frame; the trajectory's values are the (F, M, L) view of it
-    tracked = np.empty((nframes, nbins, m), dtype=np.complex128)
+    tracked = (np.empty((nframes, nbins, m), dtype=np.complex128) if out is None
+               else out.transpose(2, 0, 1))
     for l in range(start, nframes):
         psi, delta = past_step(psi, delta, frames[l], beta)
         tracked[l] = psi
+    state.psi, state.delta = psi, delta
 
-    # de-whiten in place: b[k, :, l] = Phi_nn^{1/2}(k) psi[l, k]
     values = tracked.transpose(1, 2, 0)
-    by_bins(np.matmul, phi_nn_sqrt, values[:, :, start:], out=values[:, :, start:])
+    _dewhiten(phi_nn_sqrt, values[:, :, start:], state.frame + start - first,
+              state.num_frames - first)
+    state.frame += nframes
     return _trajectory(values, ref_channel, start)
 
 
@@ -223,8 +284,13 @@ def _norm2(values: np.ndarray) -> np.ndarray:
     return np.einsum("kml,kml->kl", real, real) + np.einsum("kml,kml->kl", imag, imag)
 
 
-def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
-    """Normalized MSE in dB: mean over valid (k,l) of ||a_hat - a||^2/||a||^2.
+def mse_terms(estimate: RtfTrajectory, truth: RtfTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized error ||a_hat - a||^2 / ||a||^2 of every (k, l) cell,
+    and the mask of the cells `rtf_mse` averages: valid on both sides, with
+    a nonzero truth. Both are (F, L''), L'' the longer frame count; a cell
+    outside the mask keeps its error unnormalized. A block of frames gives
+    the terms of its cells, so the terms of a trajectory's blocks, side by
+    side, are its own.
 
     A side with one frame is broadcast over the other's frames: a one-frame
     estimate is scored against every frame of the truth, and every frame of
@@ -237,12 +303,25 @@ def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory) -> float:
         raise RtfError("estimate/truth reference channels differ")
     norm2 = _norm2(truth.values)  # (F, L')
     mask = estimate.valid & truth.valid & (norm2 > 0)
-    if not np.any(mask):
-        raise RtfError("no valid cells for MSE computation")
     # ||a_hat - a||^2 a block of bins at a time: no (F, M, L) difference
     err2 = by_bins(lambda a_hat, a: _norm2(a_hat - a), estimate.values, truth.values,
                    out=np.empty(mask.shape))
-    mse = np.mean(err2[mask] / np.broadcast_to(norm2, mask.shape)[mask])
+    return np.divide(err2, norm2, out=err2, where=mask), mask
+
+
+def rtf_mse(estimate: RtfTrajectory, truth: RtfTrajectory, earlier=()) -> float:
+    """Normalized MSE in dB: mean over valid (k,l) of ||a_hat - a||^2/||a||^2,
+    over the cells of `mse_terms`, in row-major order.
+
+    A trajectory scored a block of frames at a time passes its last block,
+    and in `earlier` the `mse_terms` of the blocks before it: the mean is
+    then over all of them, with the bits of the mean over the whole.
+    """
+    ratio, mask = (np.concatenate(part, axis=1)
+                   for part in zip(*earlier, mse_terms(estimate, truth)))
+    if not np.any(mask):
+        raise RtfError("no valid cells for MSE computation")
+    mse = np.mean(ratio[mask])
     if mse <= 10.0 ** (MSE_FLOOR_DB / 10.0):
         return MSE_FLOOR_DB
     return float(10.0 * np.log10(mse))
@@ -303,19 +382,20 @@ def read_trajectory_header(path) -> TrajectoryHeader:
         return _read_header(fh, path)
 
 
-def load_trajectory(path) -> tuple[RtfTrajectory, dict]:
-    """Read a `save_trajectory` file; a short, long or inconsistent one
-    raises RtfError naming `path`. The complex64 values are read one mic's
-    (F, L) rows at a time into the (F, M, L) complex128 array, an exact
-    upcast: the file's bytes are never held whole beside it."""
+def load_trajectory(path, frames: slice = slice(None)) -> tuple[RtfTrajectory, dict]:
+    """Read the frames `frames` (all by default) of a `save_trajectory`
+    file; a short, long or inconsistent one raises RtfError naming `path`.
+    The complex64 values are read one mic's (F, L) rows at a time, and the
+    frames' columns upcast into the (F, M, L) complex128 array, exactly: the
+    file's bytes are never held whole beside it."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         f, m, l = header.shape
-        valid = np.frombuffer(fh.read(f * l), np.uint8).reshape(f, l).astype(bool)
-        values = np.empty((f, m, l), dtype=np.complex128)
+        valid = np.frombuffer(fh.read(f * l), np.uint8).reshape(f, l)[:, frames].astype(bool)
+        values = np.empty((f, m, valid.shape[1]), dtype=np.complex128)
         row = np.empty((f, l), dtype=np.complex64)
         for mic in range(m):
             if fh.readinto(row.view(np.uint8)) != row.nbytes:
                 raise RtfError(f"{path}: cut short while it was read")
-            values[:, mic] = row
+            values[:, mic] = row[:, frames]
     return RtfTrajectory(values, header.ref_channel, valid), header.stft

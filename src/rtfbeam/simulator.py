@@ -6,25 +6,29 @@ Rendering is free-field (gain 1/r, pure propagation delay) and linear in
 the sources. Static sources (a pinned target, or the babblers) are
 rendered in the frequency domain: one rfft per source at a common 5-smooth
 length, each spectrum times its fractional-delay `stft.phase_ramp` and 1/r
-summed per mic, then one irfft per mic. The babblers' signals come from
-`babbler_stream` one at a time, each added into the mic spectra before the
-next is drawn. A moving source goes through a 32-tap raised-cosine
-windowed-sinc interpolator, its trajectory sampled per STFT hop, in Farrow
-form: each tap is a degree-14 Chebyshev polynomial in the delay fraction,
-fitted once per process, so one matrix product filters the source by the 15
-coefficient columns for all mics, and each mic gathers the filtered signals
-at its integer delays and sums the polynomial by Clenshaw's recurrence. A
-mic's delay and gain rows are interpolated from its hop knots when its
-turn comes, in two reused N-sample buffers. The babble's 4 Hz
+summed into each mic's row of bins in turn, then one irfft per mic. The
+babblers' signals come from `babbler_stream` one at a time, each added into
+the mic spectra before the next is drawn. A moving source goes through a
+32-tap raised-cosine windowed-sinc interpolator, its trajectory sampled per
+STFT hop, in Farrow form: each tap is a degree-14 Chebyshev polynomial in
+the delay fraction, fitted once per process. The render runs blocks of
+4096 output samples: the mics' delay and gain rows of a block are
+interpolated from their hop knots, one matrix product filters the source by
+the 15 coefficient columns over the samples the block gathers, and every
+mic gathers the filtered signals at its integer delays and sums the
+polynomial by Clenshaw's recurrence. No (M, N) delay row or whole-signal
+filter bank is held, and each block's product is aligned so that the
+output has the bits of one product over all samples. The babble's 4 Hz
 modulations share one sin and one cos of the time axis: each signal's
 phase enters by angle addition.
 
 The DOA and the analytic RTFs of the same geometry are returned as ground
 truth for verifying the estimators. The RTFs are kept as geometry, not
-arrays: each side's truth is a maker, a zero-argument call that computes a
-fresh trajectory each time it is called, its ramps written straight into
-the (F, M, L) values. So a held bundle holds no (F, M, L) truth, and a
-caller may write over what it is given. A static source's RTF is the same
+arrays: each side's truth is a maker that computes a fresh trajectory each
+time it is called, of all frames or of the block of frames it is asked
+for, its ramps written straight into the (F, M, L) values. So a held
+bundle holds no (F, M, L) truth, and a caller may write over what it is
+given. A static source's RTF is the same
 in every frame, so its truth has one frame, (F, M, 1), the L' = 1 rule of
 `rtf.RtfTrajectory`; a moving source's has all L.
 """
@@ -39,6 +43,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .beamformer import SPEED_OF_SOUND
+from .covariance import PRODUCT_ALIGN
 from .rtf import RtfTrajectory, reference_mics
 from .stft import StftConfig, phase_ramp
 
@@ -54,6 +59,8 @@ NUM_BABBLERS = 20
 MAX_ABS_DOA_DEG = 80.0
 SINC_HALF_TAPS = 16  # 32-tap interpolator
 FARROW_DEGREE = 14  # polynomial degree of each tap in the fraction
+# output samples per block of the moving render: its (M, 4096) rows are 256 KB
+_SAMPLE_BLOCK = 4096
 SNR_CAP_DB = 120.0
 
 
@@ -149,8 +156,9 @@ class Scenario:
 @dataclass
 class GroundTruth:
     doa_per_frame: np.ndarray  # degrees, (L,)
-    # side -> maker of its trajectory: each call returns a fresh one
-    rtf: dict[str, Callable[[], RtfTrajectory]]
+    # side -> maker of its trajectory: make(frames=slice(None)) returns a
+    # fresh one of those frames; a one-frame truth returns its one frame
+    rtf: dict[str, Callable[..., RtfTrajectory]]
     active_frames: np.ndarray  # bool (L,)
 
 
@@ -229,9 +237,10 @@ def _render_sources(
     exp(-j 2 pi f tau_sm) / d_sm is summed into the mic spectra, and one
     inverse FFT over the mics returns the field, each path an exact
     band-limited fractional delay. `signals` is read one n-sample signal at
-    a time, in the order of `positions`, so it may be a stream. The sources'
-    ramps take turns in one buffer: a fresh 4 MB array per source costs page
-    faults.
+    a time, in the order of `positions`, so it may be a stream. Each path's
+    ramp is formed, multiplied and added one mic at a time, in one reused
+    row of bins: `phase_ramp` is elementwise in the delays, so the field has
+    the bits of one (M, F) ramp array per source, without its 4 MB.
     """
     num_mics = mic_positions.shape[0]
     dists = np.linalg.norm(positions[:, None, :] - mic_positions[None, :, :], axis=2)
@@ -240,11 +249,13 @@ def _render_sources(
     nfft = _fast_len(n + longest + 4 * SINC_HALF_TAPS)
     nbins = nfft // 2 + 1
     field = np.zeros((num_mics, nbins), dtype=np.complex128)
-    ramps = np.empty((num_mics, nbins), dtype=np.complex128)
+    path = np.empty(nbins, dtype=np.complex128)
     for signal, delay, dist in zip(signals, delays, dists):
-        paths = phase_ramp(delay, nfft, 1.0 / dist, ramps)
-        paths *= np.fft.rfft(signal, n=nfft)
-        field += paths
+        spectrum = np.fft.rfft(signal, n=nfft)
+        for row, d, r in zip(field, delay, dist):
+            phase_ramp(d, nfft, 1.0 / r, path)
+            path *= spectrum
+            row += path
     return np.fft.irfft(field, n=nfft, axis=1)[:, :n]
 
 
@@ -271,78 +282,85 @@ def _farrow_coefficients() -> np.ndarray:
     return coeffs
 
 
-def _delay_varying(signal: np.ndarray, rows: Callable[[], Iterable]) -> np.ndarray:
+def _delay_varying(signal: np.ndarray, rows: Callable[[int, int], tuple]) -> np.ndarray:
     """Time-varying fractional delay: 32-tap windowed-sinc interpolation.
 
     y[i] = gain[i] sum_k h_k(f_i) x[i - n0_i - k] for k = -15..16, with
     n0 = floor(delay), f = delay - n0 and the raised-cosine windowed sinc
     h_k(f) = sinc(k - f) (1 + cos(pi (k - f) / 16)) / 2; samples outside the
-    signal are zero. `rows()` yields one (delay, gain) pair of N-sample rows
-    per output, M outputs of the same source; it is called twice, once for
-    the bounds of the delays and once for the outputs, so its rows may be
-    formed one at a time in reused buffers: the (M, N) delays and gains are
-    never held.
+    signal are zero. `rows(start, stop)` returns the (delays, gains) of
+    output samples [start, stop), two (R, stop - start) arrays, one row per
+    output, R outputs of the same source. It is called for one block of
+    _SAMPLE_BLOCK samples at a time, twice per block: once for the bounds
+    of the delays and once for the outputs, so the (R, N) delays and gains
+    are never held.
 
     Farrow structure. `_farrow_coefficients` fits each tap by a Chebyshev
     series of degree P = FARROW_DEGREE in u = 2f - 1, h_k(f) ~ sum_p c_kp
     T_p(u), within 5e-15 of h_k at P = 14. Then
     y[i] = gain[i] sum_p T_p(u_i) z_p[i - n0_i], where z_p = sum_k c_kp
-    x[. - k] is the source filtered by coefficient column p. The bank of the
-    P+1 filtered signals is one matrix product, computed once per call over
-    the integer delays of all rows, so the mics share it. Per row, what is
-    left is a gather of each z_p and a Clenshaw recurrence over p. A sample
-    with f == 0 copies x[i - n0_i] exactly: there h_k is 1 at k = 0 and 0
-    elsewhere, which the fit only approximates.
+    x[. - k] is the source filtered by coefficient column p. A block's bank
+    of the P+1 filtered signals is one matrix product over the columns its
+    rows gather, so the outputs share it. What is left is a gather of each
+    z_p and a Clenshaw recurrence over p, for all rows of the block at once.
+    A sample with f == 0 copies x[i - n0_i] exactly: there h_k is 1 at k = 0
+    and 0 elsewhere, which the fit only approximates.
 
-    The rows stay a loop over preallocated N-sample buffers, reused from
-    row to row, as a fresh temporary per operation costs more than its
-    arithmetic. A single pass over (M, N) buffers gave the same output but
-    took 195 -> 347 ms on a 2-vCPU host, most likely from cache misses.
+    A block's bank starts and ends on a multiple of `PRODUCT_ALIGN` columns
+    of the bank over the whole signal, or at its end, so its columns have
+    the bits of one product over all of them.
     """
     n = signal.shape[0]
     half = SINC_HALF_TAPS
-    coeffs = _farrow_coefficients()
-    bounds = [(delay.min(), delay.max()) for delay, _ in rows()]
-    first = int(np.floor(min(lo for lo, _ in bounds)))
-    last = int(np.floor(max(hi for _, hi in bounds)))
+    coeffs = _farrow_coefficients()[:, ::-1]
+    starts = range(0, n, _SAMPLE_BLOCK)
+    bounds = [(np.floor(delays.min()), np.floor(delays.max()))
+              for delays, _ in (rows(i, min(i + _SAMPLE_BLOCK, n)) for i in starts)]
+    first = int(min(lo for lo, _ in bounds))
+    last = int(max(hi for _, hi in bounds))
     # padded[q] = x[q - last - half], so window t, padded[t:t + 32], holds
-    # x[t - last - k] for k = 16..-15, and bank[p, t] = z_p[t - last] for
-    # every t = i - n0_i + last that a row gathers, 0 <= t < width
+    # x[t - last - k] for k = 16..-15, and the bank over the whole signal
+    # would hold z_p[t - last] in its column t = i - n0_i + last, 0 <= t < width
     width = n + last - first
     padded = np.zeros(width + 2 * half - 1)
     lo, hi = max(-last - half, 0), min(width + half - 1 - last, n)
     if lo < hi:
         padded[lo + last + half : hi + last + half] = signal[lo:hi]
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half)
-    bank = np.empty((FARROW_DEGREE + 1, width))
-    np.matmul(coeffs[:, ::-1], windows.T, out=bank)  # no copy of the windows
 
-    out = np.empty((len(bounds), n))
-    ramp = np.arange(last, n + last, dtype=np.float64)
-    floor, u, two_u, b1, b2, z = (np.empty(n) for _ in range(6))
-    index = np.empty(n, dtype=np.int64)
-    for y, (delay, g) in zip(out, rows()):
-        np.floor(delay, out=floor)
-        np.subtract(delay, floor, out=u)
+    out = None
+    for start, (least, most) in zip(starts, bounds):
+        stop = min(start + _SAMPLE_BLOCK, n)
+        delay, g = rows(start, stop)
+        if out is None:
+            out = np.empty((delay.shape[0], n))
+        # the block gathers bank columns start - most + last .. stop - 1 - least + last
+        t0 = (start - int(most) + last) // PRODUCT_ALIGN * PRODUCT_ALIGN
+        t1 = min(-(-(stop - int(least) + last) // PRODUCT_ALIGN) * PRODUCT_ALIGN, width)
+        bank = coeffs @ windows[t0:t1].T
+        floor = np.floor(delay)
+        u = delay - floor
         exact = u == 0
         u *= 2.0
         u -= 1.0
-        np.multiply(u, 2.0, out=two_u)
-        np.subtract(ramp, floor, out=index, casting="unsafe")
+        two_u = 2.0 * u
+        index = np.empty(delay.shape, dtype=np.int64)
+        np.subtract(np.arange(start + last - t0, stop + last - t0, dtype=np.float64), floor,
+                    out=index, casting="unsafe")
         # Clenshaw: b_p = z_p + 2u b_{p+1} - b_{p+2}, y = z_0 + u b_1 - b_2
-        np.take(bank[-1], index, out=b1)
-        b2[:] = 0.0
+        b1, b2, z = np.take(bank[-1], index), np.zeros(delay.shape), np.empty(delay.shape)
         for filtered in bank[-2:0:-1]:
             np.take(filtered, index, out=z)
             np.subtract(z, b2, out=b2)
             np.multiply(two_u, b1, out=z)
             b2 += z
             b1, b2 = b2, b1
+        y = out[:, start:stop]
         np.take(bank[0], index, out=y)
         y -= b2
         np.multiply(u, b1, out=z)
         y += z
-        y[exact] = padded[index[exact] + half]
+        y[exact] = padded[index[exact] + t0 + half]
         y *= g
     return out
 
@@ -352,7 +370,13 @@ def _analytic_rtf(
     frame_times: np.ndarray,
     config: StftConfig,
     ref_channel: int,
+    frames: slice = slice(None),
 ) -> RtfTrajectory:
+    """The analytic RTF of the frames `frames` of those at `frame_times`; a
+    truth of one frame (a static source's) is that frame for any `frames`.
+    Each frame's values are those of a call over all frames."""
+    if frame_times.size > 1:
+        frame_times = frame_times[frames]
     mics = scenario.mic_positions()
     pos = scenario.source_position(frame_times)  # (L, 3)
     dists = np.linalg.norm(mics[:, None, :] - pos[None, :, :], axis=2)  # (M, L)
@@ -389,18 +413,15 @@ def render_moving_source(
         # positions at hop resolution, linearly interpolated per sample
         hop_times = np.arange(0, n + config.hop, config.hop) / fs
         hop_pos = scenario.source_position(hop_times)  # (H, 3)
-        sample_t = np.arange(n) / fs
         hop_d = np.linalg.norm(hop_pos[None, :, :] - mics[:, None, :], axis=2)  # (M, H)
 
-        def rows():
-            """Each mic's delay and gain, in two buffers reused from mic to mic."""
-            delay, gain = np.empty(n), np.empty(n)
-            for knots in hop_d:
-                dist = np.interp(sample_t, hop_times, knots)
-                np.divide(dist, SPEED_OF_SOUND, out=delay)
-                delay *= fs
-                np.divide(1.0, dist, out=gain)
-                yield delay, gain
+        def rows(start, stop):
+            """Every mic's delays and gains over samples [start, stop)."""
+            t = np.arange(start, stop) / fs
+            dist = np.stack([np.interp(t, hop_times, knots) for knots in hop_d])
+            delay = np.divide(dist, SPEED_OF_SOUND)
+            delay *= fs
+            return delay, np.divide(1.0, dist)
 
         clean = _delay_varying(source, rows)
 

@@ -4,8 +4,11 @@ Frames are laid out without centering or zero padding: frame l covers
 samples [l*hop, l*hop + window_len), so L = 1 + (N - window_len)//hop.
 A spectrogram is a plain complex ndarray, bin-major (F, M, L), the layout
 of every per-bin product downstream; `analyze` windows one mic's frames at
-a time and has the rfft write them into that layout. `synthesize` takes a
-single-channel (F, L) spectrum and the config it was analysed with.
+a time and has the rfft write them into that layout, and the frames
+[l0, l1) are the analysis of the samples they cover. `synthesize` takes a
+single-channel (F, L) spectrum and the config it was analysed with, and
+can overlap-add a block of frames into the slice of a longer signal that
+they cover.
 Overlap-add divides window position n by the sum of w_a^2 over every
 window position congruent to n modulo the hop: an interior sample is
 covered by exactly those positions, one per frame, so the round trip is
@@ -129,13 +132,26 @@ def phase_ramp(delays, nfft: int, gains=1.0, out: np.ndarray | None = None) -> n
     return out
 
 
-def synthesize(spec: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Overlap-add inverse STFT of a single-channel (F, L) spectrum."""
+def synthesize(spec: np.ndarray, config: StftConfig,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Overlap-add inverse STFT of a single-channel (F, L) spectrum, its
+    (L - 1) hop + window_len samples.
+
+    The frames are added into `out` if given: for a block of frames, the
+    slice of the whole signal that they cover, which holds the W - hop
+    samples that earlier frames carried into it and zeros after them. Each
+    sample then sums its frames in frame order, as in one call over all the
+    frames; None starts from zeros."""
     if spec.ndim != 2 or spec.shape[0] != config.num_bins:
         raise StftError(f"synthesize expects a ({config.num_bins}, L) spectrum, "
                         f"got shape {spec.shape}")
     wlen, hop = config.window_len, config.hop
     num_frames = spec.shape[1]
+    length = (num_frames - 1) * hop + wlen
+    if out is None:
+        out = np.zeros(length)
+    elif out.shape != (length,):
+        raise StftError(f"{num_frames} frames fill {length} samples, out holds {out.shape}")
     win = config.analysis_window()
     # the overlap-add envelope: sum of w^2 over the window positions of each
     # residue modulo the hop
@@ -147,7 +163,6 @@ def synthesize(spec: np.ndarray, config: StftConfig) -> np.ndarray:
 
     frames = np.fft.irfft(spec, n=wlen, axis=0)  # (W, L)
     frames *= syn_win[:, None]
-    out = np.zeros((num_frames - 1) * hop + wlen)
     for l in range(num_frames):
         out[l * hop : l * hop + wlen] += frames[:, l]
     return out

@@ -32,15 +32,17 @@ def random_complex(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def count_calls(monkeypatch, fn):
+def count_calls(monkeypatch, fn, weight=lambda result: 1):
     """Count calls to `fn` through every rtfbeam module attribute bound to
     it, so a direct `from .x import fn` is counted too; returns the counter,
-    a one-element list."""
+    a one-element list. Each call adds `weight` of its result: 1, or for
+    example the frames of the spectrum it returns."""
     calls = [0]
 
     def counted(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        calls[0] += weight(result)
+        return result
 
     for mod in vars(rtfbeam).values():
         if inspect.ismodule(mod):
@@ -48,6 +50,11 @@ def count_calls(monkeypatch, fn):
                 if obj is fn:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def frames_of(spec):
+    """The frames of an (F, M, L) spectrum: a `count_calls` weight."""
+    return spec.shape[2]
 
 
 def collect_bins():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,35 @@ def test_mvdr_hold_matches_a_frame_loop():
         for l in range(nframes):
             held = fresh[k, :, l] if valid[k, l] else held
             np.testing.assert_array_equal(w[k, :, l], held)
+
+
+def test_mvdr_hold_carries_across_blocks():
+    # blocks of one trajectory, each weighted with the WeightHold of the
+    # frames before it, give the bits of the whole; the dead-bin warning
+    # waits for the caller, and counts bins dead in every block only. The
+    # blocks start on multiples of 32 frames, as a cell's do: BLAS sums the
+    # trailing columns of a product in another order
+    rng = np.random.default_rng(8)
+    m, nbins, nframes = 3, 6, 80
+    evd = _noise_evd(*(random_spd(rng, m) for _ in range(nbins)))
+    a = random_complex(rng, nbins, m, nframes)
+    a[:, 1] = 1.0
+    valid = rng.random((nbins, nframes)) < 0.2
+    valid[2] = False  # an interior dead bin
+    valid[3] = False  # valid only in the last block
+    valid[3, 70] = True
+    with pytest.warns(UserWarning, match="^1 bins have no valid RTF"):
+        whole = beamformer.mvdr_weights(_traj(a, ref=1, valid=valid), evd)
+    hold = beamformer.WeightHold(nbins, m, 1)
+    edges = [0, 32, 64, nframes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no block warns
+        blocks = [beamformer.mvdr_weights(_traj(a[:, :, i:j], ref=1, valid=valid[:, i:j]),
+                                          evd, hold=hold)
+                  for i, j in zip(edges, edges[1:])]
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=2), whole)
+    with pytest.warns(UserWarning, match="^1 bins have no valid RTF"):
+        hold.warn_dead_bins()
 
 
 def test_mvdr_one_frame_trajectory_matches_its_broadcast():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from conftest import collect_bins, count_calls, discard_bins
+from conftest import collect_bins, count_calls, discard_bins, frames_of
 from rtfbeam import cli, covariance, metrics, pipeline, rtf, simulator, stft
 
 
@@ -313,14 +313,19 @@ def test_beamform_none_is_reference_passthrough(bundle_dir, tmp_path, static_bun
 
 
 def test_beamform_analyzes_and_decomposes_once(bundle_dir_10db, tmp_path, monkeypatch):
-    analyze = count_calls(monkeypatch, stft.analyze)
+    # the cell runs blocks of frames: each frame is analysed and whitened
+    # once, and Phi_nn is decomposed once
+    analyzed = count_calls(monkeypatch, stft.analyze, frames_of)
+    whitened = count_calls(monkeypatch, covariance.whiten, frames_of)
     evd = count_calls(monkeypatch, covariance.hermitian_evd)
     rc = cli.main(
         ["beamform", "--bundle", str(bundle_dir_10db), "--method", "past",
          "--results", str(tmp_path / "r.csv")]
     )
     assert rc == cli.EXIT_OK
-    assert (analyze[0], evd[0]) == (1, 1)
+    bundle = cli.load_bundle(bundle_dir_10db)
+    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
+    assert (analyzed[0], whitened[0], evd[0]) == (nframes, nframes, 1)
 
 
 def test_beamform_missing_bundle(tmp_path):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import collect_bins, count_calls, random_complex
+from conftest import collect_bins, count_calls, frames_of, random_complex
 from rtfbeam import beamformer, cli, covariance, metrics, pipeline, rtf, simulator, stft
 
 
@@ -45,20 +45,23 @@ def test_evaluate_bundle_does_per_bundle_estimation_work_once(
     static_bundle, monkeypatch, method, fn
 ):
     # the mixture covariance (cw-batch) and the whitened spectrogram (past)
-    # serve both sides
-    calls = count_calls(monkeypatch, fn)
+    # serve both sides. 'past' runs blocks of frames, and whitens each frame
+    # once; the mixture covariance is made once
+    calls = count_calls(monkeypatch, fn, frames_of if method == "past" else lambda phi: 1)
     pipeline.evaluate_bundle(static_bundle, method)
-    assert calls[0] == 1
+    nframes = static_bundle.config.num_frames(static_bundle.mixture.shape[1])
+    assert calls[0] == (1 if method == "cw-batch" else nframes)
 
 
 @pytest.mark.parametrize(
     "call, bound",
     # in spectra, one (F, M, L) complex128 array of the scene (8.2 MB):
-    # measured 3.61 for the past cell and 3.59 for the moving render. Both
-    # ears tracked before either is beamformed, or the render's delay and
-    # gain held as (M, N) rows, read 4.57 and 4.21 and fail
-    [(lambda b: pipeline.evaluate_bundle(b, "past"), 4.1),
-     (lambda b: pipeline.simulate(3, 10.0), 3.9)],
+    # measured 1.30 for the past cell, which runs blocks of frames, and
+    # 1.64 for the moving render, which runs blocks of samples. The whole
+    # STFT, whitened frames and trajectories of a cell, or the render's Farrow
+    # bank over the whole signal, read 3.60 and 2.90 and fail
+    [(lambda b: pipeline.evaluate_bundle(b, "past"), 1.5),
+     (lambda b: pipeline.simulate(3, 10.0), 2.1)],
     ids=["evaluate_bundle-past", "simulate-moving"],
 )
 def test_peak_memory_in_spectra(moving_bundle, call, bound):
@@ -91,13 +94,21 @@ def moving_bundle_dir(tmp_path_factory, moving_bundle):
 
 @pytest.mark.parametrize(
     "argv, bound",
-    # in spectra, after one warm call: measured 4.47, 2.42 and 4.39. With
-    # the truth files and noise.wav read whole at load, they read 6.99, 4.94
-    # and 6.91 and fail
-    [(["beamform", "--method", "past"], 5.0),
-     (["beamform", "--method", "none"], 2.9),
-     (["beampattern", "--method", "past"], 4.9)],
-    ids=["beamform-past", "beamform-none", "beampattern-past"],
+    # in spectra, after one warm call. beamform runs blocks of frames:
+    # measured 2.19 (past), 1.51 (none) and 2.10 (oracle); with whole arrays
+    # they read 4.47, 2.42 and 4.40 and fail. beampattern makes its weights a
+    # block of frames at a time and holds them whole: measured 2.96; with the
+    # whole STFT and whitened frames it read 4.39 and fails. estimate-rtf
+    # drops the STFT before it scores: measured 4.31 (oracle) and 2.30
+    # (cw-batch); holding it, 5.34 and 3.34
+    [(["beamform", "--method", "past"], 2.7),
+     (["beamform", "--method", "none"], 2.0),
+     (["beamform", "--method", "oracle"], 2.4),
+     (["beampattern", "--method", "past"], 3.5),
+     (["estimate-rtf", "--method", "oracle"], 4.8),
+     (["estimate-rtf", "--method", "cw-batch"], 2.8)],
+    ids=["beamform-past", "beamform-none", "beamform-oracle", "beampattern-past",
+         "estimate-rtf-oracle", "estimate-rtf-cw-batch"],
 )
 def test_cli_peak_memory_in_spectra(moving_bundle_dir, moving_bundle, tmp_path, argv, bound):
     spectrum = _spectrum_bytes(moving_bundle)
@@ -145,6 +156,46 @@ def test_the_truth_is_never_overwritten_by_weights(moving_bundle, method):
         after = moving_bundle.truth.rtf[side]()
         np.testing.assert_array_equal(after.values, before.values)
         np.testing.assert_array_equal(after.valid, before.valid)
+
+
+@pytest.mark.parametrize("frame", [40, 100, 200])
+@pytest.mark.parametrize("method", ["past", "oracle", "none"])
+def test_a_causal_cell_is_causal(moving_bundle, method, frame):
+    # the mixture is changed after frame `frame`'s samples: every enhanced
+    # sample that only frames up to `frame` cover keeps its bits. The frames
+    # lie after the 30 noise-only frames, inside and at the end of blocks
+    config = moving_bundle.config
+    mixture = moving_bundle.mixture.copy()
+    tail = mixture[:, frame * config.hop + config.window_len:]
+    tail += np.random.default_rng(frame).standard_normal(tail.shape)
+    changed = dataclasses.replace(moving_bundle, mixture=mixture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
+        before = pipeline.evaluate_bundle(moving_bundle, method)
+        after = pipeline.evaluate_bundle(changed, method)
+    covered = (frame + 1) * config.hop  # frame + 1 starts here
+    for side in rtf.SIDES:
+        np.testing.assert_array_equal(after.enhanced[side][:covered],
+                                      before.enhanced[side][:covered])
+        assert not np.array_equal(after.enhanced[side], before.enhanced[side])
+
+
+@pytest.mark.parametrize("block", [32, 1000])
+@pytest.mark.parametrize("noise_frames", [None, 70])
+@pytest.mark.parametrize("method", ["past", "oracle", "none"])
+def test_a_cell_has_the_bits_of_one_block(moving_bundle, monkeypatch, method,
+                                          noise_frames, block):
+    # a block of 1000 frames is all L = 249 of them: the cell is then one
+    # block, as 'cw-batch' is. 70 noise-only frames take a first block of
+    # 128 at the default 64 frames, and of 96 at 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
+        blocked = pipeline.evaluate_bundle(moving_bundle, method, noise_frames=noise_frames)
+        monkeypatch.setattr(pipeline, "_FRAME_BLOCK", block)
+        other = pipeline.evaluate_bundle(moving_bundle, method, noise_frames=noise_frames)
+    assert repr(other) == repr(blocked)
+    for side in rtf.SIDES:
+        np.testing.assert_array_equal(other.enhanced[side], blocked.enhanced[side])
 
 
 @pytest.mark.parametrize("method", ["cw-batch", "past"])

@@ -253,6 +253,64 @@ def test_track_is_causal_and_respects_start_frame():
     np.testing.assert_array_equal(traj.values[:, :, :10], traj2.values[:, :, :10])
 
 
+@pytest.mark.parametrize("cuts", [(64, 128, 192), (5, 12, 45, 46), (1, 2, 3), (100,)])
+def test_track_in_blocks_is_the_whole_track(cuts):
+    # a PastState carries psi, delta and the frame count from block to
+    # block, and the de-whitening runs over whole aligned groups of frames:
+    # any cuts give the bits of one track over all frames
+    rng = np.random.default_rng(15)
+    nbins, m, nframes, start = 9, 8, 249, 30
+    y = random_complex(rng, nbins, m, nframes)
+    sqrt = np.stack([random_spd(rng, m) for _ in range(nbins)])
+    whole = rtf.track_rtf_past(y, sqrt, m - 1, 0.8, start_frame=start)
+    state = rtf.PastState(nbins, m, m - 1, nframes)
+    edges = [0, *cuts, nframes]
+    blocks = [rtf.track_rtf_past(y[:, :, l0:l1], sqrt, m - 1, 0.8, start, state)
+              for l0, l1 in zip(edges, edges[1:])]
+    np.testing.assert_array_equal(np.concatenate([b.values for b in blocks], axis=2),
+                                  whole.values)
+    np.testing.assert_array_equal(np.concatenate([b.valid for b in blocks], axis=1),
+                                  whole.valid)
+    assert state.frame == nframes
+    with pytest.raises(rtf.RtfError, match="overrun"):
+        rtf.track_rtf_past(y[:, :, :1], sqrt, m - 1, 0.8, start, state)
+
+
+def test_track_over_its_own_frames_is_the_track():
+    # the last side to read whitened frames tracks over them: each frame is
+    # read before its row is written
+    rng = np.random.default_rng(18)
+    nbins, m, nframes = 9, 4, 70
+    frames = random_complex(rng, nframes, nbins, m)  # frame-major, as whiten stores them
+    y = frames.transpose(1, 2, 0)
+    sqrt = np.stack([random_spd(rng, m) for _ in range(nbins)])
+    track = rtf.track_rtf_past(y, sqrt, 0, 0.8, start_frame=12)
+    over = rtf.track_rtf_past(y, sqrt, 0, 0.8, start_frame=12, out=y)
+    assert np.shares_memory(over.values, frames)
+    np.testing.assert_array_equal(over.values, track.values)
+    np.testing.assert_array_equal(over.valid, track.valid)
+    with pytest.raises(rtf.RtfError, match="out has shape"):
+        rtf.track_rtf_past(y, sqrt, 0, 0.8, out=y[:, :, 1:])
+
+
+def test_a_trajectory_scored_in_blocks_has_the_mse_of_the_whole():
+    # the last block scored with the mse_terms of the blocks before it gives
+    # the bits of the whole trajectory's rtf_mse
+    rng = np.random.default_rng(16)
+    nbins, m, nframes = 6, 3, 40
+    truth = rtf.RtfTrajectory(random_complex(rng, nbins, m, nframes), 0)
+    est = rtf.RtfTrajectory(truth.values + 0.1 * random_complex(rng, nbins, m, nframes), 0,
+                            rng.random((nbins, nframes)) < 0.7)
+    blocks = [[rtf.RtfTrajectory(t.values[:, :, a:b], 0, t.valid[:, a:b]) for t in (est, truth)]
+              for a, b in [(0, 7), (7, 30), (30, nframes)]]
+    earlier = [rtf.mse_terms(*pair) for pair in blocks[:-1]]
+    assert rtf.rtf_mse(*blocks[-1], earlier) == rtf.rtf_mse(est, truth)
+    # the first block's cells are all invalid: the whole still has valid ones
+    est.valid[:, :7] = False
+    earlier = [rtf.mse_terms(*pair) for pair in blocks[:-1]]
+    assert rtf.rtf_mse(*blocks[-1], earlier) == rtf.rtf_mse(est, truth)
+
+
 def test_track_reference_cells_exactly_one(static_bundle):
     spec = stft.analyze(static_bundle.mixture, static_bundle.config)
     evd = pipeline.noise_stats(spec, static_bundle.noise_frames)
@@ -482,6 +540,10 @@ def test_trajectory_round_trip(tmp_path):
     assert meta == {"sample_rate_hz": 16000, "window_len": 4, "hop": 2}
     # the header alone says as much, without the mask or the values
     assert rtf.read_trajectory_header(path) == rtf.TrajectoryHeader((3, 2, 4), 1, meta)
+    # a block of frames is read as the same frames of the whole
+    block = rtf.load_trajectory(path, slice(1, 3))[0]
+    np.testing.assert_array_equal(block.values, v[:, :, 1:3])
+    np.testing.assert_array_equal(block.valid, valid[:, 1:3])
 
 
 def test_trajectory_file_body_is_channel_major(tmp_path):

@@ -177,6 +177,17 @@ def test_static_truth_is_one_frame_of_the_per_frame_truth(static_bundle, moving_
         assert traj.values.shape[2] == traj.valid.shape[1] == moving.doa_per_frame.size
 
 
+def test_a_truth_maker_makes_the_frames_it_is_asked_for(static_bundle, moving_bundle):
+    # a moving truth's frame block has the bits of those frames of the whole;
+    # a static truth is its one frame for any block
+    for bundle in (moving_bundle, static_bundle):
+        for make in bundle.truth.rtf.values():
+            whole, block = make(), make(slice(64, 128))
+            frames = slice(64, 128) if whole.values.shape[2] > 1 else slice(None)
+            np.testing.assert_array_equal(block.values, whole.values[:, :, frames])
+            np.testing.assert_array_equal(block.valid, whole.valid[:, frames])
+
+
 def test_channel_power_follows_inverse_distance():
     scenario = _static_scenario(start_deg=50.0)
     source = simulator.synthesize_target_signal(2, scenario)
@@ -218,6 +229,12 @@ def test_render_static_integer_sample_delays_are_shifts():
         np.testing.assert_allclose(out[m], expected, rtol=0, atol=1e-12)
 
 
+def _rows(delays, gains):
+    """The `_delay_varying` rows of (R, N) delays and gains, a block of
+    samples at a time."""
+    return lambda start, stop: (delays[:, start:stop], gains[:, start:stop])
+
+
 def _windowed_sinc_reference(signal, delay_samples, gain):
     """The (N, 32) raised-cosine windowed-sinc block with a clipped gather."""
     half = simulator.SINC_HALF_TAPS
@@ -243,14 +260,14 @@ def test_delay_varying_matches_windowed_sinc_reference(lo, hi):
     delay = np.linspace(lo, hi, n)  # crosses many integers
     delay[::5] = np.round(delay[::5])  # fraction exactly 0
     gain = rng.uniform(0.5, 2.0, n)
-    out = simulator._delay_varying(signal, lambda: [(delay, gain)])[0]
+    out = simulator._delay_varying(signal, _rows(delay[None], gain[None]))[0]
     ref = _windowed_sinc_reference(signal, delay, gain)
     assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_delay_varying_integer_delay_is_shift():
     signal = np.random.default_rng(2).standard_normal(500)
-    out = simulator._delay_varying(signal, lambda: [(np.full(500, 7.0), np.ones(500))])[0]
+    out = simulator._delay_varying(signal, _rows(np.full((1, 500), 7.0), np.ones((1, 500))))[0]
     np.testing.assert_array_equal(out[7:], signal[:-7])
     np.testing.assert_array_equal(out[:7], 0.0)
 
@@ -290,11 +307,26 @@ def test_delay_varying_rows_equal_one_row_calls():
                        np.linspace(-5.5, 12.0, n)])
     delays[:, ::7] = np.round(delays[:, ::7])
     gains = rng.uniform(0.5, 2.0, delays.shape)
-    out = simulator._delay_varying(signal, lambda: zip(delays, gains))
+    out = simulator._delay_varying(signal, _rows(delays, gains))
     assert out.shape == delays.shape
     for row, delay, gain in zip(out, delays, gains):
         np.testing.assert_array_equal(
-            row, simulator._delay_varying(signal, lambda: [(delay, gain)])[0])
+            row, simulator._delay_varying(signal, _rows(delay[None], gain[None]))[0])
+
+
+@pytest.mark.parametrize("block", [1, 37, 256, 1000])
+def test_delay_varying_blocks_give_the_bits_of_one_block(monkeypatch, block):
+    # each block's bank starts and ends on the aligned columns of the bank
+    # over the whole signal, so any block size gives the same bits
+    rng = np.random.default_rng(5)
+    n = 3000
+    signal = rng.standard_normal(n)
+    delays = np.stack([np.linspace(3.0, 47.5, n), np.linspace(60.2, 20.7, n)])
+    delays[:, ::7] = np.round(delays[:, ::7])
+    gains = rng.uniform(0.5, 2.0, delays.shape)
+    whole = simulator._delay_varying(signal, _rows(delays, gains))
+    monkeypatch.setattr(simulator, "_SAMPLE_BLOCK", block)
+    np.testing.assert_array_equal(simulator._delay_varying(signal, _rows(delays, gains)), whole)
 
 
 def test_farrow_fit_is_lazy_and_runs_once():

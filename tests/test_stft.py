@@ -171,6 +171,28 @@ def test_synthesize_shape_validation():
         stft.synthesize(np.zeros(257, dtype=complex), cfg)
 
 
+@pytest.mark.parametrize("window_len, hop", [(512, 256), (512, 128), (512, 200)])
+def test_blocks_of_frames_analyse_and_synthesize_as_the_whole(window_len, hop):
+    # the frames [l0, l1) are the analysis of the samples they cover, and
+    # overlap-added into the slice of the whole signal that they cover they
+    # give its bits, also where three or more frames overlap
+    cfg = stft.StftConfig(window_len=window_len, hop=hop)
+    x = np.random.default_rng(3).standard_normal((2, 9000))
+    spec = stft.analyze(x, cfg)
+    nframes = spec.shape[2]
+    whole = stft.synthesize(spec[:, 1], cfg)
+    out = np.zeros_like(whole)
+    edges = [0, 5, 6, 20, nframes]
+    for l0, l1 in zip(edges, edges[1:]):
+        samples = slice(l0 * hop, (l1 - 1) * hop + window_len)
+        block = stft.analyze(x[:, samples], cfg)
+        np.testing.assert_array_equal(block, spec[:, :, l0:l1])
+        assert stft.synthesize(block[:, 1], cfg, out[samples]).base is out
+    np.testing.assert_array_equal(out, whole)
+    with pytest.raises(stft.StftError, match="out holds"):
+        stft.synthesize(spec[:, 1, :3], cfg, out[:window_len])
+
+
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-7), ("pcm16", 1e-4)])
 def test_wav_round_trip(tmp_path, dtype, tol):
     # write_wav writes float32 only; read_wav also reads the PCM16 files

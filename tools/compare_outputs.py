@@ -7,7 +7,8 @@
 TREE/src first on PYTHONPATH and one BLAS thread) over a fixed matrix, for
 each scene at 10 dB: `simulate`; then `estimate-rtf`, `beamform` and
 `beampattern` for each of the four methods, each method on its own copy of
-the bundle; then `evaluate --snrs 0,10` over the four methods. It writes
+the bundle; `beamform --method past --noise-frames 80` on one more copy;
+then `evaluate --snrs 0,10` over the four methods. It writes
 DIR/manifest.json: every command with its exit code, and the sha256 of every
 file written, and each command's peak resident memory (the child's
 `ru_maxrss`, from `os.wait4`). It exits 1 when a command's exit code is not
@@ -60,6 +61,11 @@ def _scene_commands(kind: str, seed: int, root: Path):
                 argv += ["--results", str(copy / "results.csv")]
             # a flat pattern has no scorable frame
             yield argv, int((command, method) == ("beampattern", "none")), copy
+    # more noise-only frames than one default block of a causal cell: its
+    # first block grows to hold them
+    copy = root / "past-noise80"
+    yield ["beamform", "--bundle", str(copy), "--method", "past", "--noise-frames", "80",
+           "--results", str(copy / "results.csv")], 0, copy
     yield ["evaluate", "--seed", str(seed), "--count", "1", "--snrs", "0,10",
            "--methods", ",".join(METHODS), *static,
            "--out", str(root / "evaluate.csv")], 0, None
