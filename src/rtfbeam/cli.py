@@ -226,9 +226,8 @@ def cmd_simulate(args) -> int:
 def cmd_estimate_rtf(args) -> int:
     bundle_dir = Path(args.bundle)
     bundle = load_bundle(bundle_dir)
-    # the spectrum is dropped here, before the sides are scored
     trajs = pipeline.estimate(bundle, args.method, args.beta, args.loading,
-                              args.noise_frames)[2]
+                              args.noise_frames)[1]
     # score every side first: a side that cannot be scored writes no file
     mse = {side: rtf.rtf_mse(traj, bundle.truth.rtf[side]())
            for side, traj in trajs.items()}

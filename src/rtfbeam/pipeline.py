@@ -2,12 +2,12 @@
 
 The CLI and the batch evaluation sweep are thin wrappers around these
 functions; they are also the entry points the verification suite drives.
-`_spectrum` is the one path from a bundle's mixture to the STFT of a block
-of frames, `estimate_trajectory` the one path from that and the noise
-statistics to RTF trajectories, all frames at once (`estimate`) or a block
-at a time with a `BlockState` (`_blocks`), and `side_weights` the one rule
-from a trajectory to weights: `evaluate_bundle` and `beampattern` both go
-through them.
+`_blocks` is the one driver from a bundle's mixture to the STFT of each
+block of frames, the noise statistics and, through `estimate_trajectory`
+with a `BlockState`, each block's RTF trajectories; `side_weights` is the
+one rule from a trajectory to weights. `evaluate_bundle` consumes the
+blocks as they come, and `estimate` writes them into whole trajectories,
+which `beampattern` weights.
 
 The noise statistics of a bundle are the one `covariance.hermitian_evd`
 result of Phi_nn that `noise_stats` returns; it is passed on to the
@@ -35,9 +35,10 @@ once: for 'oracle' it is both the trajectory and what it is scored
 against. A causal cell thus holds at most one block's STFT, whitened frames
 and trajectories, or its STFT, left trajectory and left truth, and every
 output has the bits of one block of all frames. 'cw-batch' needs Phi_yy
-over all frames, so its cell is that one block. `beampattern` makes its
-weights in the same blocks and holds them whole; `estimate` keeps whole
-trajectories.
+over all frames, so its cell is that one block. `estimate` runs the same
+blocks and keeps whole trajectories but no whole STFT; `beampattern` weights
+the whole left trajectory in one `beamformer.mvdr_weights` call, whose
+bits are those of the blocks' (`covariance.PRODUCT_ALIGN`).
 """
 
 from __future__ import annotations
@@ -154,13 +155,6 @@ def _samples(frames: slice, config: stft.StftConfig) -> slice:
     return slice(frames.start * config.hop, (frames.stop - 1) * config.hop + config.window_len)
 
 
-def _spectrum(mixture: np.ndarray, config: stft.StftConfig, frames: slice) -> np.ndarray:
-    """The (F, M, l1 - l0) STFT of the frames `frames`, [l0, l1): the
-    analysis of the samples they cover, frame for frame the bits of the
-    whole analysis."""
-    return stft.analyze(mixture[:, _samples(frames, config)], config)
-
-
 def _estimator(
     phi_nn_evd: tuple[np.ndarray, np.ndarray],
     num_frames: int,
@@ -261,20 +255,6 @@ def estimate_trajectory(
     return state.estimator(mix_spec, frames)
 
 
-def _noise_frame_count(bundle: SimBundle, noise_frames: int | None) -> int:
-    """`noise_frames`, or when 0 or None the bundle's lead-silence count. A
-    lead silence shorter than one window holds no noise-only frame: then
-    `noise_frames` must be given."""
-    ln = noise_frames or bundle.noise_frames
-    if ln == 0:
-        raise ValueError(
-            f"the lead silence of {bundle.scenario.lead_silence_s} s is shorter than "
-            f"one {bundle.config.window_len}-sample window, so no frame is noise-only; "
-            "give the noise-only frame count (--noise-frames)"
-        )
-    return ln
-
-
 def _blocks(
     bundle: SimBundle,
     method: str,
@@ -286,17 +266,28 @@ def _blocks(
                     rtf.RtfTrajectory]]:
     """Run a cell's `_frame_blocks` in order: yield (frames, spec, evd, side,
     trajectory) for each block of frames and each of `sides` in turn, with
-    the block's STFT, the `covariance.hermitian_evd` result of Phi_nn, which
-    the first block's leading frames give (checking only the reference mics
-    of `sides` for a dead one), and the side's trajectory for the block
-    (`estimate_trajectory`). A caller that drops the spectrum and the
-    trajectory before it asks for the next never holds two blocks' arrays."""
+    the block's STFT (the analysis of the samples its frames cover, frame
+    for frame the bits of the whole analysis), the
+    `covariance.hermitian_evd` result of Phi_nn, which the first block's
+    leading frames give (checking only the reference mics of `sides` for a
+    dead one), and the side's trajectory for the block
+    (`estimate_trajectory`). Phi_nn spans `noise_frames` frames, or when 0
+    or None the bundle's lead-silence count; a lead silence shorter than
+    one window holds no noise-only frame, and then `noise_frames` must be
+    given. A caller that drops the spectrum and the trajectory before it
+    asks for the next never holds two blocks' arrays."""
     config = bundle.config
-    ln = _noise_frame_count(bundle, noise_frames)
+    ln = noise_frames or bundle.noise_frames
+    if ln == 0:
+        raise ValueError(
+            f"the lead silence of {bundle.scenario.lead_silence_s} s is shorter than "
+            f"one {config.window_len}-sample window, so no frame is noise-only; "
+            "give the noise-only frame count (--noise-frames)"
+        )
     nframes = config.num_frames(bundle.mixture.shape[1])
     state = BlockState(nframes)
     for frames in _frame_blocks(nframes, ln, method):
-        spec = _spectrum(bundle.mixture, config, frames)
+        spec = stft.analyze(bundle.mixture[:, _samples(frames, config)], config)
         if frames.start == 0:
             evd = noise_stats(spec, ln, sides)
         trajs = estimate_trajectory(spec, evd, ln, method, beta, loading, bundle.truth, sides,
@@ -313,20 +304,29 @@ def estimate(
     loading: float = covariance.DEFAULT_LOADING,
     noise_frames: int | None = None,
     sides: tuple[str, ...] = rtf.SIDES,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray],
-           dict[str, rtf.RtfTrajectory]]:
-    """Analyse the mixture into its (F, M, L) STFT, take the
-    `covariance.hermitian_evd` result of Phi_nn over its first
-    `noise_frames` frames (`_noise_frame_count`), checking only the
-    reference mics of `sides` for a dead one, and estimate the RTF
-    trajectory of each of `sides`."""
-    ln = _noise_frame_count(bundle, noise_frames)
+) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, rtf.RtfTrajectory]]:
+    """The `covariance.hermitian_evd` result of Phi_nn and the RTF
+    trajectory of each of `sides`, made as a cell makes them (`_blocks`):
+    each block's values and valid mask are written into one whole
+    (F, M, L) trajectory per side, made at the side's first block, so it
+    has the bits of the cell's. A frame-invariant first block, one frame
+    for a block of more ('cw-batch', 'none', a static scene's truth), is
+    kept as it is."""
     nframes = bundle.config.num_frames(bundle.mixture.shape[1])
-    mix_spec = _spectrum(bundle.mixture, bundle.config, slice(0, nframes))
-    evd = noise_stats(mix_spec, ln, sides)
-    trajs = estimate_trajectory(mix_spec, evd, ln, method, beta, loading, bundle.truth,
-                                sides)
-    return mix_spec, evd, trajs
+    trajs = {}
+    for frames, spec, evd, side, block in _blocks(bundle, method, beta, loading,
+                                                  noise_frames, sides):
+        if side not in trajs:
+            nbins, m, width = block.values.shape
+            trajs[side] = block if width < frames.stop - frames.start else rtf.RtfTrajectory(
+                np.empty((nbins, m, nframes), complex), block.ref_channel,
+                np.empty((nbins, nframes), bool))
+        whole = trajs[side]
+        if whole.values.shape[2] == nframes:  # not a frame-invariant block
+            whole.values[:, :, frames] = block.values
+            whole.valid[:, frames] = block.valid
+        del spec, block  # before the next block's are made
+    return evd, trajs
 
 
 def side_weights(
@@ -439,33 +439,19 @@ def beampattern(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (T,) broadside angles -90 + i * `angle_step_deg` deg, up to 90 deg,
     and the (T, L) wideband beampattern of the left-ear weights, one column
-    per STFT frame. Each bin's |B|, (T, L), goes to `sink` in bin order
-    (`beamformer.narrowband_beampattern`). Frame-invariant ('cw-batch',
-    'none') weights give one column, broadcast read-only over the frames."""
+    per STFT frame. The weights are the `side_weights` of the whole left
+    trajectory of `estimate`, one `beamformer.mvdr_weights` call that warns
+    of its own dead bins. Each bin's |B|, (T, L), goes to `sink` in bin order
+    (`beamformer.narrowband_beampattern`). Frame-invariant weights (one
+    frame: 'cw-batch', 'none', a static scene's 'oracle') give one column,
+    broadcast read-only over the frames."""
     if not 0.0 < angle_step_deg <= 180.0:  # refuses nan and inf too
         raise ValueError(f"angle step {angle_step_deg!r} deg is not in (0, 180]")
-    m, n = bundle.mixture.shape
-    nframes = bundle.config.num_frames(n)
-    hold = beamformer.WeightHold(bundle.config.num_bins, m, rtf.reference_mics(m)["left"])
-    weights = None
-    # the weights are made a block of frames at a time, as a cell makes
-    # them: only they are held whole under the pattern
-    for frames, spec, evd, _, traj in _blocks(bundle, method, beta, loading, noise_frames,
-                                              ("left",)):
-        block = side_weights(traj, evd, method, mvdr_loading, hold)
-        if weights is None:
-            # one frame of weights for a block of more is frame-invariant:
-            # that frame stands for every frame
-            whole = block.shape[2] == frames.stop - frames.start
-            weights = np.empty((*block.shape[:2], nframes), complex) if whole else block
-        if whole:
-            weights[:, :, frames] = block
-        del spec, traj, block  # before the next block's are made
-    if method != "none":
-        hold.warn_dead_bins()
+    evd, trajs = estimate(bundle, method, beta, loading, noise_frames, ("left",))
+    weights = side_weights(trajs.pop("left"), evd, method, mvdr_loading)
     count = int(180.0 / angle_step_deg + 1e-9) + 1  # a step dividing 180 keeps 90
     angles = np.minimum(-90.0 + angle_step_deg * np.arange(count), 90.0)
-    shape = (angles.size, nframes)
+    shape = (angles.size, bundle.config.num_frames(bundle.mixture.shape[1]))
     wideband = beamformer.narrowband_beampattern(
         weights, bundle.scenario.mic_axis_offsets(), bundle.config, angles,
         lambda b: sink(np.broadcast_to(b, shape)),

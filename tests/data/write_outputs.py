@@ -26,11 +26,11 @@ PATTERN_METHODS = ("past", "oracle")
 
 def cell_outputs(bundle, method: str) -> dict:
     """The pinned outputs of one method on one bundle."""
-    trajs = pipeline.estimate(bundle, method)[2]
+    trajs = pipeline.estimate(bundle, method)[1]
     out = {f"valid_{side}": int(np.count_nonzero(traj.valid))
            for side, traj in trajs.items()}
     if method != "none":
-        out["rtf_mse_right_db"] = rtf.rtf_mse(trajs["right"], bundle.truth.rtf["right"])
+        out["rtf_mse_right_db"] = rtf.rtf_mse(trajs["right"], bundle.truth.rtf["right"]())
     if method in PATTERN_METHODS:
         wideband = pipeline.beampattern(bundle, method, lambda b: None)[1]
         out["wideband_sum"] = float(wideband.sum())

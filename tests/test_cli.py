@@ -312,16 +312,16 @@ def test_beamform_none_is_reference_passthrough(bundle_dir, tmp_path, static_bun
     assert err < 1e-5
 
 
-def test_beamform_analyzes_and_decomposes_once(bundle_dir_10db, tmp_path, monkeypatch):
-    # the cell runs blocks of frames: each frame is analysed and whitened
-    # once, and Phi_nn is decomposed once
+@pytest.mark.parametrize("command", ["beamform", "beampattern", "estimate-rtf"])
+def test_a_command_analyzes_and_decomposes_once(bundle_dir_10db, tmp_path, monkeypatch,
+                                                command):
+    # each command runs the cell's blocks of frames: each frame is analysed
+    # and whitened once, and Phi_nn is decomposed once
     analyzed = count_calls(monkeypatch, stft.analyze, frames_of)
     whitened = count_calls(monkeypatch, covariance.whiten, frames_of)
     evd = count_calls(monkeypatch, covariance.hermitian_evd)
-    rc = cli.main(
-        ["beamform", "--bundle", str(bundle_dir_10db), "--method", "past",
-         "--results", str(tmp_path / "r.csv")]
-    )
+    results = ["--results", str(tmp_path / "r.csv")] if command == "beamform" else []
+    rc = cli.main([command, "--bundle", str(bundle_dir_10db), "--method", "past", *results])
     assert rc == cli.EXIT_OK
     bundle = cli.load_bundle(bundle_dir_10db)
     nframes = bundle.config.num_frames(bundle.mixture.shape[1])

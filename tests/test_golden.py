@@ -62,7 +62,7 @@ def test_outputs_match_golden_table(golden_bundles):
     assert {c["method"] for c in cells} == set(pipeline.METHODS)
     for cell in cells:
         bundle, method = golden_bundles(cell), cell["method"]
-        trajs = pipeline.estimate(bundle, method)[2]
+        trajs = pipeline.estimate(bundle, method)[1]
         for side, traj in trajs.items():
             assert np.count_nonzero(traj.valid) == cell[f"valid_{side}"], (cell, side)
         if method != "none":

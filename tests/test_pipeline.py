@@ -59,10 +59,13 @@ def test_evaluate_bundle_does_per_bundle_estimation_work_once(
     # measured 1.30 for the past cell, which runs blocks of frames, and
     # 1.64 for the moving render, which runs blocks of samples. The whole
     # STFT, whitened frames and trajectories of a cell, or the render's Farrow
-    # bank over the whole signal, read 3.60 and 2.90 and fail
+    # bank over the whole signal, read 3.60 and 2.90 and fail. `estimate`
+    # runs the cell's blocks into a whole trajectory: measured 1.73 for the
+    # left past side; with the whole STFT and whitened frames, 2.39
     [(lambda b: pipeline.evaluate_bundle(b, "past"), 1.5),
-     (lambda b: pipeline.simulate(3, 10.0), 2.1)],
-    ids=["evaluate_bundle-past", "simulate-moving"],
+     (lambda b: pipeline.simulate(3, 10.0), 2.1),
+     (lambda b: pipeline.estimate(b, "past", sides=("left",)), 2.2)],
+    ids=["evaluate_bundle-past", "simulate-moving", "estimate-past-left"],
 )
 def test_peak_memory_in_spectra(moving_bundle, call, bound):
     # numpy reports its buffers to tracemalloc
@@ -96,11 +99,11 @@ def moving_bundle_dir(tmp_path_factory, moving_bundle):
     "argv, bound",
     # in spectra, after one warm call. beamform runs blocks of frames:
     # measured 2.19 (past), 1.51 (none) and 2.10 (oracle); with whole arrays
-    # they read 4.47, 2.42 and 4.40 and fail. beampattern makes its weights a
-    # block of frames at a time and holds them whole: measured 2.96; with the
-    # whole STFT and whitened frames it read 4.39 and fails. estimate-rtf
-    # drops the STFT before it scores: measured 4.31 (oracle) and 2.30
-    # (cw-batch); holding it, 5.34 and 3.34
+    # they read 4.47, 2.42 and 4.40 and fail. beampattern makes its left
+    # trajectory in the same blocks and holds it whole: measured 2.96; with
+    # the whole STFT and whitened frames it read 4.39 and fails. estimate-rtf
+    # holds no whole STFT: measured 4.31 (oracle) and 2.30 (cw-batch);
+    # holding it, 5.34 and 3.34
     [(["beamform", "--method", "past"], 2.7),
      (["beamform", "--method", "none"], 2.0),
      (["beamform", "--method", "oracle"], 2.4),
@@ -187,15 +190,27 @@ def test_a_cell_has_the_bits_of_one_block(moving_bundle, monkeypatch, method,
                                           noise_frames, block):
     # a block of 1000 frames is all L = 249 of them: the cell is then one
     # block, as 'cw-batch' is. 70 noise-only frames take a first block of
-    # 128 at the default 64 frames, and of 96 at 32
+    # 128 at the default 64 frames, and of 96 at 32. The cell, the whole
+    # trajectories of `estimate` and the beampattern of its left one all
+    # keep their bits
+    def outputs():
+        report = pipeline.evaluate_bundle(moving_bundle, method, noise_frames=noise_frames)
+        trajs = pipeline.estimate(moving_bundle, method, noise_frames=noise_frames)[1]
+        wideband = pipeline.beampattern(moving_bundle, method, lambda b: None,
+                                        noise_frames=noise_frames, angle_step_deg=5.0)[1]
+        return report, trajs, wideband
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
-        blocked = pipeline.evaluate_bundle(moving_bundle, method, noise_frames=noise_frames)
+        blocked, blocked_trajs, blocked_wideband = outputs()
         monkeypatch.setattr(pipeline, "_FRAME_BLOCK", block)
-        other = pipeline.evaluate_bundle(moving_bundle, method, noise_frames=noise_frames)
+        other, other_trajs, other_wideband = outputs()
     assert repr(other) == repr(blocked)
     for side in rtf.SIDES:
         np.testing.assert_array_equal(other.enhanced[side], blocked.enhanced[side])
+        np.testing.assert_array_equal(other_trajs[side].values, blocked_trajs[side].values)
+        np.testing.assert_array_equal(other_trajs[side].valid, blocked_trajs[side].valid)
+    np.testing.assert_array_equal(other_wideband, blocked_wideband)
 
 
 @pytest.mark.parametrize("method", ["cw-batch", "past"])
@@ -203,7 +218,7 @@ def test_invalid_cells_hold_e_ref_and_never_reach_the_weights(moving_bundle, met
     # the one rule for an estimated trajectory: every invalid cell holds
     # e_ref, and the MVDR weights, which hold their own, ignore its values
     rng = np.random.default_rng(27)
-    _, evd, trajs = pipeline.estimate(moving_bundle, method)
+    evd, trajs = pipeline.estimate(moving_bundle, method)
     for traj in trajs.values():
         m = traj.values.shape[1]
         k, l = np.nonzero(~traj.valid)

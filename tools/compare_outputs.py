@@ -7,10 +7,11 @@
 TREE/src first on PYTHONPATH and one BLAS thread) over a fixed matrix, for
 each scene at 10 dB: `simulate`; then `estimate-rtf`, `beamform` and
 `beampattern` for each of the four methods, each method on its own copy of
-the bundle; `beamform --method past --noise-frames 80` on one more copy;
-then `evaluate --snrs 0,10` over the four methods. It writes
-DIR/manifest.json: every command with its exit code, and the sha256 of every
-file written, and each command's peak resident memory (the child's
+the bundle; `estimate-rtf` and `beamform` with `--method past --noise-frames
+80` on one more copy, whose first block of frames grows to hold the
+noise-only frames; then `evaluate --snrs 0,10` over the four methods. It
+writes DIR/manifest.json: every command with its exit code, the sha256 of
+every file written, and each command's peak resident memory (the child's
 `ru_maxrss`, from `os.wait4`). It exits 1 when a command's exit code is not
 the expected one (`beampattern --method none` exits 1: a flat pattern has no
 scorable frame).
@@ -64,8 +65,9 @@ def _scene_commands(kind: str, seed: int, root: Path):
     # more noise-only frames than one default block of a causal cell: its
     # first block grows to hold them
     copy = root / "past-noise80"
-    yield ["beamform", "--bundle", str(copy), "--method", "past", "--noise-frames", "80",
-           "--results", str(copy / "results.csv")], 0, copy
+    flags = ["--bundle", str(copy), "--method", "past", "--noise-frames", "80"]
+    yield ["estimate-rtf", *flags], 0, copy
+    yield ["beamform", *flags, "--results", str(copy / "results.csv")], 0, copy
     yield ["evaluate", "--seed", str(seed), "--count", "1", "--snrs", "0,10",
            "--methods", ",".join(METHODS), *static,
            "--out", str(root / "evaluate.csv")], 0, None
