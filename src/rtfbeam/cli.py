@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_POSITIVE, default=1)
     p.add_argument("--snr", type=_SNR, default=10.0)
     p.add_argument("--static", action="store_true", help="pin the source")
-    p.add_argument("--out", default=os.environ.get("RTFBEAM_OUT", "bundles"))
+    p.add_argument("--out", default="bundles")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-rtf", help="estimate RTF trajectories for a bundle")
@@ -497,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="cw-batch,past,oracle")
     p.add_argument("--static", action="store_true")
     config_flags(p)
-    p.add_argument("--out", default=os.environ.get("RTFBEAM_OUT", "results.csv"))
+    p.add_argument("--out", default="results.csv")
     p.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -3,17 +3,19 @@
 The CLI and the batch evaluation sweep are thin wrappers around these
 functions; they are also the entry points the verification suite drives.
 `_blocks` is the one driver from a bundle's mixture to the STFT of each
-block of frames, the noise statistics and, through `estimate_trajectory`
-with a `BlockState`, each block's RTF trajectories; `side_weights` is the
-one rule from a trajectory to weights. `evaluate_bundle` consumes the
-blocks as they come, and `estimate` writes them into whole trajectories,
-which `beampattern` weights.
+block of frames, the noise statistics and each block's RTF trajectories:
+it builds the method's estimator (`_estimator`) once, from the first
+block's Phi_nn, and runs it on each block and the block's frames through
+`estimate_trajectory`; `side_weights` is the one rule from a trajectory to
+weights. `evaluate_bundle` consumes the blocks as they come, and `estimate`
+writes them into whole trajectories, which `beampattern` weights.
 
 The noise statistics of a bundle are the one `covariance.hermitian_evd`
 result of Phi_nn that `noise_stats` returns; it is passed on to the
 estimators and the weights. Only 'cw-batch' and 'past' build the whitener
-pair from it, once per trajectory. Per-bin matrices, weights and beampatterns
-are plain ndarrays, in the layouts of `covariance` and `beamformer`.
+pair from it, once, with their estimator. Per-bin matrices, weights and
+beampatterns are plain ndarrays, in the layouts of `covariance` and
+`beamformer`.
 
 A bundle's truth is a maker per side (`simulator.GroundTruth`), called
 where the truth is read, for the frames it is read for: by the 'oracle'
@@ -36,9 +38,11 @@ against. A causal cell thus holds at most one block's STFT, whitened frames
 and trajectories, or its STFT, left trajectory and left truth, and every
 output has the bits of one block of all frames. 'cw-batch' needs Phi_yy
 over all frames, so its cell is that one block. `estimate` runs the same
-blocks and keeps whole trajectories but no whole STFT; `beampattern` weights
-the whole left trajectory in one `beamformer.mvdr_weights` call, whose
-bits are those of the blocks' (`covariance.PRODUCT_ALIGN`).
+blocks, only the first when each side's trajectory of it is
+frame-invariant, and keeps whole trajectories but no whole STFT;
+`beampattern` weights the whole left trajectory in one
+`beamformer.mvdr_weights` call, whose bits are those of the blocks'
+(`covariance.PRODUCT_ALIGN`).
 """
 
 from __future__ import annotations
@@ -165,12 +169,21 @@ def _estimator(
     truth: simulator.GroundTruth | None,
     sides: tuple[str, ...],
 ) -> Callable[[np.ndarray, slice], dict[str, rtf.RtfTrajectory]]:
-    """The trajectories of `sides` by the rules of `estimate_trajectory`, a
-    block of frames at a time: `block(spec, frames)` returns them for the
-    (F, M, l1 - l0) STFT `spec` of the frames `frames`, [l0, l1), of the
-    `num_frames` frames. Blocks come in frame order: 'past' carries each
-    side's `rtf.PastState` from block to block; 'cw-batch' takes all frames
-    in one block."""
+    """The RTF trajectory per side of `sides` by the chosen method ('oracle'
+    needs ground truth; 'none' is the trivial e_ref trajectory of reference
+    passthrough), a block of frames at a time: `block(spec, frames)` returns
+    them for the (F, M, l1 - l0) STFT `spec` of the frames `frames`,
+    [l0, l1), of the `num_frames` frames. Blocks come in frame order: 'past'
+    carries each side's `rtf.PastState` from block to block; 'cw-batch'
+    takes all frames in one block.
+
+    Each side is referenced to its mic in `rtf.reference_mics`. The work
+    shared by the sides is done once: the whitener pair, built here from
+    `phi_nn_evd`, the `covariance.hermitian_evd` result of Phi_nn, with
+    `loading` for 'cw-batch' and 'past' only; each block's whitening for
+    'past'; the mixture covariance and its whitened EVD for 'cw-batch'. The
+    frame-invariant 'cw-batch' and 'none' trajectories have one frame
+    (`rtf.RtfTrajectory`)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
     if method == "oracle" and truth is None:
@@ -208,51 +221,17 @@ def _estimator(
     return block
 
 
-@dataclass
-class BlockState:
-    """What the estimation of one trajectory a block of frames at a time
-    carries from block to block: its frame count, the frames given so far,
-    and its method's estimator (`_estimator`), which keeps the whitener pair,
-    built once, and each side's `rtf.PastState`."""
-
-    num_frames: int
-    frame: int = 0
-    estimator: Callable[[np.ndarray, slice], dict[str, rtf.RtfTrajectory]] | None = None
-
-
 def estimate_trajectory(
+    estimator: Callable[[np.ndarray, slice], dict[str, rtf.RtfTrajectory]],
     mix_spec: np.ndarray,
-    phi_nn_evd: tuple[np.ndarray, np.ndarray],
-    noise_frames: int,
-    method: str,
-    beta: float = rtf.DEFAULT_BETA,
-    loading: float = covariance.DEFAULT_LOADING,
-    truth: simulator.GroundTruth | None = None,
-    sides: tuple[str, ...] = rtf.SIDES,
-    state: BlockState | None = None,
+    frames: slice,
 ) -> dict[str, rtf.RtfTrajectory]:
-    """RTF trajectory per side by the chosen method ('oracle' needs ground
-    truth; 'none' is the trivial e_ref trajectory of reference passthrough).
-
-    Each side is referenced to its mic in `rtf.reference_mics`. The work
-    shared by the sides is done once: the whitener pair, built from
-    `phi_nn_evd`, the `covariance.hermitian_evd` result of Phi_nn, with
-    `loading` for 'cw-batch' and 'past' only; the whitening for 'past'; the
-    mixture covariance and its whitened EVD for 'cw-batch'. The
-    frame-invariant 'cw-batch' and 'none' trajectories have one frame
-    (`rtf.RtfTrajectory`).
-
-    `mix_spec` holds all frames, or with `state` the next block of frames
-    of a trajectory estimated a block at a time, in frame order: its calls
-    share one `BlockState`, which carries the estimator from block to block.
-    """
-    state = BlockState(mix_spec.shape[2]) if state is None else state
-    if state.estimator is None:
-        state.estimator = _estimator(phi_nn_evd, state.num_frames, noise_frames, method,
-                                     beta, loading, truth, sides)
-    frames = slice(state.frame, state.frame + mix_spec.shape[2])
-    state.frame = frames.stop
-    return state.estimator(mix_spec, frames)
+    """One block's RTF trajectory per side: the method's `_estimator` run on
+    the (F, M, l1 - l0) STFT `mix_spec` of the frames `frames`, [l0, l1).
+    `_blocks` calls it once per block, in frame order. It stays a function
+    of its own so that a profile of a cell times each block's estimation
+    work by this name (`pipeline.estimate_trajectory.ms` in perfbench)."""
+    return estimator(mix_spec, frames)
 
 
 def _blocks(
@@ -285,13 +264,12 @@ def _blocks(
             "give the noise-only frame count (--noise-frames)"
         )
     nframes = config.num_frames(bundle.mixture.shape[1])
-    state = BlockState(nframes)
     for frames in _frame_blocks(nframes, ln, method):
         spec = stft.analyze(bundle.mixture[:, _samples(frames, config)], config)
         if frames.start == 0:
             evd = noise_stats(spec, ln, sides)
-        trajs = estimate_trajectory(spec, evd, ln, method, beta, loading, bundle.truth, sides,
-                                    state)
+            estimator = _estimator(evd, nframes, ln, method, beta, loading, bundle.truth, sides)
+        trajs = estimate_trajectory(estimator, spec, frames)
         for side in sides:
             yield frames, spec, evd, side, trajs.pop(side)
         del spec  # before the next block is analysed
@@ -310,8 +288,9 @@ def estimate(
     each block's values and valid mask are written into one whole
     (F, M, L) trajectory per side, made at the side's first block, so it
     has the bits of the cell's. A frame-invariant first block, one frame
-    for a block of more ('cw-batch', 'none', a static scene's truth), is
-    kept as it is."""
+    for a block of more ('cw-batch', 'none', a simulated static scene's
+    truth), is kept as it is; once every side's is, no later block is
+    analysed."""
     nframes = bundle.config.num_frames(bundle.mixture.shape[1])
     trajs = {}
     for frames, spec, evd, side, block in _blocks(bundle, method, beta, loading,
@@ -326,6 +305,8 @@ def estimate(
             whole.values[:, :, frames] = block.values
             whole.valid[:, frames] = block.valid
         del spec, block  # before the next block's are made
+        if side == sides[-1] and all(t.values.shape[2] < nframes for t in trajs.values()):
+            break  # every side is frame-invariant: no later block changes it
     return evd, trajs
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from conftest import discard_bins, random_complex, random_spd
-from rtfbeam import beamformer, cli, covariance, metrics, pipeline, rtf, stft
+from rtfbeam import beamformer, cli, covariance, metrics, pipeline, rtf
 
 
 def _report(capsys, label, ok, detail):
@@ -65,10 +65,8 @@ def test_acceptance_2_whitening_identity(capsys):
 
 def test_acceptance_3_distortionless_constraint(capsys, moving_bundle):
     """|w^H a_hat - 1| < 1e-8 for every valid cell of a full scenario."""
-    spec = stft.analyze(moving_bundle.mixture, moving_bundle.config)
-    evd = pipeline.noise_stats(spec, moving_bundle.noise_frames)
+    evd, trajs = pipeline.estimate(moving_bundle, "past")
     worst = 0.0
-    trajs = pipeline.estimate_trajectory(spec, evd, moving_bundle.noise_frames, "past")
     for traj in trajs.values():
         w = beamformer.mvdr_weights(traj, evd)
         dots = np.einsum("kml,kml->kl", w.conj(), traj.values)
@@ -87,11 +85,7 @@ def test_acceptance_4_mse_snr_trend(capsys):
         base = pipeline.simulate(seed, 0.0, static=True)
         for i, snr in enumerate(snrs):
             bundle = pipeline.remix(base, snr)
-            spec = stft.analyze(bundle.mixture, bundle.config)
-            evd = pipeline.noise_stats(spec, bundle.noise_frames)
-            traj = pipeline.estimate_trajectory(
-                spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
-            )["left"]
+            traj = pipeline.estimate(bundle, "cw-batch", sides=("left",))[1]["left"]
             sums[i] += rtf.rtf_mse(traj, bundle.truth.rtf["left"]())
     means = sums / num_seeds
     elapsed = time.perf_counter() - start

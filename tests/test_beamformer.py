@@ -188,11 +188,8 @@ def test_mvdr_numerator_matches_einsum_reference(layout):
 
 
 def test_distortionless_full_scenario(static_bundle):
-    spec = stft.analyze(static_bundle.mixture, static_bundle.config)
-    evd = pipeline.noise_stats(spec, static_bundle.noise_frames)
-    traj = pipeline.estimate_trajectory(
-        spec, evd, static_bundle.noise_frames, "cw-batch", sides=("left",)
-    )["left"]
+    evd, trajs = pipeline.estimate(static_bundle, "cw-batch", sides=("left",))
+    traj = trajs["left"]
     w = beamformer.mvdr_weights(traj, evd)
     dots = np.einsum("kml,kml->kl", w.conj(), traj.values)
     assert np.max(np.abs(dots[traj.valid] - 1.0)) < 1e-8

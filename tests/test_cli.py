@@ -328,6 +328,15 @@ def test_a_command_analyzes_and_decomposes_once(bundle_dir_10db, tmp_path, monke
     assert (analyzed[0], whitened[0], evd[0]) == (nframes, nframes, 1)
 
 
+def test_the_output_defaults_ignore_the_environment(monkeypatch):
+    # `simulate --out` names a directory and `evaluate --out` a file, so no
+    # one setting can serve as the default of both
+    monkeypatch.setenv("RTFBEAM_OUT", "elsewhere")
+    parser = cli.build_parser()
+    assert parser.parse_args(["simulate"]).out == "bundles"
+    assert parser.parse_args(["evaluate"]).out == "results.csv"
+
+
 def test_beamform_missing_bundle(tmp_path):
     assert (
         cli.main(["beamform", "--bundle", "/nonexistent", "--results", str(tmp_path / "x.csv")])

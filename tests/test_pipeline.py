@@ -53,6 +53,36 @@ def test_evaluate_bundle_does_per_bundle_estimation_work_once(
     assert calls[0] == (1 if method == "cw-batch" else nframes)
 
 
+@pytest.mark.parametrize("scene, method", [("static_bundle", "none"), ("moving_bundle", "none"),
+                                           ("static_bundle", "oracle")])
+def test_estimate_of_frame_invariant_sides_analyses_only_the_first_block(
+    request, monkeypatch, scene, method
+):
+    # 'none' and a simulated static scene's truth have one frame for every
+    # block: once each side's first block is that one frame, the later blocks
+    # would change nothing. The 30 noise-only frames fit the first block
+    bundle = request.getfixturevalue(scene)
+    analyzed = count_calls(monkeypatch, stft.analyze, frames_of)
+    trajs = pipeline.estimate(bundle, method)[1]
+    nframes = bundle.config.num_frames(bundle.mixture.shape[1])
+    assert analyzed[0] == pipeline._FRAME_BLOCK < nframes
+    assert [t.values.shape[2] for t in trajs.values()] == [1, 1]
+
+
+@pytest.mark.parametrize("method", ["cw-batch", "past", "oracle"])
+@pytest.mark.parametrize("scene", ["static_bundle", "moving_bundle"])
+def test_the_rtf_mse_of_estimate_is_the_cell_s(request, scene, method):
+    # the whole left trajectory of `estimate`, scored at once, and the cell's
+    # score, summed block by block (`rtf.mse_terms`), have the same bits
+    bundle = request.getfixturevalue(scene)
+    traj = pipeline.estimate(bundle, method, sides=("left",))[1]["left"]
+    whole = rtf.rtf_mse(traj, bundle.truth.rtf["left"]())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Nyquist bin is a dead bin
+        report = pipeline.evaluate_bundle(bundle, method)
+    assert whole == report.rtf_mse_db
+
+
 @pytest.mark.parametrize(
     "call, bound",
     # in spectra, one (F, M, L) complex128 array of the scene (8.2 MB):

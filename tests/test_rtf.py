@@ -194,11 +194,7 @@ def test_cw_ref_channel_out_of_range():
 def test_cw_static_scenario_mse(static_bundle):
     # batch CW on a static anechoic scene at 10 dB SNR
     bundle = pipeline.remix(static_bundle, 10.0)
-    spec = stft.analyze(bundle.mixture, bundle.config)
-    evd = pipeline.noise_stats(spec, bundle.noise_frames)
-    traj = pipeline.estimate_trajectory(
-        spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
-    )["left"]
+    traj = pipeline.estimate(bundle, "cw-batch", sides=("left",))[1]["left"]
     assert rtf.rtf_mse(traj, bundle.truth.rtf["left"]()) <= -20.0
 
 
@@ -312,21 +308,13 @@ def test_a_trajectory_scored_in_blocks_has_the_mse_of_the_whole():
 
 
 def test_track_reference_cells_exactly_one(static_bundle):
-    spec = stft.analyze(static_bundle.mixture, static_bundle.config)
-    evd = pipeline.noise_stats(spec, static_bundle.noise_frames)
-    traj = pipeline.estimate_trajectory(
-        spec, evd, static_bundle.noise_frames, "past", sides=("left",)
-    )["left"]
+    traj = pipeline.estimate(static_bundle, "past", sides=("left",))[1]["left"]
     ref_vals = traj.values[:, 0][traj.valid]
     assert np.all(ref_vals == 1.0 + 0.0j)
 
 
 def test_track_static_scene_mse(static_bundle):
-    spec = stft.analyze(static_bundle.mixture, static_bundle.config)
-    evd = pipeline.noise_stats(spec, static_bundle.noise_frames)
-    traj = pipeline.estimate_trajectory(
-        spec, evd, static_bundle.noise_frames, "past", sides=("left",)
-    )["left"]
+    traj = pipeline.estimate(static_bundle, "past", sides=("left",))[1]["left"]
     assert rtf.rtf_mse(traj, static_bundle.truth.rtf["left"]()) <= -20.0
 
 
@@ -339,11 +327,7 @@ def test_track_static_scene_mse(static_bundle):
     "observed PAST values are -4 to -9 dB across seeds",
 )
 def test_track_moving_scene_mse(moving_bundle):
-    spec = stft.analyze(moving_bundle.mixture, moving_bundle.config)
-    evd = pipeline.noise_stats(spec, moving_bundle.noise_frames)
-    traj = pipeline.estimate_trajectory(
-        spec, evd, moving_bundle.noise_frames, "past", sides=("left",)
-    )["left"]
+    traj = pipeline.estimate(moving_bundle, "past", sides=("left",))[1]["left"]
     assert rtf.rtf_mse(traj, moving_bundle.truth.rtf["left"]()) <= -15.0
 
 
@@ -512,11 +496,7 @@ def test_mse_monotone_with_snr(static_bundle):
     mses = []
     for snr in (-10.0, 0.0, 10.0, 20.0, 30.0):
         bundle = pipeline.remix(static_bundle, snr)
-        spec = stft.analyze(bundle.mixture, bundle.config)
-        evd = pipeline.noise_stats(spec, bundle.noise_frames)
-        traj = pipeline.estimate_trajectory(
-            spec, evd, bundle.noise_frames, "cw-batch", sides=("left",)
-        )["left"]
+        traj = pipeline.estimate(bundle, "cw-batch", sides=("left",))[1]["left"]
         mses.append(rtf.rtf_mse(traj, bundle.truth.rtf["left"]()))
     assert all(b < a for a, b in zip(mses, mses[1:]))
 
